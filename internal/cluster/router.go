@@ -241,17 +241,17 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rt.met.batches.Add(1)
 	var req service.BatchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if err := service.DecodeJSON(w, r, &req, maxBodyBytes); err != nil {
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: err.Error()})
 		return
 	}
 	if len(req.Items) == 0 {
-		writeError(w, http.StatusBadRequest, "batch has no items")
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: "batch has no items"})
 		return
 	}
 	if len(req.Items) > rt.cfg.MaxBatchItems {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch has %d items, router cap is %d", len(req.Items), rt.cfg.MaxBatchItems))
+		msg := fmt.Sprintf("batch has %d items, router cap is %d", len(req.Items), rt.cfg.MaxBatchItems)
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: msg})
 		return
 	}
 
@@ -267,7 +267,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.RequestID = id
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, resp)
+	service.WriteJSON(w, http.StatusOK, resp)
 }
 
 // sendSubBatch returns the SendFunc forwarding one sub-batch to one
@@ -326,17 +326,17 @@ func (rt *Router) reportSend(node string, ok bool) {
 func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 	rt.met.singles.Add(1)
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("method %s not allowed (use POST)", r.Method))
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: fmt.Sprintf("method %s not allowed (use POST)", r.Method)})
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: fmt.Sprintf("reading request: %v", err)})
 		return
 	}
 	key, err := routeKeyFor(r.URL.Path, body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: err.Error()})
 		return
 	}
 
@@ -366,8 +366,9 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rt.met.degraded.Add(1)
-	writeError(w, http.StatusServiceUnavailable,
-		fmt.Sprintf("%s: no cluster node could answer (%v)", service.ReasonUnavailable, lastErr))
+	service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorResponse{
+		Error: fmt.Sprintf("%s: no cluster node could answer (%v)", service.ReasonUnavailable, lastErr),
+	})
 }
 
 // forwardSingle relays one request to one node. done=true means a
@@ -440,7 +441,7 @@ func routeKeyFor(path string, body []byte) (string, error) {
 // ---- router health & metrics ----------------------------------------
 
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, service.HealthResponse{Status: "ok"})
+	service.WriteJSON(w, http.StatusOK, service.HealthResponse{Status: "ok"})
 }
 
 // handleReady reports 200 while at least one backend is routable: a
@@ -448,41 +449,13 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	for _, node := range rt.ring.Nodes() {
 		if rt.health.Routable(node) {
-			writeJSON(w, http.StatusOK, service.HealthResponse{Status: "ok"})
+			service.WriteJSON(w, http.StatusOK, service.HealthResponse{Status: "ok"})
 			return
 		}
 	}
-	writeJSON(w, http.StatusServiceUnavailable, service.HealthResponse{Status: "no-nodes"})
+	service.WriteJSON(w, http.StatusServiceUnavailable, service.HealthResponse{Status: "no-nodes"})
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.Snapshot())
-}
-
-// ---- small HTTP helpers (mirrors of the service's, kept local so the
-// router stays importable without the service's handler internals) ----
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	if r.Method != http.MethodPost {
-		return fmt.Errorf("method %s not allowed (use POST)", r.Method)
-	}
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid request body: %w", err)
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, service.ErrorResponse{Error: msg})
+	service.WriteJSON(w, http.StatusOK, rt.Snapshot())
 }

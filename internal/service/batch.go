@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -72,12 +73,15 @@ func (it BatchItem) kinds() int {
 	return n
 }
 
-// RouteKey returns the canonical routing/grouping key of the item: the
-// digest-based cache key the serving node will use. Cluster components
-// consistent-hash this key so structurally identical work always lands
-// on the same node, keeping that node's semantic LRU and incremental
-// contexts hot for its shard. The key is derived from canonical
-// digests, so textual variants of the same expression route together.
+// RouteKey returns the canonical routing key of the item. Cluster
+// components consistent-hash this key so structurally identical work
+// always lands on the same node, keeping that node's semantic LRU and
+// incremental contexts hot for its shard. The key is derived from
+// canonical digests, so textual variants of the same expression route
+// together. A solve or simplify route key has the shape of the node's
+// cache key but equals it only for an explicit width: with width 0 the
+// route key embeds w0 while the node resolves its DefaultWidth.
+// Classify items route by expression alone.
 func (it BatchItem) RouteKey() (string, error) {
 	if it.kinds() != 1 {
 		return "", fmt.Errorf("batch item must set exactly one of solve, simplify, classify")
@@ -165,49 +169,17 @@ type BatchResponse struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// batchGroup is one unique unit of execution: the representative
-// parsed item plus the member indices its result fans out to.
-type batchGroup struct {
-	key     string
-	members []int
-
-	// solve fields (solve == true), classify fields (classify == true)
-	// or simplify fields.
-	solve    bool
-	classify bool
-	a, b     *expr.Expr
-	width    uint
-	spec     solveSpec
-	e        *expr.Expr
-	disj     bool
-	verify   bool
-	samples  int
-	seed     uint64
-
-	solveResp *SolveResponse
-	simpResp  *SimplifyResponse
-	classResp *ClassifyResponse
-	errText   string // degraded simplify/classify group: per-item error text
-}
-
-// degradedSolve is the reasoned-Unknown answer for a solve group the
-// pool could not run: status timeout (the Unknown wire value) with a
-// reason, mirroring the solver's own degradation vocabulary.
-func degradedSolve(width uint, reason string) *SolveResponse {
-	return &SolveResponse{Status: smt.Unknown.String(), Reason: reason, Width: width}
-}
+// errBatchCanceled is the degradation cause of groups a batch never
+// started because its client went away.
+var errBatchCanceled = errors.New("client canceled the batch before the group ran")
 
 // submitReason maps an admission failure to the degradation reason the
 // batch reports for affected items.
 func submitReason(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case err == errWorkerPanic:
+	if errors.Is(err, errWorkerPanic) {
 		return smt.ReasonPanic.String()
-	default: // overloaded, shutting down, client gone
-		return ReasonUnavailable
 	}
+	return ReasonUnavailable // overloaded, shutting down, client gone
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -216,7 +188,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.met.observe(PathBatch, status, time.Since(start)) }()
 
 	var req BatchRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := DecodeJSON(w, r, &req, maxBodyBytes); err != nil {
 		status = http.StatusBadRequest
 		s.writeError(w, status, err.Error())
 		return
@@ -237,20 +209,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Items:     make([]BatchItemResult, len(req.Items)),
 		RequestID: requestIDOf(r),
 	}
-	groups := s.planBatch(req.Items, deadline, resp)
-	resp.Groups = len(groups)
+	jobs := s.planBatch(req.Items, deadline, resp)
+	resp.Groups = len(jobs)
 
-	// Check the verdict cache per group before spending a worker.
-	var pending []*batchGroup
-	for _, g := range groups {
-		if s.batchCacheGet(g) {
+	// Answer from the verdict tier before spending a worker.
+	var pending []*job
+	for _, j := range jobs {
+		if s.recall(j) {
 			resp.CacheHits++
 			continue
 		}
-		pending = append(pending, g)
+		pending = append(pending, j)
 	}
 
-	// Execute cache misses on the worker pool, at most Workers groups in
+	// Execute the misses on the worker pool, at most Workers groups in
 	// flight from this batch so one big batch cannot monopolize the
 	// admission queue against interactive traffic. Slot acquisition
 	// honors the client's context: when the client goes away mid-batch,
@@ -259,7 +231,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(pending) > 0 {
 		sem := make(chan struct{}, s.cfg.Workers)
 		var wg sync.WaitGroup
-		for i, g := range pending {
+		for i, j := range pending {
 			gone := false
 			select {
 			case sem <- struct{}{}:
@@ -268,38 +240,34 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			if gone {
 				for _, left := range pending[i:] {
-					s.degradeBatchGroup(left, requestIDOf(r))
+					s.met.noteShed(resp.RequestID)
+					s.degrade(left, ReasonUnavailable, errBatchCanceled)
 				}
 				break
 			}
-			g := g
+			j := j
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				//lint:ignore ctxflow releasing a held slot of a buffered semaphore never blocks
 				defer func() { <-sem }()
-				s.runBatchGroup(r, g, deadline)
+				if err := s.runBatchGroup(r, j); err != nil {
+					s.degrade(j, submitReason(err), err)
+				}
 			}()
 		}
 		wg.Wait()
 	}
 
-	// Fan each group's result out to its members, in input order.
-	for _, g := range groups {
-		for i, idx := range g.members {
+	// Fan each group's answer out to its members, in input order. The
+	// answer is shared, not copied: nothing stamps per-item fields on it.
+	for _, j := range jobs {
+		for i, idx := range j.members {
 			item := &resp.Items[idx]
-			switch {
-			case g.errText != "":
-				item.Error = g.errText
-			case g.solve:
-				cp := *g.solveResp
-				item.Solve = &cp
-			case g.classify:
-				cp := *g.classResp
-				item.Classify = &cp
-			default:
-				cp := *g.simpResp
-				item.Simplify = &cp
+			if j.errText != "" {
+				item.Error = j.errText
+			} else {
+				j.resp.fill(item)
 			}
 			if i > 0 {
 				item.Deduped = true
@@ -308,39 +276,69 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.ElapsedMS = durMS(time.Since(start))
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 // planBatch validates and parses every item, records per-item errors
-// directly into resp, and groups the well-formed remainder by
-// canonical execution key.
-func (s *Server) planBatch(items []BatchItem, deadline time.Time, resp *BatchResponse) []*batchGroup {
-	byKey := map[string]*batchGroup{}
-	var order []*batchGroup
+// directly into resp, and groups the well-formed remainder by dedup
+// key.
+func (s *Server) planBatch(items []BatchItem, deadline time.Time, resp *BatchResponse) []*job {
+	byKey := map[string]*job{}
+	var order []*job
 	for idx, it := range items {
 		resp.Items[idx].Index = idx
-		g, err := s.parseBatchItem(it, deadline)
+		j, err := s.parseBatchItem(it, deadline)
 		if err != nil {
 			resp.Items[idx].Error = err.Error()
 			continue
 		}
-		if existing, ok := byKey[g.key]; ok {
+		if existing, ok := byKey[j.group]; ok {
 			existing.members = append(existing.members, idx)
 			continue
 		}
-		g.members = append(g.members, idx)
-		byKey[g.key] = g
-		order = append(order, g)
+		j.members = append(j.members, idx)
+		byKey[j.group] = j
+		order = append(order, j)
 	}
 	return order
 }
 
-// parseBatchItem validates one item and builds its execution group.
-// The group key extends the semantic cache key with the execution
-// options that change the response shape (solver choice, portfolio,
-// pre-simplification, conflict budget), so only genuinely identical
-// requests share a run.
-func (s *Server) parseBatchItem(it BatchItem, deadline time.Time) (*batchGroup, error) {
+type jobKind int
+
+const (
+	kindSolve jobKind = iota
+	kindSimplify
+	kindClassify
+)
+
+// job is one parsed, validated unit of work: a deduplicated /v1/batch
+// group, or a single-endpoint request run as a one-item batch.
+type job struct {
+	kind jobKind
+	// key is the semantic cache key, shared by the LRU and the store
+	// and so by every endpoint; group extends it with the execution
+	// options that change the answer's shape (solver choice, portfolio,
+	// pre-simplification, conflict budget), so only genuinely identical
+	// items share a run.
+	key, group string
+	members    []int // batch item indices the answer fans out to
+
+	width        uint
+	spec         solveSpec  // solve options; spec.deadline bounds every kind
+	a, b         *expr.Expr // solve operands
+	e            *expr.Expr // simplify/classify input
+	disj, verify bool       // simplify basis and proof request
+	samples      int        // classify sample count and seed
+	seed         uint64
+
+	// resp is the answer once recalled, run or degraded; errText
+	// replaces it for a simplify or classify the pool could not run.
+	resp    answer
+	errText string
+}
+
+// parseBatchItem validates one item and builds its job.
+func (s *Server) parseBatchItem(it BatchItem, deadline time.Time) (*job, error) {
 	if it.kinds() != 1 {
 		return nil, fmt.Errorf("batch item must set exactly one of solve, simplify, classify")
 	}
@@ -374,12 +372,11 @@ func (s *Server) parseBatchItem(it BatchItem, deadline time.Time) (*batchGroup, 
 		if conflicts == 0 {
 			conflicts = s.cfg.DefaultConflicts
 		}
-		key := fmt.Sprintf("%s|s=%s|p=%t|pre=%t|c=%d",
-			solveKey(width, expr.Hash(a), expr.Hash(b)),
-			req.Solver, req.Portfolio, req.Simplify, conflicts)
-		return &batchGroup{
+		key := solveKey(width, expr.Hash(a), expr.Hash(b))
+		return &job{
+			kind:  kindSolve,
 			key:   key,
-			solve: true,
+			group: fmt.Sprintf("%s|s=%s|p=%t|pre=%t|c=%d", key, req.Solver, req.Portfolio, req.Simplify, conflicts),
 			a:     a, b: b,
 			width: width,
 			spec: solveSpec{
@@ -393,17 +390,34 @@ func (s *Server) parseBatchItem(it BatchItem, deadline time.Time) (*batchGroup, 
 
 	case it.Classify != nil:
 		req := it.Classify
-		e, width, samples, seed, err := s.parseClassify(req)
+		e, err := parser.Parse(req.Expr)
+		if err != nil {
+			return nil, fmt.Errorf("expr: %w", err)
+		}
+		width, err := s.width(req.Width)
 		if err != nil {
 			return nil, err
 		}
-		return &batchGroup{
-			key:      classifyKey(width, samples, seed, expr.Hash(e)),
-			classify: true,
-			e:        e,
-			width:    width,
-			samples:  samples,
-			seed:     seed,
+		if req.Samples < 0 {
+			return nil, fmt.Errorf("samples must be non-negative")
+		}
+		if req.Samples > maxClassifySamples {
+			return nil, fmt.Errorf("samples %d above the server cap %d", req.Samples, maxClassifySamples)
+		}
+		seed := req.Seed
+		if seed == 0 {
+			seed = classifySeed
+		}
+		key := classifyKey(width, req.Samples, seed, expr.Hash(e))
+		return &job{
+			kind:    kindClassify,
+			key:     key,
+			group:   key,
+			e:       e,
+			width:   width,
+			spec:    solveSpec{deadline: deadline},
+			samples: req.Samples,
+			seed:    seed,
 		}, nil
 
 	default:
@@ -420,132 +434,51 @@ func (s *Server) parseBatchItem(it BatchItem, deadline time.Time) (*batchGroup, 
 		if err != nil {
 			return nil, fmt.Errorf("expr: %w", err)
 		}
-		return &batchGroup{
-			key:    simplifyKey(width, disj, req.Verify, expr.Hash(e)),
+		key := simplifyKey(width, disj, req.Verify, expr.Hash(e))
+		return &job{
+			kind:   kindSimplify,
+			key:    key,
+			group:  key,
 			e:      e,
 			width:  width,
+			spec:   solveSpec{deadline: deadline},
 			disj:   disj,
 			verify: req.Verify,
 		}, nil
 	}
 }
 
-// batchCacheGet fills the group's response from the verdict cache; the
-// cache keys are the semantic prefixes shared with the single-item
-// handlers, so batches and single requests hit each other's entries.
-func (s *Server) batchCacheGet(g *batchGroup) bool {
-	if g.solve {
-		key := solveKey(g.width, expr.Hash(g.a), expr.Hash(g.b))
-		if v, ok := s.cache.Get(key); ok {
-			cp := *v.(*SolveResponse)
-			cp.Cached = true
-			g.solveResp = &cp
-			return true
-		}
-		if r := s.storeGetSolve(key); r != nil {
-			cp := *r
-			cp.Cached = true
-			g.solveResp = &cp
-			return true
-		}
-		return false
-	}
-	if g.classify {
-		if v, ok := s.cache.Get(g.key); ok {
-			cp := *v.(*ClassifyResponse)
-			cp.Cached = true
-			g.classResp = &cp
-			return true
-		}
-		if r := s.storeGetClassify(g.key, g.samples); r != nil {
-			cp := *r
-			cp.Cached = true
-			g.classResp = &cp
-			return true
-		}
-		return false
-	}
-	if v, ok := s.cache.Get(g.key); ok {
-		cp := *v.(*SimplifyResponse)
-		cp.Cached = true
-		g.simpResp = &cp
-		return true
-	}
-	if r := s.storeGetSimplify(g.key); r != nil {
-		cp := *r
-		cp.Cached = true
-		g.simpResp = &cp
-		return true
-	}
-	return false
-}
-
-// degradeBatchGroup marks one never-started group with the same
-// reasoned degradation the admission queue produces for shed work:
-// solves answer a reasoned Unknown, simplifies and classifies report
-// an error.
-func (s *Server) degradeBatchGroup(g *batchGroup, reqID string) {
-	s.met.noteShed(reqID)
-	if g.solve {
-		g.solveResp = degradedSolve(g.width, ReasonUnavailable)
-		s.met.verdict("none", g.solveResp.Status)
-		return
-	}
-	g.errText = fmt.Sprintf("%s: client canceled the batch before the group ran", ReasonUnavailable)
-}
-
-// runBatchGroup executes one deduplicated group on the worker pool and
-// stores its result (or its reasoned degradation) in the group.
-func (s *Server) runBatchGroup(r *http.Request, g *batchGroup, deadline time.Time) {
-	err := s.submit(r.Context(), deadline, func(wc *workerCtx) {
-		switch {
-		case g.solve:
-			g.solveResp = s.runSolve(wc, g.a, g.b, g.width, g.spec)
-		case g.classify:
-			g.classResp = runClassify(wc, g.e, g.width, g.samples, g.seed)
+// runBatchGroup executes one job on the worker pool and remembers its
+// answer. A submit error leaves the answer to the caller: the batch
+// degrades the group, a single endpoint maps the error to a status.
+func (s *Server) runBatchGroup(r *http.Request, j *job) error {
+	err := s.submit(r.Context(), j.spec.deadline, func(wc *workerCtx) {
+		switch j.kind {
+		case kindSolve:
+			j.resp = s.runSolve(wc, j.a, j.b, j.width, j.spec)
+		case kindClassify:
+			j.resp = runClassify(wc, j.e, j.width, j.samples, j.seed)
 		default:
-			g.simpResp = s.runSimplify(wc, g.e, g.width, g.disj, g.verify, deadline)
+			j.resp = s.runSimplify(wc, j.e, j.width, j.disj, j.verify, j.spec.deadline)
 		}
 	})
 	if err != nil {
-		if status := submitErrorStatus(err); status == http.StatusTooManyRequests ||
-			status == http.StatusServiceUnavailable {
-			s.met.noteShed(requestIDOf(r))
-		}
-		reason := submitReason(err)
-		if g.solve {
-			g.solveResp = degradedSolve(g.width, reason)
-			s.met.verdict("none", g.solveResp.Status)
-		} else {
-			// Simplification and classification have no Unknown verdict
-			// to degrade to; the item reports a reasoned error instead.
-			g.errText = fmt.Sprintf("%s: %v", reason, err)
-		}
+		s.noteSubmitFailure(r, submitErrorStatus(err))
+		return err
+	}
+	s.remember(j)
+	return nil
+}
+
+// degrade answers a job the pool never ran with the reasoned
+// degradation the solver stack uses for shed work: a solve answers a
+// reasoned Unknown (status timeout on the wire); a simplify or
+// classify, which has no Unknown to degrade to, reports an error.
+func (s *Server) degrade(j *job, reason string, cause error) {
+	if j.kind != kindSolve {
+		j.errText = fmt.Sprintf("%s: %v", reason, cause)
 		return
 	}
-	// Cache definitive results under the same policy as the single-item
-	// handlers: never timeouts, never degraded answers — and for
-	// classify, never a sample block truncated by a mid-run stop.
-	switch {
-	case g.solve:
-		if g.solveResp.Status != smt.Timeout.String() {
-			key := solveKey(g.width, expr.Hash(g.a), expr.Hash(g.b))
-			s.cache.Put(key, g.solveResp)
-			s.persistSolve(key, g.solveResp)
-		}
-	case g.classify:
-		if g.samples == 0 || len(g.classResp.Samples) == g.samples {
-			// A short sample block is the classify shape of a timeout: the
-			// stop flag fired mid-run. The guard above keeps such answers
-			// out of the cache; classify has no Status field to test.
-			//lint:ignore reasoncheck the truncation guard is the timeout check for sample blocks
-			s.cache.Put(g.key, g.classResp)
-			s.persistClassify(g.key, g.samples, g.classResp)
-		}
-	default:
-		if g.simpResp.Verify == nil || g.simpResp.Verify.Status != smt.Timeout.String() {
-			s.cache.Put(g.key, g.simpResp)
-			s.persistSimplify(g.key, g.simpResp)
-		}
-	}
+	j.resp = &SolveResponse{Status: smt.Unknown.String(), Reason: reason, Width: j.width}
+	s.met.verdict("none", smt.Unknown.String())
 }

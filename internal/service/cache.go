@@ -9,13 +9,14 @@ import (
 // Cache is a concurrency-safe LRU mapping canonical cache keys (see
 // the key* helpers in service.go) to finished responses. Values are
 // treated as immutable after insertion: readers receive the stored
-// pointer and must not mutate it — handlers copy the top-level struct
-// before stamping per-request fields like Cached and ElapsedMS.
+// pointer and must not mutate it — the verdict tier (tier.go) copies
+// the top-level struct before stamping per-request fields like Cached
+// and ElapsedMS.
 //
 // Only definitive results belong in the cache. Timeouts are a property
-// of the budget that produced them, not of the query, so callers skip
-// Put for them; a later request with a larger budget must get a fresh
-// run.
+// of the budget that produced them, not of the query, so the tier
+// skips Put for them; a later request with a larger budget must get a
+// fresh run.
 type Cache struct {
 	mu    sync.Mutex
 	cap   int

@@ -16,7 +16,6 @@ import (
 	"mbasolver/internal/expr"
 	"mbasolver/internal/fault"
 	"mbasolver/internal/metrics"
-	"mbasolver/internal/parser"
 	"mbasolver/internal/portfolio"
 	"mbasolver/internal/smt"
 	"mbasolver/internal/store"
@@ -475,7 +474,10 @@ func (s *Server) submit(ctx context.Context, deadline time.Time, run func(*worke
 
 const maxBodyBytes = 1 << 20
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON body of a status answer. The cluster
+// router answers through it too, so nodes and routers share one wire
+// encoding.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -490,17 +492,16 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int64((retry+time.Second-1)/time.Second)))
 		resp.RetryAfterMS = retry.Milliseconds()
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
-// decode reads a JSON body with a size cap. It rejects non-POST
-// methods and malformed JSON.
-func decode(w http.ResponseWriter, r *http.Request, v any) error {
+// DecodeJSON reads a JSON request body of at most maxBytes into v. It
+// rejects non-POST methods, unknown fields and malformed JSON.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, v any, maxBytes int64) error {
 	if r.Method != http.MethodPost {
 		return fmt.Errorf("method %s not allowed (use POST)", r.Method)
 	}
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)
@@ -586,78 +587,77 @@ func classifyKey(width uint, samples int, seed uint64, d expr.Digest) string {
 
 // ---- handlers ------------------------------------------------------
 
+// The single-item endpoints run their request as a one-item batch:
+// each handler decodes its request and applies only its endpoint's own
+// rules, and serveOne does the rest on /v1/batch's per-group pipeline.
+
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	var req SolveRequest
+	s.serveOne(w, r, PathSolve, &req, func() (BatchItem, int64, error) {
+		if req.TimeoutMS < 0 {
+			return BatchItem{}, 0, errors.New("timeout_ms must be non-negative")
+		}
+		// The request's own budget becomes the one-item job's deadline.
+		timeoutMS := req.TimeoutMS
+		req.TimeoutMS = 0
+		return BatchItem{Solve: &req}, timeoutMS, nil
+	})
+}
+
 func (s *Server) handleSimplify(w http.ResponseWriter, r *http.Request) {
+	var req SimplifyRequest
+	s.serveOne(w, r, PathSimplify, &req, func() (BatchItem, int64, error) {
+		return BatchItem{Simplify: &req}, 0, nil
+	})
+}
+
+func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
+	var req ClassifyRequest
+	s.serveOne(w, r, PathClassify, &req, func() (BatchItem, int64, error) {
+		return BatchItem{Classify: &req}, 0, nil
+	})
+}
+
+// serveOne decodes a single-endpoint request into req, turns it into a
+// batch item with its timeout (0 = server default), and answers it
+// through the batch pipeline: parse, recall, submit, remember. Submit
+// failures keep their HTTP mapping (429/503 with Retry-After, 499 for a
+// client that went away, 500 for a contained panic).
+func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, path string, req any, item func() (BatchItem, int64, error)) {
 	start := time.Now()
 	status := http.StatusOK
-	defer func() { s.met.observe(PathSimplify, status, time.Since(start)) }()
+	defer func() { s.met.observe(path, status, time.Since(start)) }()
 
-	var req SimplifyRequest
-	if err := decode(w, r, &req); err != nil {
-		status = http.StatusBadRequest
-		s.writeError(w, status, err.Error())
-		return
-	}
-	width, err := s.width(req.Width)
+	j, err := s.parseOne(w, r, start, req, item)
 	if err != nil {
 		status = http.StatusBadRequest
 		s.writeError(w, status, err.Error())
 		return
 	}
-	disj, err := parseBasis(req.Basis)
-	if err != nil {
-		status = http.StatusBadRequest
-		s.writeError(w, status, err.Error())
-		return
+	if !s.recall(j) {
+		if err := s.runBatchGroup(r, j); err != nil {
+			status = submitErrorStatus(err)
+			s.writeError(w, status, err.Error())
+			return
+		}
 	}
-	e, err := parser.Parse(req.Expr)
-	if err != nil {
-		status = http.StatusBadRequest
-		s.writeError(w, status, fmt.Sprintf("expr: %v", err))
-		return
-	}
+	WriteJSON(w, status, j.resp.withElapsed(durMS(time.Since(start))))
+}
 
-	digest := expr.Hash(e)
-	key := simplifyKey(width, disj, req.Verify, digest)
-	if v, ok := s.cache.Get(key); ok {
-		resp := *v.(*SimplifyResponse)
-		resp.Cached = true
-		resp.ElapsedMS = durMS(time.Since(start))
-		writeJSON(w, status, &resp)
-		return
+// parseOne decodes and validates a single-endpoint request into its job.
+func (s *Server) parseOne(w http.ResponseWriter, r *http.Request, start time.Time, req any, item func() (BatchItem, int64, error)) (*job, error) {
+	if err := DecodeJSON(w, r, req, maxBodyBytes); err != nil {
+		return nil, err
 	}
-	if sr := s.storeGetSimplify(key); sr != nil {
-		resp := *sr
-		resp.Cached = true
-		resp.ElapsedMS = durMS(time.Since(start))
-		writeJSON(w, status, &resp)
-		return
-	}
-
-	deadline := start.Add(s.timeout(0))
-	var resp *SimplifyResponse
-	err = s.submit(r.Context(), deadline, func(wc *workerCtx) {
-		resp = s.runSimplify(wc, e, width, disj, req.Verify, deadline)
-	})
+	it, timeoutMS, err := item()
 	if err != nil {
-		status = submitErrorStatus(err)
-		s.noteSubmitFailure(r, status)
-		s.writeError(w, status, err.Error())
-		return
+		return nil, err
 	}
-	// Simplification is deterministic, so the entry is always valid;
-	// only a timed-out verification makes it budget-dependent, and such
-	// responses stay uncached so a retry gets a fresh proof attempt.
-	if resp.Verify == nil || resp.Verify.Status != smt.Timeout.String() {
-		s.cache.Put(key, resp)
-		s.persistSimplify(key, resp)
-	}
-	out := *resp
-	out.ElapsedMS = durMS(time.Since(start))
-	writeJSON(w, status, &out)
+	return s.parseBatchItem(it, start.Add(s.timeout(timeoutMS)))
 }
 
 // runSimplify executes one simplification (optionally verified) on the
-// worker; shared by the single-item handler and the batch executor.
+// worker.
 func (s *Server) runSimplify(wc *workerCtx, e *expr.Expr, width uint, disj, verify bool, deadline time.Time) *SimplifyResponse {
 	simplified := wc.simplifier(width, disj).Simplify(e)
 	basis := "conj"
@@ -720,7 +720,6 @@ func (s *Server) runSolve(wc *workerCtx, a, b *expr.Expr, width uint, spec solve
 		Conflicts: spec.conflicts,
 		Stop:      wc.stop,
 	}
-	resp := &SolveResponse{Width: width}
 	if spec.portfolio {
 		var res portfolio.Result
 		if wc.cset != nil {
@@ -728,145 +727,57 @@ func (s *Server) runSolve(wc *workerCtx, a, b *expr.Expr, width uint, spec solve
 		} else {
 			res = portfolio.CheckEquiv(s.all, a, b, width, budget)
 		}
-		resp.Status = res.Status.String()
-		resp.Reason = res.Reason.String()
-		resp.Witness = res.Witness
+		resp := solveResponse(res.Result, width)
 		resp.Solver = res.Winner
-		resp.Conflicts = res.Conflicts
-		resp.Propagations = res.Propagations
-		resp.Rewritten = res.Rewritten
 		resp.Engines = EnginesOf(res.Engines)
-		resp.ElapsedMS = durMS(res.Elapsed)
 		if res.Winner != "" {
 			s.met.verdict(res.Winner, resp.Status)
 		} else {
 			s.met.verdict(portfolio.Name, resp.Status)
 		}
-	} else {
-		name := spec.solver
-		if name == "" {
-			name = "btorsim"
-		}
-		var res smt.Result
-		// The breaker guards the warm incremental context; while it is
-		// open the query still runs, on a stateless fresh solver, so
-		// clients see degraded latency rather than refusals. Only runs
-		// that actually used the context feed the breaker.
-		br := wc.breakers[name]
-		if ctx := wc.solo[name]; ctx != nil && (br == nil || br.Allow()) {
-			res = ctx.CheckEquiv(a, b, width, budget)
-			if br != nil {
-				if res.Status == smt.Unknown &&
-					(res.Reason == smt.ReasonPanic || res.Reason == smt.ReasonResource) {
-					br.ReportFailure()
-				} else {
-					br.ReportSuccess()
-				}
-			}
-		} else {
-			res = s.solvers[name].CheckEquiv(a, b, width, budget)
-		}
-		resp.Status = res.Status.String()
-		resp.Reason = res.Reason.String()
-		resp.Witness = res.Witness
-		resp.Solver = name
-		resp.Conflicts = res.Conflicts
-		resp.Propagations = res.Propagations
-		resp.Rewritten = res.Rewritten
-		resp.ElapsedMS = durMS(res.Elapsed)
-		s.met.verdict(name, resp.Status)
+		return resp
 	}
+	name := spec.solver
+	if name == "" {
+		name = "btorsim"
+	}
+	var res smt.Result
+	// The breaker guards the warm incremental context; while it is open
+	// the query still runs, on a stateless fresh solver, so clients see
+	// degraded latency rather than refusals. Only runs that actually
+	// used the context feed the breaker.
+	br := wc.breakers[name]
+	if ctx := wc.solo[name]; ctx != nil && (br == nil || br.Allow()) {
+		res = ctx.CheckEquiv(a, b, width, budget)
+		if br != nil {
+			if res.Status == smt.Unknown &&
+				(res.Reason == smt.ReasonPanic || res.Reason == smt.ReasonResource) {
+				br.ReportFailure()
+			} else {
+				br.ReportSuccess()
+			}
+		}
+	} else {
+		res = s.solvers[name].CheckEquiv(a, b, width, budget)
+	}
+	resp := solveResponse(res, width)
+	resp.Solver = name
+	s.met.verdict(name, resp.Status)
 	return resp
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	status := http.StatusOK
-	defer func() { s.met.observe(PathSolve, status, time.Since(start)) }()
-
-	var req SolveRequest
-	if err := decode(w, r, &req); err != nil {
-		status = http.StatusBadRequest
-		s.writeError(w, status, err.Error())
-		return
+// solveResponse maps one solver result onto the wire.
+func solveResponse(res smt.Result, width uint) *SolveResponse {
+	return &SolveResponse{
+		Status:       res.Status.String(),
+		Reason:       res.Reason.String(),
+		Witness:      res.Witness,
+		Width:        width,
+		Conflicts:    res.Conflicts,
+		Propagations: res.Propagations,
+		Rewritten:    res.Rewritten,
+		ElapsedMS:    durMS(res.Elapsed),
 	}
-	width, err := s.width(req.Width)
-	if err != nil {
-		status = http.StatusBadRequest
-		s.writeError(w, status, err.Error())
-		return
-	}
-	if !req.Portfolio && req.Solver != "" {
-		if _, ok := s.solvers[req.Solver]; !ok {
-			status = http.StatusBadRequest
-			s.writeError(w, status, fmt.Sprintf("unknown solver %q (want z3sim, stpsim or btorsim)", req.Solver))
-			return
-		}
-	}
-	if req.TimeoutMS < 0 || req.Conflicts < 0 {
-		status = http.StatusBadRequest
-		s.writeError(w, status, "timeout_ms and conflicts must be non-negative")
-		return
-	}
-	a, err := parser.Parse(req.A)
-	if err != nil {
-		status = http.StatusBadRequest
-		s.writeError(w, status, fmt.Sprintf("a: %v", err))
-		return
-	}
-	b, err := parser.Parse(req.B)
-	if err != nil {
-		status = http.StatusBadRequest
-		s.writeError(w, status, fmt.Sprintf("b: %v", err))
-		return
-	}
-
-	key := solveKey(width, expr.Hash(a), expr.Hash(b))
-	if v, ok := s.cache.Get(key); ok {
-		resp := *v.(*SolveResponse)
-		resp.Cached = true
-		resp.ElapsedMS = durMS(time.Since(start))
-		writeJSON(w, status, &resp)
-		return
-	}
-	if sr := s.storeGetSolve(key); sr != nil {
-		resp := *sr
-		resp.Cached = true
-		resp.ElapsedMS = durMS(time.Since(start))
-		writeJSON(w, status, &resp)
-		return
-	}
-
-	conflicts := req.Conflicts
-	if conflicts == 0 {
-		conflicts = s.cfg.DefaultConflicts
-	}
-	deadline := start.Add(s.timeout(req.TimeoutMS))
-	var resp *SolveResponse
-	err = s.submit(r.Context(), deadline, func(wc *workerCtx) {
-		resp = s.runSolve(wc, a, b, width, solveSpec{
-			solver:    req.Solver,
-			portfolio: req.Portfolio,
-			simplify:  req.Simplify,
-			conflicts: conflicts,
-			deadline:  deadline,
-		})
-	})
-	if err != nil {
-		status = submitErrorStatus(err)
-		s.noteSubmitFailure(r, status)
-		s.writeError(w, status, err.Error())
-		return
-	}
-	// Verdicts are semantic facts; timeouts are budget artifacts. Cache
-	// (and persist) only the former.
-	if resp.Status != smt.Timeout.String() {
-		s.cache.Put(key, resp)
-		s.persistSolve(key, resp)
-	}
-	out := *resp
-	out.ElapsedMS = durMS(time.Since(start))
-	writeJSON(w, status, &out)
 }
 
 // maxClassifySamples caps one classify request's I/O sample count so a
@@ -877,30 +788,6 @@ const maxClassifySamples = 1024
 // Seed zero. It is a fixed constant so default-seeded sample streams
 // are deterministic across processes and therefore cacheable.
 const classifySeed = 0x5eed5eed5eed5eed
-
-// parseClassify validates one classify request into its execution
-// parameters, shared by the single-item handler and the batch planner.
-func (s *Server) parseClassify(req *ClassifyRequest) (e *expr.Expr, width uint, samples int, seed uint64, err error) {
-	e, err = parser.Parse(req.Expr)
-	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("expr: %w", err)
-	}
-	width, err = s.width(req.Width)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	if req.Samples < 0 {
-		return nil, 0, 0, 0, fmt.Errorf("samples must be non-negative")
-	}
-	if req.Samples > maxClassifySamples {
-		return nil, 0, 0, 0, fmt.Errorf("samples %d above the server cap %d", req.Samples, maxClassifySamples)
-	}
-	seed = req.Seed
-	if seed == 0 {
-		seed = classifySeed
-	}
-	return e, width, req.Samples, seed, nil
-}
 
 // runClassify computes metrics and, when samples > 0, draws the I/O
 // sample block on the bitsliced bytecode engine. The worker's stop
@@ -930,67 +817,6 @@ func runClassify(wc *workerCtx, e *expr.Expr, width uint, samples int, seed uint
 	return resp
 }
 
-func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	status := http.StatusOK
-	defer func() { s.met.observe(PathClassify, status, time.Since(start)) }()
-
-	var req ClassifyRequest
-	if err := decode(w, r, &req); err != nil {
-		status = http.StatusBadRequest
-		s.writeError(w, status, err.Error())
-		return
-	}
-	e, width, samples, seed, err := s.parseClassify(&req)
-	if err != nil {
-		status = http.StatusBadRequest
-		s.writeError(w, status, err.Error())
-		return
-	}
-
-	key := classifyKey(width, samples, seed, expr.Hash(e))
-	if v, ok := s.cache.Get(key); ok {
-		resp := *v.(*ClassifyResponse)
-		resp.Cached = true
-		resp.ElapsedMS = durMS(time.Since(start))
-		writeJSON(w, status, &resp)
-		return
-	}
-	if sr := s.storeGetClassify(key, samples); sr != nil {
-		resp := *sr
-		resp.Cached = true
-		resp.ElapsedMS = durMS(time.Since(start))
-		writeJSON(w, status, &resp)
-		return
-	}
-
-	// Classification shares the admission path so overload protection is
-	// uniform across endpoints; with sampling requested the work is no
-	// longer trivially cheap, so the slot matters.
-	deadline := start.Add(s.timeout(0))
-	var resp *ClassifyResponse
-	err = s.submit(r.Context(), deadline, func(wc *workerCtx) {
-		resp = runClassify(wc, e, width, samples, seed)
-	})
-	if err != nil {
-		status = submitErrorStatus(err)
-		s.noteSubmitFailure(r, status)
-		s.writeError(w, status, err.Error())
-		return
-	}
-	// Same policy as the batch executor: a short sample block means the
-	// stop flag fired mid-run, and such truncated answers must not be
-	// cached; classify has no Status field to test.
-	if samples == 0 || len(resp.Samples) == samples {
-		//lint:ignore reasoncheck the truncation guard is the timeout check for sample blocks
-		s.cache.Put(key, resp)
-		s.persistClassify(key, samples, resp)
-	}
-	out := *resp
-	out.ElapsedMS = durMS(time.Since(start))
-	writeJSON(w, status, &out)
-}
-
 // handleHealth is pure liveness: the process is up and able to answer
 // HTTP, so it always returns 200 — even while draining, when the body
 // says so. Orchestrators restart on failed liveness; a draining server
@@ -1002,7 +828,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.closing.Load() {
 		resp.Status = "draining"
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 	s.met.observe(PathHealth, http.StatusOK, time.Since(start))
 }
 
@@ -1019,12 +845,12 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		resp.Status = "draining"
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 	s.met.observe(PathReady, status, time.Since(start))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	writeJSON(w, http.StatusOK, s.Metrics())
+	WriteJSON(w, http.StatusOK, s.Metrics())
 	s.met.observe(PathMetrics, http.StatusOK, time.Since(start))
 }

@@ -4,6 +4,7 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -254,34 +255,126 @@ func TestTruncatedClassifyNeverCachedAnywhere(t *testing.T) {
 }
 
 // TestStoreRejectsHandEditedTimeout plants an invariant-violating
-// record (a persisted timeout) directly in the store: recall must
-// refuse to serve or promote it.
+// record of every kind directly in the store — a persisted timeout, a
+// simplification whose verification timed out, a truncated sample
+// block — and asks for it again on a fresh server, through the single
+// endpoint and through /v1/batch: recall must refuse to serve or
+// promote it, and the answer must be recomputed in full.
 func TestStoreRejectsHandEditedTimeout(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	ctx := context.Background()
-
-	st := openStore(t, t.TempDir())
-	// The key the handler will look up for x^y vs (x|y)-(x&y) at w8.
-	key, err := service.SolveRequest{A: "x^y", B: "(x|y)-(x&y)", Width: 8}.RouteKey()
-	if err != nil {
-		t.Fatal(err)
+	kinds := []struct {
+		name   string
+		item   service.BatchItem
+		prefix string
+		// plant rewrites the persisted record into the kind's
+		// invariant-violating shape.
+		plant func(rec map[string]any)
+		// fresh reports whether an answer is a recomputed, full one.
+		fresh func(r service.BatchItemResult) bool
+	}{
+		{
+			name:   "solve",
+			item:   service.BatchItem{Solve: &service.SolveRequest{A: "x^y", B: "(x|y)-(x&y)", Width: 8}},
+			prefix: "solve|",
+			plant:  func(rec map[string]any) { rec["status"], rec["reason"] = "timeout", "budget" },
+			fresh: func(r service.BatchItemResult) bool {
+				return r.Solve != nil && !r.Solve.Cached && r.Solve.Status == "equivalent"
+			},
+		},
+		{
+			name:   "simplify-verify",
+			item:   service.BatchItem{Simplify: &service.SimplifyRequest{Expr: "2*(x|y) - (~x&y) - (x&~y)", Width: 8, Verify: true}},
+			prefix: "simplify|",
+			plant:  func(rec map[string]any) { rec["verify"].(map[string]any)["status"] = "timeout" },
+			fresh: func(r service.BatchItemResult) bool {
+				return r.Simplify != nil && !r.Simplify.Cached &&
+					r.Simplify.Verify != nil && r.Simplify.Verify.Status == "equivalent"
+			},
+		},
+		{
+			name:   "classify-samples",
+			item:   service.BatchItem{Classify: &service.ClassifyRequest{Expr: "(x&y)|(x^y)", Width: 8, Samples: 16}},
+			prefix: "classify|",
+			plant:  func(rec map[string]any) { rec["samples"] = rec["samples"].([]any)[:3] },
+			fresh: func(r service.BatchItemResult) bool {
+				return r.Classify != nil && !r.Classify.Cached && len(r.Classify.Samples) == 16
+			},
+		},
 	}
-	st.Put(key, []byte(`{"status":"timeout","reason":"budget","width":8}`))
+	for _, k := range kinds {
+		for _, viaBatch := range []bool{false, true} {
+			name := k.name + "/single"
+			if viaBatch {
+				name = k.name + "/batch"
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Cleanup(leakcheck.Check(t))
+				st := openStore(t, t.TempDir())
+				defer func() {
+					if err := st.Close(); err != nil {
+						t.Error(err)
+					}
+				}()
 
-	svc := service.New(service.Config{Workers: 1, Store: st})
-	cl := newHTTPClient(t, svc)
-	defer func() {
-		if err := st.Close(); err != nil {
-			t.Error(err)
+				// The real query persists a definitive record.
+				svc := service.New(service.Config{Workers: 1, Store: st})
+				if r := ask(t, newHTTPClient(t, svc), k.item, viaBatch); !k.fresh(r) {
+					t.Fatalf("first answer not a fresh full one: %+v", r)
+				}
+				shutdown(t, svc)
+
+				var key string
+				var rec map[string]any
+				st.Range(func(kk string, val []byte) bool {
+					if strings.HasPrefix(kk, k.prefix) {
+						key = kk
+						if err := json.Unmarshal(val, &rec); err != nil {
+							t.Fatalf("persisted record %s: %v", kk, err)
+						}
+					}
+					return true
+				})
+				if key == "" {
+					t.Fatalf("no %s record persisted", k.prefix)
+				}
+				k.plant(rec)
+				bad, err := json.Marshal(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.Put(key, bad)
+
+				svc2 := service.New(service.Config{Workers: 1, Store: st})
+				defer shutdown(t, svc2)
+				if r := ask(t, newHTTPClient(t, svc2), k.item, viaBatch); !k.fresh(r) {
+					t.Fatalf("hand-edited record served instead of recomputed: %+v", r)
+				}
+			})
 		}
-	}()
-	defer shutdown(t, svc)
+	}
+}
 
-	resp, err := cl.Solve(ctx, service.SolveRequest{A: "x^y", B: "(x|y)-(x&y)", Width: 8})
+// ask sends one item through its single endpoint or as a one-item
+// batch and returns the answer in batch-item form.
+func ask(t *testing.T, cl *client.Client, it service.BatchItem, viaBatch bool) service.BatchItemResult {
+	t.Helper()
+	ctx := context.Background()
+	var r service.BatchItemResult
+	var err error
+	switch {
+	case viaBatch:
+		var resp *service.BatchResponse
+		if resp, err = cl.Batch(ctx, service.BatchRequest{Items: []service.BatchItem{it}}); err == nil {
+			r = resp.Items[0]
+		}
+	case it.Solve != nil:
+		r.Solve, err = cl.Solve(ctx, *it.Solve)
+	case it.Simplify != nil:
+		r.Simplify, err = cl.Simplify(ctx, *it.Simplify)
+	default:
+		r.Classify, err = cl.Classify(ctx, *it.Classify)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Cached || resp.Status != "equivalent" {
-		t.Fatalf("hand-edited timeout served instead of re-solved: %+v", resp)
-	}
+	return r
 }

@@ -50,6 +50,13 @@ go test -race -count=1 ./internal/portfolio/ -run 'TestParallelMatchesSolo|TestP
 go test ./internal/harness/ -run 'TestSolverBenchSmoke|TestParallelBenchSmoke|TestClusterBenchSmoke|TestEvalBenchSmoke'
 go test ./internal/smt/ -run '^$' -bench CheckTermEquiv -benchtime 1x
 
+# Benchmark gate: the end-to-end benchmark's known-answer and
+# determinism tests (raw, simplified, and the service path client →
+# router → node → store) at smoke size on the default and held-out
+# seeds. perfbench is a separate module, so the root go test above
+# never sees it.
+(cd perfbench && go test ./...)
+
 # --- mbaserved boot + selfcheck smoke ---------------------------------
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
