@@ -84,7 +84,7 @@ func main() {
 	var engines []service.EngineStats
 	answeredBy := *solverName
 	if *usePortfolio {
-		pres := portfolio.SolveAssertions(smt.All(), assertions, budget)
+		pres := portfolio.New(smt.All(), portfolio.Options{}).SolveAssertions(assertions, budget)
 		res = pres.SatResult
 		engines = service.EnginesOf(pres.Engines)
 		answeredBy = pres.Winner

@@ -84,7 +84,7 @@ func (p *Pool) Endpoint(i int) *Endpoint {
 }
 
 // NextQuery advances the pool generation, invalidating all clauses
-// still in flight. Persistent pools (portfolio.ContextSet) call it at
+// still in flight. Persistent pools (a portfolio.Set's) call it at
 // each query boundary; single-query pools never need to.
 func (p *Pool) NextQuery() { p.gen.Add(1) }
 

@@ -120,7 +120,7 @@ func checkWitness(t *testing.T, p pair, w map[string]uint64) {
 
 // runners are the execution modes the corpus sweeps: a stateless
 // solver and a warm incremental context per personality, plus the
-// racing context set with circuit breakers armed.
+// portfolio set in its warm and cooperating configurations.
 type runner struct {
 	name string
 	make func() func(*testing.T, pair) smt.Result
@@ -147,8 +147,10 @@ func allRunners() []runner {
 	}
 	return append(rs,
 		runner{"contextset", func() func(*testing.T, pair) smt.Result {
-			cs := portfolio.NewContextSet(smt.All(), smt.ContextOptions{})
-			cs.EnableBreakers(portfolio.BreakerOptions{Threshold: 2, Cooldown: 10 * time.Millisecond})
+			cs := portfolio.New(smt.All(), portfolio.Options{
+				Incremental: true,
+				Breakers:    &portfolio.BreakerOptions{Threshold: 2, Cooldown: 10 * time.Millisecond},
+			})
 			return func(t *testing.T, p pair) smt.Result {
 				ta, tb := terms(t, p)
 				return cs.CheckTermEquiv(ta, tb, budget()).Result
@@ -170,24 +172,25 @@ func allRunners() []runner {
 		// personalities (bitblast.share translates on import) and a cube
 		// fallback when the clamped screen race cannot decide.
 		runner{"parallel-share-cubes", func() func(*testing.T, pair) smt.Result {
-			solvers := smt.All()
-			opts := portfolio.ParallelOptions{
-				ShareCapacity: 64,
-				Cubes:         &smt.CubeOptions{Vars: 2, ScreenConflicts: 1, Workers: 2, ShareCapacity: 64},
-			}
+			set := portfolio.New(smt.All(), portfolio.Options{
+				Share: true,
+				Cubes: &smt.CubeOptions{Vars: 2, ScreenConflicts: 1, Workers: 2, ShareCapacity: 64},
+			})
 			return func(t *testing.T, p pair) smt.Result {
 				ta, tb := terms(t, p)
-				return portfolio.CheckTermEquivParallel(solvers, ta, tb, budget(), opts).Result
+				return set.CheckTermEquiv(ta, tb, budget()).Result
 			}
 		}},
 		// Warm contexts with persistent sharing pool and cube fallback:
 		// generation stamping and the breaker accounting both run every
 		// query.
 		runner{"contextset-share-cubes", func() func(*testing.T, pair) smt.Result {
-			cs := portfolio.NewContextSet(smt.All(), smt.ContextOptions{})
-			cs.EnableBreakers(portfolio.BreakerOptions{Threshold: 2, Cooldown: 10 * time.Millisecond})
-			cs.EnableSharing(64)
-			cs.EnableCubes(smt.CubeOptions{Vars: 2, ScreenConflicts: 1, Workers: 2, ShareCapacity: 64})
+			cs := portfolio.New(smt.All(), portfolio.Options{
+				Incremental: true,
+				Share:       true,
+				Cubes:       &smt.CubeOptions{Vars: 2, ScreenConflicts: 1, Workers: 2, ShareCapacity: 64},
+				Breakers:    &portfolio.BreakerOptions{Threshold: 2, Cooldown: 10 * time.Millisecond},
+			})
 			return func(t *testing.T, p pair) smt.Result {
 				ta, tb := terms(t, p)
 				return cs.CheckTermEquiv(ta, tb, budget()).Result

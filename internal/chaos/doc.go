@@ -2,7 +2,7 @@
 // corpus run under every fault class the stack declares (SAT learn/
 // propagate, bit-blast allocation, rewriter and context panics, service
 // admission and worker faults), across every execution mode (fresh
-// solver, incremental Context, racing ContextSet, HTTP service).
+// solver, incremental Context, racing portfolio.Set, HTTP service).
 //
 // The contract under test is graceful degradation: injected faults may
 // only ever turn answers into Unknowns — never into wrong verdicts,

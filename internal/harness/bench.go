@@ -170,15 +170,12 @@ func RunParallelBench(cfg ParallelBenchConfig) ParallelBench {
 		for _, q := range queries {
 			verdicts := make(map[string]smt.Status)
 			for _, mode := range []string{"solo", "share+cubes"} {
-				solvers := smt.All()
 				start := time.Now()
-				var res portfolio.Result
-				if mode == "solo" {
-					res = portfolio.CheckEquiv(solvers, identA, q.b, w, budget)
-				} else {
-					res = portfolio.CheckEquivParallel(solvers, identA, q.b, w, budget,
-						portfolio.ParallelOptions{ShareCapacity: 256, Cubes: cubeOpts})
+				opts := portfolio.Options{}
+				if mode == "share+cubes" {
+					opts = portfolio.Options{Share: true, Cubes: cubeOpts}
 				}
+				res := portfolio.New(smt.All(), opts).CheckEquiv(identA, q.b, w, budget)
 				run := ParallelBenchRun{
 					Width:  w,
 					Query:  q.name,

@@ -175,6 +175,10 @@ func runQueries(samples []gen.Sample, solvers []*smt.Solver, cfg Config,
 	if cfg.Portfolio {
 		perSample++
 	}
+	popts := portfolio.Options{Incremental: cfg.Incremental, Share: cfg.Share}
+	if cfg.Cubes {
+		popts.Cubes = &smt.CubeOptions{}
+	}
 	jobs := make(chan job)
 	results := make([]Outcome, len(samples)*perSample)
 	var wg sync.WaitGroup
@@ -182,32 +186,16 @@ func runQueries(samples []gen.Sample, solvers []*smt.Solver, cfg Config,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Incremental mode: each worker owns one warm context per
-			// personality (contexts are single-goroutine) plus one
-			// racing set for portfolio jobs, reused across its jobs.
+			// Each worker owns one portfolio set for portfolio jobs and,
+			// in incremental mode, one warm context per personality
+			// (contexts are single-goroutine), reused across its jobs.
+			set := portfolio.New(solvers, popts)
 			var ctxs map[*smt.Solver]*smt.Context
-			var cset *portfolio.ContextSet
 			if cfg.Incremental {
 				ctxs = make(map[*smt.Solver]*smt.Context, len(solvers))
 				for _, sv := range solvers {
 					ctxs[sv] = sv.NewContext(smt.ContextOptions{})
 				}
-				if cfg.Portfolio {
-					cset = portfolio.NewContextSet(solvers, smt.ContextOptions{})
-					if cfg.Share {
-						cset.EnableSharing(0)
-					}
-					if cfg.Cubes {
-						cset.EnableCubes(smt.CubeOptions{})
-					}
-				}
-			}
-			var popts portfolio.ParallelOptions
-			if cfg.Share {
-				popts.ShareCapacity = 256
-			}
-			if cfg.Cubes {
-				popts.Cubes = &smt.CubeOptions{}
 			}
 			for j := range jobs {
 				lhs, rhs := sides(j.sample)
@@ -216,15 +204,7 @@ func runQueries(samples []gen.Sample, solvers []*smt.Solver, cfg Config,
 					Metrics: metrics.Measure(lhs),
 				}
 				if j.portfolio {
-					var res portfolio.Result
-					switch {
-					case cset != nil:
-						res = cset.CheckEquiv(lhs, rhs, cfg.Width, cfg.Budget)
-					case cfg.Share || cfg.Cubes:
-						res = portfolio.CheckEquivParallel(solvers, lhs, rhs, cfg.Width, cfg.Budget, popts)
-					default:
-						res = portfolio.CheckEquiv(solvers, lhs, rhs, cfg.Width, cfg.Budget)
-					}
+					res := set.CheckEquiv(lhs, rhs, cfg.Width, cfg.Budget)
 					o.Solver = portfolio.Name
 					o.Status = res.Status
 					o.Elapsed = res.Elapsed

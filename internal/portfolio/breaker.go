@@ -3,6 +3,8 @@ package portfolio
 import (
 	"sync"
 	"time"
+
+	"mbasolver/internal/smt"
 )
 
 // Breaker is a per-personality circuit breaker. An engine that keeps
@@ -92,6 +94,18 @@ func (b *Breaker) Allow() bool {
 	default: // half-open: probe already in flight
 		return false
 	}
+}
+
+// Report feeds one run's outcome to the breaker: a structural
+// degradation (ReasonPanic or ReasonResource) is a failure, anything
+// else — a definitive verdict (which carries ReasonNone) or plain
+// budget exhaustion — is a success.
+func (b *Breaker) Report(reason smt.Reason) {
+	if reason == smt.ReasonPanic || reason == smt.ReasonResource {
+		b.ReportFailure()
+		return
+	}
+	b.ReportSuccess()
 }
 
 // ReportSuccess records a healthy outcome (definitive verdict, or an

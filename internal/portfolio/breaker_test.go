@@ -57,14 +57,32 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.State() != "closed" || !b.Allow() {
 		t.Fatalf("successful probe: state=%s, want closed", b.State())
 	}
+
+	// Report classifies by reason: only structural degradations count
+	// as failures. A definitive verdict carries ReasonNone and plain
+	// budget exhaustion is the expected behaviour of a healthy engine.
+	for _, c := range []struct {
+		reason smt.Reason
+		fails  bool
+	}{
+		{smt.ReasonNone, false},
+		{smt.ReasonBudget, false},
+		{smt.ReasonPanic, true},
+		{smt.ReasonResource, true},
+	} {
+		rb := NewBreaker("r", BreakerOptions{Threshold: 1, Cooldown: time.Hour})
+		rb.Report(c.reason)
+		if got := rb.State() == "open"; got != c.fails {
+			t.Fatalf("Report(%v): state=%s, want open=%v", c.reason, rb.State(), c.fails)
+		}
+	}
 }
 
-// TestContextSetSkipsOpenBreaker: an engine whose breaker is open sits
-// the race out (Skipped), and the remaining engines still produce the
+// TestSetSkipsOpenBreaker: an engine whose breaker is open sits the
+// race out (Skipped), and the remaining engines still produce the
 // correct verdict.
-func TestContextSetSkipsOpenBreaker(t *testing.T) {
-	cs := NewContextSet(smt.All(), smt.ContextOptions{})
-	cs.EnableBreakers(BreakerOptions{Threshold: 1, Cooldown: time.Hour})
+func TestSetSkipsOpenBreaker(t *testing.T) {
+	cs := New(smt.All(), Options{Incremental: true, Breakers: &BreakerOptions{Threshold: 1, Cooldown: time.Hour}})
 	cs.Breakers()[0].ReportFailure() // open z3sim's breaker
 
 	a, b := parser.MustParse("x^y"), parser.MustParse("(x|y)-(x&y)")
@@ -88,8 +106,7 @@ func TestContextSetSkipsOpenBreaker(t *testing.T) {
 // successful query closes the breakers again.
 func TestBreakerOpensOnInjectedPanicsAndRecovers(t *testing.T) {
 	defer fault.Disable()
-	cs := NewContextSet(smt.All(), smt.ContextOptions{})
-	cs.EnableBreakers(BreakerOptions{Threshold: 2, Cooldown: time.Hour})
+	cs := New(smt.All(), Options{Incremental: true, Breakers: &BreakerOptions{Threshold: 2, Cooldown: time.Hour}})
 
 	a, b := parser.MustParse("x+y"), parser.MustParse("(x|y)+(x&y)")
 	budget := smt.Budget{Timeout: 30 * time.Second}

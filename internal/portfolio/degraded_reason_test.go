@@ -20,21 +20,17 @@ func TestEmptyPortfolioCarriesReason(t *testing.T) {
 	tb := bv.FromExpr(parser.MustParse("x"), 8)
 	budget := smt.Budget{Conflicts: 10}
 
-	if r := CheckTermEquiv(nil, ta, tb, budget); r.Status != smt.Timeout || r.Reason != smt.ReasonResource {
-		t.Errorf("CheckTermEquiv(no engines) = %v/%q, want %v/%q", r.Status, r.Reason, smt.Timeout, smt.ReasonResource)
-	}
-	if r := SolveAssertions(nil, nil, budget); r.Status != smt.SatUnknown || r.Reason != smt.ReasonResource {
-		t.Errorf("SolveAssertions(no engines) = %v/%q, want %v/%q", r.Status, r.Reason, smt.SatUnknown, smt.ReasonResource)
-	}
-	if r := CheckTermEquivParallel(nil, ta, tb, budget, ParallelOptions{}); r.Status != smt.Timeout || r.Reason != smt.ReasonResource {
-		t.Errorf("CheckTermEquivParallel(no engines) = %v/%q, want %v/%q", r.Status, r.Reason, smt.Timeout, smt.ReasonResource)
-	}
-
-	cs := NewContextSet(nil, smt.ContextOptions{})
-	if r := cs.CheckTermEquiv(ta, tb, budget); r.Status != smt.Timeout || r.Reason != smt.ReasonResource {
-		t.Errorf("ContextSet.CheckTermEquiv(no engines) = %v/%q, want %v/%q", r.Status, r.Reason, smt.Timeout, smt.ReasonResource)
-	}
-	if r := cs.SolveAssertions(nil, budget); r.Status != smt.SatUnknown || r.Reason != smt.ReasonResource {
-		t.Errorf("ContextSet.SolveAssertions(no engines) = %v/%q, want %v/%q", r.Status, r.Reason, smt.SatUnknown, smt.ReasonResource)
+	for _, opts := range []Options{
+		{},
+		{Incremental: true},
+		{Incremental: true, Share: true, Cubes: &smt.CubeOptions{}, Breakers: &BreakerOptions{}},
+	} {
+		set := New(nil, opts)
+		if r := set.CheckTermEquiv(ta, tb, budget); r.Status != smt.Timeout || r.Reason != smt.ReasonResource {
+			t.Errorf("%+v: CheckTermEquiv(no engines) = %v/%q, want %v/%q", opts, r.Status, r.Reason, smt.Timeout, smt.ReasonResource)
+		}
+		if r := set.SolveAssertions(nil, budget); r.Status != smt.SatUnknown || r.Reason != smt.ReasonResource {
+			t.Errorf("%+v: SolveAssertions(no engines) = %v/%q, want %v/%q", opts, r.Status, r.Reason, smt.SatUnknown, smt.ReasonResource)
+		}
 	}
 }

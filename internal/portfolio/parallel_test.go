@@ -23,6 +23,14 @@ var knownPairs = []struct {
 	{"x&y", "x|y", false},
 }
 
+// knownPairsBudget is a conflict-only budget under which every
+// personality decides each known pair alone, fresh or warm. The
+// hardest, the width-8 multiplier identity, takes z3sim ~110k
+// conflicts warm, and z3sim's budget is the only one not scaled up by
+// a simulated speed. Without a wall clock, verdicts do not depend on
+// host load or the race detector's slowdown.
+var knownPairsBudget = smt.Budget{Conflicts: 200_000}
+
 func checkWitness(t *testing.T, a, b string, w map[string]uint64, label string) {
 	t.Helper()
 	env := eval.Env{}
@@ -38,18 +46,18 @@ func checkWitness(t *testing.T, a, b string, w map[string]uint64, label string) 
 // TestParallelMatchesSolo: every combination of sharing and cubing
 // returns the solo verdicts on the known-answer corpus.
 func TestParallelMatchesSolo(t *testing.T) {
-	budget := smt.Budget{Timeout: 60 * time.Second}
 	cubeOpts := &smt.CubeOptions{Vars: 2, ScreenConflicts: 50, Workers: 2}
-	configs := []ParallelOptions{
+	configs := []Options{
 		{},
-		{ShareCapacity: 128},
+		{Share: true},
 		{Cubes: cubeOpts},
-		{ShareCapacity: 128, Cubes: cubeOpts},
+		{Share: true, Cubes: cubeOpts},
 	}
 	for ci, opts := range configs {
+		set := New(smt.All(), opts)
 		for _, p := range knownPairs {
 			a, b := parser.MustParse(p.a), parser.MustParse(p.b)
-			res := CheckEquivParallel(smt.All(), a, b, 8, budget, opts)
+			res := set.CheckEquiv(a, b, 8, knownPairsBudget)
 			want := smt.NotEquivalent
 			if p.equiv {
 				want = smt.Equivalent
@@ -74,8 +82,8 @@ func TestParallelCubeFallback(t *testing.T) {
 	a := parser.MustParse("x*y")
 	b := parser.MustParse("(x&~y)*(~x&y) + (x&y)*(x|y)")
 	solvers := []*smt.Solver{smt.NewZ3Sim()}
-	opts := ParallelOptions{Cubes: &smt.CubeOptions{Vars: 2, ScreenConflicts: 5, Workers: 2}}
-	res := CheckEquivParallel(solvers, a, b, 8, smt.Budget{Timeout: 60 * time.Second}, opts)
+	set := New(solvers, Options{Cubes: &smt.CubeOptions{Vars: 2, ScreenConflicts: 5, Workers: 2}})
+	res := set.CheckEquiv(a, b, 8, smt.Budget{Timeout: 60 * time.Second})
 	if res.Status != smt.Equivalent {
 		t.Fatalf("verdict %v, want equivalent from the cube phase", res.Status)
 	}
@@ -93,19 +101,20 @@ func TestParallelCubeFallback(t *testing.T) {
 	}
 }
 
-// TestContextSetSharingAndCubes: the warm-context portfolio with
+// TestIncrementalSharingAndCubes: the warm-context portfolio with
 // sharing and cubes enabled stays sound across repeated queries (the
 // generation stamp must keep clauses from one query out of the next).
-func TestContextSetSharingAndCubes(t *testing.T) {
-	cs := NewContextSet(smt.All(), smt.ContextOptions{})
-	cs.EnableSharing(128)
-	cs.EnableCubes(smt.CubeOptions{Vars: 2, ScreenConflicts: 2000, Workers: 2})
+func TestIncrementalSharingAndCubes(t *testing.T) {
+	cs := New(smt.All(), Options{
+		Incremental: true,
+		Share:       true,
+		Cubes:       &smt.CubeOptions{Vars: 2, ScreenConflicts: 2000, Workers: 2},
+	})
 
-	budget := smt.Budget{Timeout: 60 * time.Second}
 	for pass := 0; pass < 2; pass++ {
 		for _, p := range knownPairs {
 			a, b := parser.MustParse(p.a), parser.MustParse(p.b)
-			res := cs.CheckEquiv(a, b, 8, budget)
+			res := cs.CheckEquiv(a, b, 8, knownPairsBudget)
 			want := smt.NotEquivalent
 			if p.equiv {
 				want = smt.Equivalent

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mbasolver/internal/bitblast"
 	"mbasolver/internal/bv"
 	"mbasolver/internal/expr"
 	"mbasolver/internal/smt"
@@ -60,27 +61,228 @@ type SatResult struct {
 	Engines []Engine
 }
 
-// race runs fn once per solver concurrently, each under a private stop
-// flag, cancels everyone as soon as some run's result is definitive,
-// and returns all results plus the winning index (-1 if none). A
-// non-nil parent flag cancels the whole race when raised.
-func race[T any](n int, parent *atomic.Bool, fn func(i int, stop *atomic.Bool) T,
-	definitive func(T) bool) ([]T, int, []*atomic.Bool) {
+// Options configures a Set. The zero value is the plain stateless race.
+type Options struct {
+	// Incremental gives each personality one warm smt.Context, raced on
+	// every query. Across a corpus the engines keep their interned
+	// terms, encoded circuits, learned clauses and branching
+	// heuristics, so the set gets faster on structurally related
+	// queries; verdicts stay those of the underlying personalities.
+	// When false every query runs on the stateless solvers.
+	Incremental bool
+	// Share lets the racing personalities exchange short learned
+	// clauses (glue clauses over input-variable bits, translated
+	// through each engine's own variable map) over a bounded
+	// non-blocking pool. Each query stamps a new pool generation, so a
+	// clause learned under one query never leaks into the next.
+	Share bool
+	// Cubes, when non-nil, turns the equivalence race into a screening
+	// phase: the race runs clamped to Cubes.ScreenConflicts, and if it
+	// ends in a budget-kind Unknown the query is split by
+	// cube-and-conquer on the strongest personality with whatever
+	// budget remains. The cube phase is stateless, so warm contexts
+	// are untouched by it.
+	Cubes *smt.CubeOptions
+	// Breakers, when non-nil, guards each personality with a circuit
+	// breaker: an engine that keeps panicking or blowing resource caps
+	// is skipped until its cooldown admits a probe.
+	Breakers *BreakerOptions
+}
 
-	stops := make([]*atomic.Bool, n)
+// engine answers one personality's queries: a stateless *smt.Solver
+// or a warm *smt.Context.
+type engine interface {
+	CheckTermEquiv(ta, tb *bv.Term, budget smt.Budget) smt.Result
+	SolveAssertions(assertions []*bv.Term, budget smt.Budget) smt.SatResult
+}
+
+// Set is one portfolio line-up, raced on every query.
+//
+// A Set is single-caller: one query at a time (the engines race
+// internally, but each warm context is only ever touched by the
+// goroutine racing it). Use one set per worker.
+type Set struct {
+	solvers  []*smt.Solver
+	engines  []engine         // index-aligned with solvers
+	breakers []*Breaker       // nil without Options.Breakers; index-aligned with solvers
+	pool     *bitblast.Pool   // nil without Options.Share; endpoints index-aligned with solvers
+	cubes    *smt.CubeOptions // nil without Options.Cubes; defaults applied
+}
+
+// New builds a Set racing the given personalities.
+func New(solvers []*smt.Solver, opts Options) *Set {
+	s := &Set{solvers: solvers, engines: make([]engine, len(solvers))}
+	for i, sv := range solvers {
+		s.engines[i] = sv
+		if opts.Incremental {
+			s.engines[i] = sv.NewContext(smt.ContextOptions{})
+		}
+	}
+	if opts.Breakers != nil {
+		s.breakers = make([]*Breaker, len(solvers))
+		for i, sv := range solvers {
+			s.breakers[i] = NewBreaker(sv.Name(), *opts.Breakers)
+		}
+	}
+	if opts.Share {
+		s.pool = bitblast.NewPool(len(solvers), 0)
+	}
+	if opts.Cubes != nil {
+		c := opts.Cubes.WithDefaults()
+		s.cubes = &c
+	}
+	return s
+}
+
+// Breakers returns the per-personality breakers (nil when disabled),
+// index-aligned with the solver list.
+func (s *Set) Breakers() []*Breaker { return s.breakers }
+
+// ShareStats returns the sharing pool's counters (zero when sharing is
+// disabled).
+func (s *Set) ShareStats() bitblast.PoolStats {
+	if s.pool == nil {
+		return bitblast.PoolStats{}
+	}
+	return s.pool.Stats()
+}
+
+// Reset invalidates every warm engine's accumulated state.
+func (s *Set) Reset() {
+	for _, e := range s.engines {
+		if c, ok := e.(*smt.Context); ok {
+			c.Reset()
+		}
+	}
+}
+
+// CheckTermEquiv races the engines on one term-equivalence query. The
+// first Equivalent/NotEquivalent verdict wins and the remaining
+// engines are cancelled; if every engine exhausts the budget the
+// result is Timeout. budget.Stop, when set, cancels the entire
+// portfolio. Engines whose circuit breaker is open sit the race out
+// (reported as Skipped in Engines).
+func (s *Set) CheckTermEquiv(ta, tb *bv.Term, budget smt.Budget) Result {
+	start := time.Now()
+	// With a cube phase waiting, the race doubles as the screen: clamp
+	// it to the screen's conflict budget so a hard query fails over to
+	// splitting instead of burning the whole budget three ways.
+	raceBudget := budget
+	if s.cubes != nil && (raceBudget.Conflicts == 0 || raceBudget.Conflicts > s.cubes.ScreenConflicts) {
+		raceBudget.Conflicts = s.cubes.ScreenConflicts
+	}
+	r := race(s, budget.Stop, func(i int, stop *atomic.Bool) smt.Result {
+		return s.engines[i].CheckTermEquiv(ta, tb, s.engineBudget(i, raceBudget, stop))
+	}, equivReport)
+	res := Result{Result: r.best, Winner: r.winner, Engines: r.engines}
+	if r.winner == "" {
+		res.Result = smt.Result{Status: smt.Timeout, Reason: r.reason}
+	}
+	res.Elapsed = time.Since(start)
+	if r.winner != "" || s.cubes == nil {
+		return res
+	}
+	return s.runCubePhase(res, ta, tb, budget, start)
+}
+
+// CheckEquiv is CheckTermEquiv over expressions at the given width.
+func (s *Set) CheckEquiv(a, b *expr.Expr, width uint, budget smt.Budget) Result {
+	return s.CheckTermEquiv(bv.FromExpr(a, width), bv.FromExpr(b, width), budget)
+}
+
+// SolveAssertions races the engines on the conjunction of asserted
+// width-1 terms; the first sat/unsat verdict wins, with
+// breaker-skipped engines as in CheckTermEquiv.
+func (s *Set) SolveAssertions(assertions []*bv.Term, budget smt.Budget) SatResult {
+	start := time.Now()
+	r := race(s, budget.Stop, func(i int, stop *atomic.Bool) smt.SatResult {
+		return s.engines[i].SolveAssertions(assertions, s.engineBudget(i, budget, stop))
+	}, satReport)
+	res := SatResult{SatResult: r.best, Winner: r.winner, Engines: r.engines}
+	if r.winner == "" {
+		res.SatResult = smt.SatResult{Status: smt.SatUnknown, Reason: r.reason}
+	}
+	res.Elapsed = time.Since(start)
+	return res
+}
+
+// equivReport is one equivalence result as its Engine entry, and
+// whether it settles a race.
+func equivReport(r smt.Result) (Engine, bool) {
+	return Engine{
+		Verdict:      r.Status.String(),
+		Reason:       r.Reason,
+		Elapsed:      r.Elapsed,
+		Conflicts:    r.Conflicts,
+		Propagations: r.Propagations,
+		Rewritten:    r.Rewritten,
+	}, r.Status == smt.Equivalent || r.Status == smt.NotEquivalent
+}
+
+// satReport is equivReport for satisfiability results.
+func satReport(r smt.SatResult) (Engine, bool) {
+	return Engine{
+		Verdict:      r.Status.String(),
+		Reason:       r.Reason,
+		Elapsed:      r.Elapsed,
+		Conflicts:    r.Conflicts,
+		Propagations: r.Propagations,
+	}, r.Status == smt.Satisfiable || r.Status == smt.Unsatisfiable
+}
+
+// raced is the outcome of one race: the winning engine's result and
+// name ("" and the zero T when nobody won), the per-engine report in
+// solver order, and, when nobody won, why.
+type raced[T any] struct {
+	best    T
+	winner  string
+	engines []Engine
+	reason  smt.Reason
+}
+
+// engineBudget is engine i's copy of a query budget: its private stop
+// flag and, with sharing, its pool endpoint.
+func (s *Set) engineBudget(i int, budget smt.Budget, stop *atomic.Bool) smt.Budget {
+	budget.Stop = stop
+	if s.pool != nil {
+		// Endpoint by solver index, not compacted race index: an engine
+		// must keep the same mailbox across queries even when breakers
+		// change who races.
+		budget.Share = s.pool.Endpoint(i)
+	}
+	return budget
+}
+
+// race runs solve once per admitted engine (by solver index)
+// concurrently, each under a private stop flag, cancels everyone as
+// soon as some result is definitive, feeds every outcome to its
+// breaker, and reports the engines in solver order. A non-nil parent
+// flag cancels the whole race when raised.
+func race[T any](s *Set, parent *atomic.Bool, solve func(i int, stop *atomic.Bool) T,
+	report func(T) (Engine, bool)) raced[T] {
+
+	if s.pool != nil {
+		// New generation: clauses still in flight from the previous
+		// query become stale and are dropped at drain. Safe to bump here
+		// because race joins every engine before returning, so no engine
+		// is mid-solve now.
+		s.pool.NextQuery()
+	}
+	idx := s.admitted()
+	stops := make([]*atomic.Bool, len(idx))
 	type done struct {
-		i int
+		k int
 		r T
 	}
-	ch := make(chan done, n)
-	for i := 0; i < n; i++ {
-		stops[i] = new(atomic.Bool)
-		//lint:ignore goroutinelife ch is buffered to n so the send never blocks, and fn honors the per-engine stop flag raised by cancelAll
-		go func(i int) { ch <- done{i, fn(i, stops[i])} }(i)
+	ch := make(chan done, len(idx))
+	for k, i := range idx {
+		stops[k] = new(atomic.Bool)
+		//lint:ignore goroutinelife ch is buffered to len(idx) so the send never blocks, and solve honors the per-engine stop flag raised by cancelAll
+		go func(k, i int) { ch <- done{k, solve(i, stops[k])} }(k, i)
 	}
 	cancelAll := func() {
-		for _, s := range stops {
-			s.Store(true)
+		for _, st := range stops {
+			st.Store(true)
 		}
 	}
 
@@ -105,84 +307,85 @@ func race[T any](n int, parent *atomic.Bool, fn func(i int, stop *atomic.Bool) T
 		}()
 	}
 
-	results := make([]T, n)
-	winner := -1
-	for k := 0; k < n; k++ {
+	out := raced[T]{engines: make([]Engine, len(s.solvers))}
+	reports := make([]Engine, len(idx))
+	definitive := make([]bool, len(idx))
+	win := -1
+	for range idx {
 		d := <-ch
-		results[d.i] = d.r
-		if winner == -1 && definitive(d.r) {
-			winner = d.i
+		reports[d.k], definitive[d.k] = report(d.r)
+		if win == -1 && definitive[d.k] {
+			win = d.k
+			out.best = d.r
 			cancelAll()
 		}
 	}
-	return results, winner, stops
-}
 
-// equivDefinitive reports whether an equivalence result settles a race.
-func equivDefinitive(r smt.Result) bool {
-	return r.Status == smt.Equivalent || r.Status == smt.NotEquivalent
-}
-
-// satDefinitive reports whether a sat result settles a race.
-func satDefinitive(r smt.SatResult) bool {
-	return r.Status == smt.Satisfiable || r.Status == smt.Unsatisfiable
-}
-
-// assembleResult folds per-engine equivalence results into a portfolio
-// Result, shared by the stateless and incremental entry points. A nil
-// entry in skipped/stops marks an engine the circuit breaker kept out
-// of the race.
-func assembleResult(solvers []*smt.Solver, results []smt.Result, winner int,
-	stops []*atomic.Bool, skipped []bool, start time.Time) Result {
-
-	out := Result{Engines: make([]Engine, len(solvers))}
-	for i, r := range results {
-		if skipped != nil && skipped[i] {
-			out.Engines[i] = Engine{Solver: solvers[i].Name(), Verdict: "skipped", Skipped: true}
-			continue
-		}
-		out.Engines[i] = Engine{
-			Solver:       solvers[i].Name(),
-			Verdict:      r.Status.String(),
-			Reason:       r.Reason,
-			Elapsed:      r.Elapsed,
-			Conflicts:    r.Conflicts,
-			Propagations: r.Propagations,
-			Rewritten:    r.Rewritten,
-			// "Cancelled" means the engine was healthy but the race
-			// ended under it: the stop flag was raised AND its own
-			// degradation was the budget/stop kind. A panic or resource
-			// Unknown keeps its true label even when the flag is up —
-			// before this distinction, any engine that failed fast in a
-			// race someone else won was mislabeled as cancelled, hiding
-			// real failures from observability and circuit breakers.
-			Cancelled: r.Status == smt.Timeout && r.Reason == smt.ReasonBudget &&
-				stops[i] != nil && stops[i].Load(),
-			Won: i == winner,
-		}
+	// Scatter the compacted race back to solver order.
+	for i, sv := range s.solvers {
+		out.engines[i] = Engine{Solver: sv.Name(), Verdict: "skipped", Skipped: true}
 	}
-	if winner >= 0 {
-		out.Result = results[winner]
-		out.Winner = solvers[winner].Name()
+	reasons := make([]smt.Reason, 0, len(idx))
+	for k, i := range idx {
+		e := reports[k]
+		e.Solver = s.solvers[i].Name()
+		// "Cancelled" means the engine was healthy but the race ended
+		// under it: the stop flag was raised AND its own degradation
+		// was the budget/stop kind. A panic or resource Unknown keeps
+		// its true label even when the flag is up — otherwise any
+		// engine that failed fast in a race someone else won would be
+		// mislabeled as cancelled, hiding real failures from
+		// observability and from its breaker.
+		e.Cancelled = !definitive[k] && e.Reason == smt.ReasonBudget && stops[k].Load()
+		e.Won = k == win
+		out.engines[i] = e
+		// A cancelled run says nothing about the engine's health.
+		if s.breakers != nil && !e.Cancelled {
+			s.breakers[i].Report(e.Reason)
+		}
+		reasons = append(reasons, e.Reason)
+	}
+	if win >= 0 {
+		out.winner = s.solvers[idx[win]].Name()
 	} else {
-		out.Status = smt.Timeout
-		reasons := make([]smt.Reason, 0, len(results))
-		for i, r := range results {
-			if skipped == nil || !skipped[i] {
-				reasons = append(reasons, r.Reason)
-			}
-		}
-		out.Reason = portfolioReason(reasons)
+		out.reason = portfolioReason(reasons)
 	}
-	out.Elapsed = time.Since(start)
 	return out
+}
+
+// admitted returns the indices of engines allowed to race now. If
+// every breaker refuses, all engines run anyway: answering the query
+// degraded beats refusing it, and a success will close the breakers.
+func (s *Set) admitted() []int {
+	all := make([]int, len(s.engines))
+	for i := range all {
+		all[i] = i
+	}
+	if s.breakers == nil {
+		return all
+	}
+	idx := make([]int, 0, len(all))
+	for i, b := range s.breakers {
+		if b.Allow() {
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) == 0 {
+		return all
+	}
+	return idx
 }
 
 // portfolioReason summarizes why a whole race came back Unknown. Any
 // engine that merely ran out of budget makes the verdict ReasonBudget
 // — a retry with a bigger budget could still succeed — and only a race
-// where every engine failed structurally reports resource/panic.
+// where every engine failed structurally reports resource/panic. A
+// race with no engine at all is ReasonResource: nothing was available
+// to answer.
 func portfolioReason(reasons []smt.Reason) smt.Reason {
+	if len(reasons) == 0 {
+		return smt.ReasonResource
+	}
 	var fallback smt.Reason
 	for _, r := range reasons {
 		if r == smt.ReasonBudget {
@@ -195,87 +398,51 @@ func portfolioReason(reasons []smt.Reason) smt.Reason {
 	return fallback
 }
 
-// assembleSatResult is assembleResult for satisfiability races.
-func assembleSatResult(solvers []*smt.Solver, results []smt.SatResult, winner int,
-	stops []*atomic.Bool, skipped []bool, start time.Time) SatResult {
-
-	out := SatResult{Engines: make([]Engine, len(solvers))}
-	for i, r := range results {
-		if skipped != nil && skipped[i] {
-			out.Engines[i] = Engine{Solver: solvers[i].Name(), Verdict: "skipped", Skipped: true}
-			continue
-		}
-		out.Engines[i] = Engine{
-			Solver:       solvers[i].Name(),
-			Verdict:      r.Status.String(),
-			Reason:       r.Reason,
-			Elapsed:      r.Elapsed,
-			Conflicts:    r.Conflicts,
-			Propagations: r.Propagations,
-			// See assembleResult: only budget-kind Unknowns under a
-			// raised flag count as cancelled.
-			Cancelled: r.Status == smt.SatUnknown && r.Reason == smt.ReasonBudget &&
-				stops[i] != nil && stops[i].Load(),
-			Won: i == winner,
+// cubeSolver picks the personality that runs the cube phase: the
+// btorsim personality when present (full rewriting, fastest simulated
+// core — the strongest single engine on hard residuals), else the last
+// in the list.
+func (s *Set) cubeSolver() *smt.Solver {
+	for _, sv := range s.solvers {
+		if sv.Name() == "btorsim" {
+			return sv
 		}
 	}
-	if winner >= 0 {
-		out.SatResult = results[winner]
-		out.Winner = solvers[winner].Name()
-	} else {
-		out.Status = smt.SatUnknown
-		reasons := make([]smt.Reason, 0, len(results))
-		for i, r := range results {
-			if skipped == nil || !skipped[i] {
-				reasons = append(reasons, r.Reason)
-			}
+	return s.solvers[len(s.solvers)-1]
+}
+
+// runCubePhase runs cube-and-conquer after a race came back Unknown
+// and folds the outcome into res as one more Engine entry. Only a
+// budget-kind Unknown earns the phase: an external stop means the
+// whole query is out of time, and a structural (resource/panic)
+// failure — including an empty line-up — would only repeat 2^k times.
+// The cube solve gets the caller's original budget with the wall clock
+// already spent by the race subtracted, so the two phases together
+// still respect the caller's Timeout. The race's reason stays: it is
+// budget-kind, and a failed cube phase cannot make a retry hopeless.
+func (s *Set) runCubePhase(res Result, ta, tb *bv.Term, budget smt.Budget, start time.Time) Result {
+	if res.Reason != smt.ReasonBudget || (budget.Stop != nil && budget.Stop.Load()) {
+		return res
+	}
+	cb := budget
+	cb.Share = nil // the race's pool endpoints are not the cube workers'
+	if budget.Timeout > 0 {
+		remaining := budget.Timeout - time.Since(start)
+		if remaining <= 0 {
+			return res
 		}
-		out.Reason = portfolioReason(reasons)
+		cb.Timeout = remaining
 	}
-	out.Elapsed = time.Since(start)
-	return out
-}
-
-// CheckTermEquiv races the solvers on one term-equivalence query. The
-// first Equivalent/NotEquivalent verdict wins and the remaining
-// engines are cancelled; if every engine exhausts the budget the
-// result is Timeout. budget.Stop, when set, cancels the entire
-// portfolio.
-func CheckTermEquiv(solvers []*smt.Solver, ta, tb *bv.Term, budget smt.Budget) Result {
-	start := time.Now()
-	if len(solvers) == 0 {
-		return Result{Result: smt.Result{Status: smt.Timeout, Reason: smt.ReasonResource}}
+	cuber := s.cubeSolver()
+	cres := cuber.CheckTermEquivCube(ta, tb, cb, *s.cubes)
+	eng, won := equivReport(cres)
+	eng.Solver = "cubes:" + cuber.Name()
+	eng.Won = won
+	if won {
+		res.Result = cres
+		res.Winner = eng.Solver
 	}
-
-	results, winner, stops := race(len(solvers), budget.Stop,
-		func(i int, stop *atomic.Bool) smt.Result {
-			b := budget
-			b.Stop = stop
-			return solvers[i].CheckTermEquiv(ta, tb, b)
-		},
-		equivDefinitive)
-	return assembleResult(solvers, results, winner, stops, nil, start)
-}
-
-// CheckEquiv is CheckTermEquiv over expressions at the given width.
-func CheckEquiv(solvers []*smt.Solver, a, b *expr.Expr, width uint, budget smt.Budget) Result {
-	return CheckTermEquiv(solvers, bv.FromExpr(a, width), bv.FromExpr(b, width), budget)
-}
-
-// SolveAssertions races the solvers on the conjunction of asserted
-// width-1 terms; the first sat/unsat verdict wins.
-func SolveAssertions(solvers []*smt.Solver, assertions []*bv.Term, budget smt.Budget) SatResult {
-	start := time.Now()
-	if len(solvers) == 0 {
-		return SatResult{SatResult: smt.SatResult{Status: smt.SatUnknown, Reason: smt.ReasonResource}}
-	}
-
-	results, winner, stops := race(len(solvers), budget.Stop,
-		func(i int, stop *atomic.Bool) smt.SatResult {
-			b := budget
-			b.Stop = stop
-			return solvers[i].SolveAssertions(assertions, b)
-		},
-		satDefinitive)
-	return assembleSatResult(solvers, results, winner, stops, nil, start)
+	res.Engines = append(res.Engines, eng)
+	res.Elapsed = time.Since(start)
+	return res
 }

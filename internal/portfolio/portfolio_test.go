@@ -27,7 +27,7 @@ func TestPortfolioMatchesBestSingleSolver(t *testing.T) {
 	budget := smt.Budget{Conflicts: 800}
 	for _, s := range samples {
 		want := best.CheckEquiv(s.Obfuscated, s.Ground, 8, budget)
-		got := CheckEquiv(smt.All(), s.Obfuscated, s.Ground, 8, budget)
+		got := New(smt.All(), Options{}).CheckEquiv(s.Obfuscated, s.Ground, 8, budget)
 		if want.Status == smt.Timeout {
 			// The best personality gave up; the portfolio may still
 			// win via another engine, but must never refute an
@@ -50,7 +50,7 @@ func TestPortfolioMatchesBestSingleSolver(t *testing.T) {
 }
 
 func TestPortfolioWinnerAndStats(t *testing.T) {
-	res := CheckEquiv(smt.All(), parser.MustParse("x+y"), parser.MustParse("(x|y)+y-(~x&y)"),
+	res := New(smt.All(), Options{}).CheckEquiv(parser.MustParse("x+y"), parser.MustParse("(x|y)+y-(~x&y)"),
 		8, smt.Budget{Timeout: 30 * time.Second})
 	if res.Status != smt.Equivalent {
 		t.Fatalf("portfolio on identity: %v", res.Status)
@@ -88,7 +88,7 @@ func hardTerms() (*bv.Term, *bv.Term) {
 func TestPortfolioTimeoutWithinBound(t *testing.T) {
 	a, b := hardTerms()
 	start := time.Now()
-	res := CheckTermEquiv(smt.All(), a, b, smt.Budget{Timeout: 50 * time.Millisecond})
+	res := New(smt.All(), Options{}).CheckTermEquiv(a, b, smt.Budget{Timeout: 50 * time.Millisecond})
 	elapsed := time.Since(start)
 	if res.Status != smt.Timeout {
 		t.Fatalf("portfolio = %v, want timeout", res.Status)
@@ -111,7 +111,7 @@ func TestPortfolioCancelsLosers(t *testing.T) {
 	a := bv.FromExpr(parser.MustParse("x&y"), 32)
 	b := bv.FromExpr(parser.MustParse("y&x"), 32)
 	start := time.Now()
-	res := CheckTermEquiv(smt.All(), a, b, smt.Budget{})
+	res := New(smt.All(), Options{}).CheckTermEquiv(a, b, smt.Budget{})
 	elapsed := time.Since(start)
 	if res.Status != smt.Equivalent {
 		t.Fatalf("portfolio = %v, want equivalent", res.Status)
@@ -132,7 +132,7 @@ func TestPortfolioExternalCancel(t *testing.T) {
 		stop.Store(true)
 	}()
 	start := time.Now()
-	res := CheckTermEquiv(smt.All(), a, b, smt.Budget{Stop: &stop})
+	res := New(smt.All(), Options{}).CheckTermEquiv(a, b, smt.Budget{Stop: &stop})
 	elapsed := time.Since(start)
 	if res.Status != smt.Timeout {
 		t.Fatalf("cancelled portfolio = %v, want timeout", res.Status)
@@ -151,7 +151,7 @@ func TestPortfolioSolveAssertions(t *testing.T) {
 	// x + y == 7 && x != y: satisfiable.
 	q1 := bv.Predicate(bv.Eq, bv.Binary(bv.Add, x, y), bv.NewConst(7, width))
 	q2 := bv.Predicate(bv.Ne, x, y)
-	res := SolveAssertions(smt.All(), []*bv.Term{q1, q2}, smt.Budget{Timeout: 30 * time.Second})
+	res := New(smt.All(), Options{}).SolveAssertions([]*bv.Term{q1, q2}, smt.Budget{Timeout: 30 * time.Second})
 	if res.Status != smt.Satisfiable {
 		t.Fatalf("portfolio SolveAssertions = %v, want sat", res.Status)
 	}
@@ -167,14 +167,15 @@ func TestPortfolioSolveAssertions(t *testing.T) {
 	one := bv.NewConst(1, width)
 	u1 := bv.Predicate(bv.Eq, bv.Binary(bv.And, x, one), bv.NewConst(0, width))
 	u2 := bv.Predicate(bv.Eq, bv.Binary(bv.And, x, one), one)
-	ures := SolveAssertions(smt.All(), []*bv.Term{u1, u2}, smt.Budget{Timeout: 30 * time.Second})
+	ures := New(smt.All(), Options{}).SolveAssertions([]*bv.Term{u1, u2}, smt.Budget{Timeout: 30 * time.Second})
 	if ures.Status != smt.Unsatisfiable {
 		t.Fatalf("portfolio on contradiction = %v, want unsat", ures.Status)
 	}
 }
 
 // TestPortfolioConcurrentQueries drives many portfolio queries in
-// parallel — race-detector coverage for the shared-nothing design.
+// parallel, one Set per goroutine — race-detector coverage for the
+// shared-nothing design.
 func TestPortfolioConcurrentQueries(t *testing.T) {
 	pairs := [][2]string{
 		{"x+y", "(x|y)+y-(~x&y)"},
@@ -189,7 +190,7 @@ func TestPortfolioConcurrentQueries(t *testing.T) {
 			go func(lhs, rhs string) {
 				defer wg.Done()
 				a, b := parser.MustParse(lhs), parser.MustParse(rhs)
-				res := CheckEquiv(smt.All(), a, b, 8, smt.Budget{Timeout: 30 * time.Second})
+				res := New(smt.All(), Options{}).CheckEquiv(a, b, 8, smt.Budget{Timeout: 30 * time.Second})
 				if res.Status == smt.Timeout {
 					t.Errorf("%s vs %s timed out", lhs, rhs)
 					return

@@ -21,9 +21,9 @@ import (
 //     Cancelled was computed as Unknown-while-stop-raised — and since
 //     the winner raises every stop flag, any engine that panicked in a
 //     race someone else won was reported as a healthy cancellation.
-//  3. Breakers see those failures. The same mislabel fed reportOutcome,
-//     so a personality could panic on every query and never trip its
-//     breaker as long as some other engine kept winning.
+//  3. Breakers see those failures. The same mislabel fed the breaker
+//     reporting, so a personality could panic on every query and never
+//     trip its breaker as long as some other engine kept winning.
 
 // TestRaceFastPanicDoesNotCancelRace: with exactly one engine
 // panicking instantly (fault site smt.rewrite, first hit), the
@@ -37,7 +37,7 @@ func TestRaceFastPanicDoesNotCancelRace(t *testing.T) {
 	}
 
 	a, b := parser.MustParse("x+y"), parser.MustParse("(x|y)+(x&y)")
-	res := CheckEquiv(smt.All(), a, b, 8, smt.Budget{Timeout: 30 * time.Second})
+	res := New(smt.All(), Options{}).CheckEquiv(a, b, 8, smt.Budget{Timeout: 30 * time.Second})
 	if res.Status != smt.Equivalent {
 		t.Fatalf("verdict %v, want equivalent despite one engine panicking", res.Status)
 	}
@@ -67,7 +67,7 @@ func TestRaceFastPanicDoesNotCancelRace(t *testing.T) {
 }
 
 // TestRaceFastPanicSatPath is the same pin for the satisfiability
-// race (assembleSatResult has its own Cancelled computation).
+// race.
 func TestRaceFastPanicSatPath(t *testing.T) {
 	defer fault.Disable()
 	if err := fault.EnableSpec("smt.rewrite:hit=1"); err != nil {
@@ -76,7 +76,7 @@ func TestRaceFastPanicSatPath(t *testing.T) {
 
 	x := bv.FromExpr(parser.MustParse("x"), 8)
 	assertions := []*bv.Term{bv.Predicate(bv.Eq, x, bv.NewConst(1, 8))}
-	res := SolveAssertions(smt.All(), assertions, smt.Budget{Timeout: 30 * time.Second})
+	res := New(smt.All(), Options{}).SolveAssertions(assertions, smt.Budget{Timeout: 30 * time.Second})
 	if res.Status != smt.Satisfiable {
 		t.Fatalf("verdict %v, want satisfiable despite one engine panicking", res.Status)
 	}
@@ -99,12 +99,11 @@ func TestRaceFastPanicSatPath(t *testing.T) {
 // motivated the sweep. One engine panics fast, another wins; the
 // panicked engine's breaker must record the failure (threshold 1 →
 // open), and the winner's must stay closed. Pre-fix, the panicked run
-// was classified cancelled and reportOutcome skipped it, so the
-// breaker stayed closed no matter how often the engine crashed.
+// was classified cancelled and never reported, so the breaker stayed
+// closed no matter how often the engine crashed.
 func TestBreakerSeesFastFailureWhenRaceIsWon(t *testing.T) {
 	defer fault.Disable()
-	cs := NewContextSet(smt.All(), smt.ContextOptions{})
-	cs.EnableBreakers(BreakerOptions{Threshold: 1, Cooldown: time.Hour})
+	cs := New(smt.All(), Options{Incremental: true, Breakers: &BreakerOptions{Threshold: 1, Cooldown: time.Hour}})
 
 	if err := fault.EnableSpec("smt.rewrite:hit=1"); err != nil {
 		t.Fatal(err)
@@ -149,8 +148,7 @@ func TestBreakerSeesFastFailureWhenRaceIsWon(t *testing.T) {
 // keeps the Cancelled label (budget-kind Unknown under a raised flag),
 // and its breaker is not penalized.
 func TestRaceCancelledLoserStillLabeled(t *testing.T) {
-	cs := NewContextSet(smt.All(), smt.ContextOptions{})
-	cs.EnableBreakers(BreakerOptions{Threshold: 1, Cooldown: time.Hour})
+	cs := New(smt.All(), Options{Incremental: true, Breakers: &BreakerOptions{Threshold: 1, Cooldown: time.Hour}})
 
 	// A pair hard enough that slower engines are usually still solving
 	// when the winner finishes; run a few queries and accept whatever
@@ -158,7 +156,7 @@ func TestRaceCancelledLoserStillLabeled(t *testing.T) {
 	a := parser.MustParse("x*y")
 	b := parser.MustParse("(x&~y)*(~x&y) + (x&y)*(x|y)")
 	for q := 0; q < 3; q++ {
-		res := cs.CheckEquiv(a, b, 8, smt.Budget{Timeout: 60 * time.Second})
+		res := cs.CheckEquiv(a, b, 8, knownPairsBudget)
 		if res.Status != smt.Equivalent {
 			t.Fatalf("query %d verdict %v, want equivalent", q, res.Status)
 		}

@@ -63,11 +63,12 @@ type Config struct {
 	RetryAfter time.Duration
 	// BreakerThreshold is the consecutive structural-failure count
 	// (contained panics, blown memory caps — not ordinary timeouts)
-	// that opens a personality's circuit breaker on the incremental
-	// paths. Default 3; negative disables the breakers. While a
-	// breaker is open the portfolio skips that engine and solo queries
-	// fall back to a stateless fresh solver, so requests keep being
-	// answered.
+	// that opens a personality's circuit breaker. Default 3; negative
+	// disables the breakers. Portfolio solves are guarded whether
+	// contexts are warm or not: while a breaker is open the portfolio
+	// skips that engine. Solo queries are guarded only on the
+	// incremental path, where an open breaker falls back to a stateless
+	// fresh solver, so requests keep being answered.
 	BreakerThreshold int
 	// BreakerCooldown is the open interval before a breaker admits a
 	// probe query (default 250ms; backs off exponentially on repeated
@@ -80,17 +81,17 @@ type Config struct {
 	// internal watermarks, which recycle oversized state automatically);
 	// verdicts are identical either way, so this switch exists for
 	// memory-constrained deployments and A/B measurement, not
-	// correctness.
+	// correctness. Share, Cubes and the portfolio's breakers apply
+	// either way.
 	DisableIncremental bool
 	// Share lets each worker's portfolio personalities exchange short
 	// learned clauses during races (see internal/bitblast's clause
 	// pool). Verdicts are unchanged; the point is fewer timeouts at a
-	// fixed budget. Only affects portfolio solves on the incremental
-	// path.
+	// fixed budget. Affects portfolio solves only.
 	Share bool
 	// Cubes adds a cube-and-conquer fallback to portfolio solves the
-	// screen race cannot decide within its conflict budget. Only
-	// affects portfolio solves on the incremental path.
+	// screen race cannot decide within its conflict budget. Affects
+	// portfolio solves only.
 	Cubes bool
 	// MaxBatchItems caps the item count of one /v1/batch request
 	// (default 256). Larger batches are rejected with 400 so a single
@@ -133,6 +134,19 @@ func (c Config) withDefaults() Config {
 		c.MaxBatchItems = 256
 	}
 	return c
+}
+
+// portfolioOptions maps the config onto each worker's portfolio set;
+// the solo contexts' breakers take the same BreakerOptions.
+func (c Config) portfolioOptions() portfolio.Options {
+	o := portfolio.Options{Incremental: !c.DisableIncremental, Share: c.Share}
+	if c.Cubes {
+		o.Cubes = &smt.CubeOptions{}
+	}
+	if c.BreakerThreshold >= 0 {
+		o.Breakers = &portfolio.BreakerOptions{Threshold: c.BreakerThreshold, Cooldown: c.BreakerCooldown}
+	}
+	return o
 }
 
 // Endpoint paths, shared with the client package, the cluster router
@@ -183,7 +197,7 @@ type workerCtx struct {
 	stop     *atomic.Bool
 	simps    map[simpKey]*core.Simplifier
 	solo     map[string]*smt.Context       // per-personality incremental contexts
-	cset     *portfolio.ContextSet         // incremental portfolio line-up
+	set      *portfolio.Set                // portfolio line-up
 	breakers map[string]*portfolio.Breaker // guards the solo contexts; nil when disabled
 }
 
@@ -196,9 +210,7 @@ func (w *workerCtx) resetSolvers() {
 	for _, c := range w.solo {
 		c.Reset()
 	}
-	if w.cset != nil {
-		w.cset.Reset()
-	}
+	w.set.Reset()
 }
 
 func (w *workerCtx) simplifier(width uint, disj bool) *core.Simplifier {
@@ -325,28 +337,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 func (s *Server) worker() {
 	defer s.wg.Done()
-	w := &workerCtx{simps: map[simpKey]*core.Simplifier{}}
-	if !s.cfg.DisableIncremental {
+	opts := s.cfg.portfolioOptions()
+	w := &workerCtx{simps: map[simpKey]*core.Simplifier{}, set: portfolio.New(s.all, opts)}
+	if opts.Incremental {
 		w.solo = make(map[string]*smt.Context, len(s.all))
 		for _, sv := range s.all {
 			w.solo[sv.Name()] = sv.NewContext(smt.ContextOptions{})
 		}
-		w.cset = portfolio.NewContextSet(s.all, smt.ContextOptions{})
-		if s.cfg.Share {
-			w.cset.EnableSharing(0)
-		}
-		if s.cfg.Cubes {
-			w.cset.EnableCubes(smt.CubeOptions{})
-		}
-		if s.cfg.BreakerThreshold >= 0 {
-			bo := portfolio.BreakerOptions{
-				Threshold: s.cfg.BreakerThreshold,
-				Cooldown:  s.cfg.BreakerCooldown,
-			}
-			w.cset.EnableBreakers(bo)
+		if bo := opts.Breakers; bo != nil {
 			w.breakers = make(map[string]*portfolio.Breaker, len(s.all))
 			for _, sv := range s.all {
-				w.breakers[sv.Name()] = portfolio.NewBreaker(sv.Name(), bo)
+				w.breakers[sv.Name()] = portfolio.NewBreaker(sv.Name(), *bo)
 			}
 		}
 	}
@@ -721,12 +722,7 @@ func (s *Server) runSolve(wc *workerCtx, a, b *expr.Expr, width uint, spec solve
 		Stop:      wc.stop,
 	}
 	if spec.portfolio {
-		var res portfolio.Result
-		if wc.cset != nil {
-			res = wc.cset.CheckEquiv(a, b, width, budget)
-		} else {
-			res = portfolio.CheckEquiv(s.all, a, b, width, budget)
-		}
+		res := wc.set.CheckEquiv(a, b, width, budget)
 		resp := solveResponse(res.Result, width)
 		resp.Solver = res.Winner
 		resp.Engines = EnginesOf(res.Engines)
@@ -750,12 +746,7 @@ func (s *Server) runSolve(wc *workerCtx, a, b *expr.Expr, width uint, spec solve
 	if ctx := wc.solo[name]; ctx != nil && (br == nil || br.Allow()) {
 		res = ctx.CheckEquiv(a, b, width, budget)
 		if br != nil {
-			if res.Status == smt.Unknown &&
-				(res.Reason == smt.ReasonPanic || res.Reason == smt.ReasonResource) {
-				br.ReportFailure()
-			} else {
-				br.ReportSuccess()
-			}
+			br.Report(res.Reason)
 		}
 	} else {
 		res = s.solvers[name].CheckEquiv(a, b, width, budget)

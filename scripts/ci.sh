@@ -40,7 +40,7 @@ go test -race -count=1 ./internal/chaos/
 # with the solo race on every verdict, under the race detector — the
 # differential tests cover share on/off x cubes on/off across all
 # personalities.
-go test -race -count=1 ./internal/portfolio/ -run 'TestParallelMatchesSolo|TestParallelCubeFallback|TestContextSetSharingAndCubes'
+go test -race -count=1 ./internal/portfolio/ -run 'TestParallelMatchesSolo|TestParallelCubeFallback|TestIncrementalSharingAndCubes'
 
 # Bench smoke: the miniature incremental-vs-fresh solver benchmark,
 # the solo-vs-share+cubes benchmark, the sharded-cluster benchmark and
