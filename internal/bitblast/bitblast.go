@@ -87,11 +87,30 @@ func New(opts sat.Options) *Blaster {
 		cache: map[*bv.Term][]sat.Lit{},
 		gates: map[[3]int64]sat.Lit{},
 	}
-	// A literal constrained true, used to encode constants.
-	v := b.S.NewVar()
-	b.trueLit = sat.MkLit(v, false)
-	b.S.AddClause(b.trueLit)
+	b.addTrue()
 	return b
+}
+
+// Reset empties the Blaster as if it were freshly built by New(opts),
+// keeping the capacity of its maps and of its solver (see
+// sat.Solver.Reset). Stop flag, deadline, variable cap, sharing and
+// the interrupted state are all cleared, so a Blaster whose Blast was
+// aborted is reusable after Reset.
+func (b *Blaster) Reset(opts sat.Options) {
+	b.S.Reset(opts)
+	clear(b.vars)
+	clear(b.owner)
+	clear(b.cache)
+	clear(b.gates)
+	*b = Blaster{S: b.S, vars: b.vars, owner: b.owner, cache: b.cache, gates: b.gates}
+	b.addTrue()
+}
+
+// addTrue allocates the literal constrained true, used to encode
+// constants.
+func (b *Blaster) addTrue() {
+	b.trueLit = sat.MkLit(b.S.NewVar(), false)
+	b.S.AddClause(b.trueLit)
 }
 
 // True returns the constant-true literal.

@@ -44,10 +44,10 @@ func TestInternDeterministic(t *testing.T) {
 func TestInternNoAliasing(t *testing.T) {
 	in := NewInterner()
 	pairs := [][2]*Term{
-		{in.Var("x", 8), in.Var("x", 16)},     // same name, different width
-		{in.Const(1, 8), in.Const(1, 16)},     // same value, different width
-		{in.Var("1", 8), in.Const(1, 8)},      // name "1" vs value 1
-		{in.Var("ab", 8), in.Var("a", 8)},     // prefix names
+		{in.Var("x", 8), in.Var("x", 16)}, // same name, different width
+		{in.Const(1, 8), in.Const(1, 16)}, // same value, different width
+		{in.Var("1", 8), in.Const(1, 8)},  // name "1" vs value 1
+		{in.Var("ab", 8), in.Var("a", 8)}, // prefix names
 		{in.Unary(Not, in.Var("x", 8)), in.Unary(Neg, in.Var("x", 8))},
 		{in.Binary(Sub, in.Var("x", 8), in.Var("y", 8)),
 			in.Binary(Sub, in.Var("y", 8), in.Var("x", 8))}, // operand order matters

@@ -158,9 +158,9 @@ type ckey struct {
 }
 
 type nkey struct {
-	op     opcode
-	w, aw  uint8
-	a, b   uint32
+	op    opcode
+	w, aw uint8
+	a, b  uint32
 }
 
 type builder struct {

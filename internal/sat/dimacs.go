@@ -77,7 +77,7 @@ func WriteDIMACS(s *Solver, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "p cnf %d %d\n", s.NumVars(), len(s.clauses))
 	for _, c := range s.clauses {
-		for _, l := range c.lits {
+		for _, l := range s.lits(c) {
 			v := int(l.Var()) + 1
 			if l.Neg() {
 				v = -v

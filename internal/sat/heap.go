@@ -14,6 +14,12 @@ func newVarHeap(activity *[]float64) *varHeap {
 	return &varHeap{activity: activity}
 }
 
+// reset empties the heap, keeping its capacity.
+func (h *varHeap) reset() {
+	h.heap = h.heap[:0]
+	h.index = h.index[:0]
+}
+
 func (h *varHeap) less(a, b Var) bool {
 	return (*h.activity)[a] > (*h.activity)[b]
 }

@@ -256,12 +256,12 @@ func (s *Solver) ProblemClauses() [][]Lit {
 		limit = int(s.trailLim[0])
 	}
 	for _, l := range s.trail[:limit] {
-		if s.reason[l.Var()] == nil {
+		if s.reason[l.Var()] == noReason {
 			out = append(out, []Lit{l})
 		}
 	}
 	for _, c := range s.clauses {
-		out = append(out, append([]Lit(nil), c.lits...))
+		out = append(out, append([]Lit(nil), s.lits(c)...))
 	}
 	return out
 }

@@ -10,6 +10,18 @@
 // in the paper's experiments. Resource budgets (conflicts, propagations
 // and a wall-clock deadline) make solving interruptible, which the
 // experiment harness uses to implement the paper's solving timeouts.
+//
+// Clauses live in one flat arena of literals, MiniSat style: a small
+// header (size, LBD and learnt flag, activity) followed by the
+// literals, addressed by offset. Watch lists, reasons and the clause
+// lists hold offsets, so the clause database contains no pointers for
+// the garbage collector to trace. reduceDB frees clauses by accounting
+// and compacts the arena once garbage exceeds half of it, rewriting
+// every offset in place so watch-list order, and with it the search,
+// is unchanged. Conflict analysis, clause minimization, LBD and
+// AddClause work in solver-owned scratch, and Reset empties a solver
+// for a new instance while keeping all of that capacity (internal/smt
+// pools whole blasters across fresh queries this way).
 package sat
 
 import (
@@ -85,13 +97,6 @@ const (
 	lTrue
 	lFalse
 )
-
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
 
 // Options tunes the search. The three SMT personalities in
 // internal/smt use different option sets.
@@ -179,15 +184,27 @@ type Stats struct {
 	Imported     int64 // foreign clauses attached via the share import hook
 }
 
-type clause struct {
-	lits     []Lit
-	activity float64
-	lbd      int
-	learnt   bool
-}
+// cref is a clause reference: the offset of the clause's header in
+// the solver's arena.
+type cref uint32
+
+// noReason is the reason of decisions, assumptions, level-0 units and
+// unassigned variables.
+const noReason cref = math.MaxUint32
+
+// Arena layout of one clause: clauseHeader words, then the literals.
+// The activity is a float64 split into two words, so bumping and
+// rescaling stay bit-identical to plain float64 arithmetic.
+const (
+	hdrSize      = 0 // literal count
+	hdrFlags     = 1 // lbd<<1 | learnt
+	hdrActLo     = 2 // activity bits 0..31; the forwarding offset during compaction
+	hdrActHi     = 3 // activity bits 32..63
+	clauseHeader = 4
+)
 
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit // cached literal; if true the clause is satisfied
 }
 
@@ -199,14 +216,16 @@ var ErrAddAfterUnsat = errors.New("sat: clause added to an already-unsat solver"
 type Solver struct {
 	opts Options
 
-	clauses []*clause // problem clauses
-	learnts []*clause
+	arena   []Lit  // every attached clause: header then literals
+	wasted  int    // arena words held by removed clauses
+	clauses []cref // problem clauses
+	learnts []cref
 
 	watches [][]watcher // index: literal
 
-	assign   []lbool
+	assign   []lbool // index: literal; both literals of a variable are set together
 	level    []int32
-	reason   []*clause
+	reason   []cref
 	trail    []Lit
 	trailLim []int32
 	qhead    int
@@ -217,9 +236,16 @@ type Solver struct {
 	order    *varHeap
 	phase    []bool
 
-	seen      []byte // conflict analysis scratch
-	analyzeTs []Lit
-	minimizeS []Lit
+	// Scratch reused across conflicts and clauses.
+	seen        []byte // conflict analysis marks, by variable
+	analyzeTs   []Lit
+	minimizeS   []Lit
+	learntBuf   []Lit    // analyze's learnt clause
+	redundantS  []Lit    // litRedundant's DFS stack
+	addBuf      []Lit    // AddClause's and importClause's normalized clause
+	levelStamp  []uint32 // computeLBD's per-level marks
+	stamp       uint32   // computeLBD's current mark
+	compactions int      // arena compactions run
 
 	okay     bool // false once UNSAT at level 0
 	model    []bool
@@ -241,49 +267,78 @@ type Solver struct {
 
 // New returns an empty solver with the given options.
 func New(opts Options) *Solver {
-	if opts.VarDecay == 0 {
-		opts = DefaultOptions()
-	}
-	s := &Solver{
-		opts:   opts,
-		varInc: 1,
-		claInc: 1,
-		okay:   true,
-	}
+	s := &Solver{}
 	s.order = newVarHeap(&s.activity)
+	s.Reset(opts)
 	return s
 }
 
+// Reset empties the solver as if it were freshly built by New(opts):
+// clauses, variables, statistics, share hooks and proof output all go.
+// It keeps the capacity of its arena, variable arrays, scratch and
+// per-literal watch lists, so a reused solver searches exactly like a
+// new one without growing its buffers again.
+func (s *Solver) Reset(opts Options) {
+	if opts.VarDecay == 0 {
+		opts = DefaultOptions()
+	}
+	s.order.reset()
+	*s = Solver{
+		opts:       opts,
+		varInc:     1,
+		claInc:     1,
+		okay:       true,
+		order:      s.order,
+		arena:      s.arena[:0],
+		clauses:    s.clauses[:0],
+		learnts:    s.learnts[:0],
+		watches:    s.watches[:0],
+		assign:     s.assign[:0],
+		level:      s.level[:0],
+		reason:     s.reason[:0],
+		trail:      s.trail[:0],
+		trailLim:   s.trailLim[:0],
+		activity:   s.activity[:0],
+		phase:      s.phase[:0],
+		seen:       s.seen[:0],
+		analyzeTs:  s.analyzeTs[:0],
+		minimizeS:  s.minimizeS[:0],
+		learntBuf:  s.learntBuf[:0],
+		redundantS: s.redundantS[:0],
+		addBuf:     s.addBuf[:0],
+		levelStamp: s.levelStamp[:0],
+	}
+}
+
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assign) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assign))
-	s.assign = append(s.assign, lUndef)
+	v := Var(len(s.level))
+	s.assign = append(s.assign, lUndef, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noReason)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, s.opts.DefaultPhase)
 	s.seen = append(s.seen, 0)
-	s.watches = append(s.watches, nil, nil)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		// Reuse the watch lists a Reset left behind.
+		s.watches = s.watches[:n+2]
+		s.watches[n] = s.watches[n][:0]
+		s.watches[n+1] = s.watches[n+1][:0]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.order.insert(v)
 	return v
 }
 
-func (s *Solver) value(l Lit) lbool {
-	a := s.assign[l.Var()]
-	if a == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		if a == lTrue {
-			return lFalse
-		}
-		return lTrue
-	}
-	return a
-}
+func (s *Solver) value(l Lit) lbool { return s.assign[l] }
+
+// varValue returns the variable's value, the value of its positive
+// literal.
+func (s *Solver) varValue(v Var) lbool { return s.assign[MkLit(v, false)] }
 
 // AddClause adds a problem clause. It returns ErrAddAfterUnsat if the
 // solver is already unsatisfiable, and silently discards tautologies.
@@ -298,33 +353,9 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	if s.proof != nil {
 		s.origClauses = append(s.origClauses, append([]Lit(nil), lits...))
 	}
-	// Normalize: sort-free dedup, drop false literals, detect
-	// tautology and satisfied clauses.
-	out := lits[:0:0]
-	for _, l := range lits {
-		switch s.value(l) {
-		case lTrue:
-			return nil // already satisfied at level 0
-		case lFalse:
-			continue
-		}
-		dup, taut := false, false
-		for _, o := range out {
-			if o == l {
-				dup = true
-				break
-			}
-			if o == l.Not() {
-				taut = true
-				break
-			}
-		}
-		if taut {
-			return nil
-		}
-		if !dup {
-			out = append(out, l)
-		}
+	out, keep := s.normalize(lits)
+	if !keep {
+		return nil
 	}
 	switch len(out) {
 	case 0:
@@ -333,50 +364,116 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		s.proofFlush()
 		return nil
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], noReason)
+		if s.propagate() != noReason {
 			s.okay = false
 			s.proofAdd(nil)
 			s.proofFlush()
 		}
 		return nil
 	}
-	c := &clause{lits: out}
+	c := s.alloc(out, false, 0)
 	s.clauses = append(s.clauses, c)
 	s.litsLive += int64(len(out))
 	s.attach(c)
 	return nil
 }
 
-func (s *Solver) attach(c *clause) {
-	l0, l1 := c.lits[0], c.lits[1]
+// normalize copies lits into the solver's clause scratch without
+// duplicates or literals false at level 0 (a sort-free dedup). keep
+// is false when the clause is satisfied at level 0 or a tautology.
+// The result aliases the scratch, valid until the next normalize.
+func (s *Solver) normalize(lits []Lit) (out []Lit, keep bool) {
+	out = s.addBuf[:0]
+	for _, l := range lits {
+		switch s.value(l) {
+		case lTrue:
+			return nil, false
+		case lFalse:
+			continue
+		}
+		dup := false
+		for _, o := range out {
+			if o == l {
+				dup = true
+				break
+			}
+			if o == l.Not() {
+				return nil, false
+			}
+		}
+		if !dup {
+			out = append(out, l)
+		}
+	}
+	s.addBuf = out
+	return out, true
+}
+
+// alloc appends a clause to the arena and returns its reference.
+func (s *Solver) alloc(lits []Lit, learnt bool, lbd int) cref {
+	c := cref(len(s.arena))
+	flags := Lit(lbd << 1)
+	if learnt {
+		flags |= 1
+	}
+	s.arena = append(s.arena, Lit(len(lits)), flags, 0, 0)
+	s.arena = append(s.arena, lits...)
+	return c
+}
+
+// lits returns the clause's literals, aliasing the arena.
+func (s *Solver) lits(c cref) []Lit {
+	start := int(c) + clauseHeader
+	end := start + int(s.arena[c+hdrSize])
+	return s.arena[start:end:end]
+}
+
+func (s *Solver) isLearnt(c cref) bool { return s.arena[c+hdrFlags]&1 == 1 }
+
+func (s *Solver) clauseLBD(c cref) int { return int(s.arena[c+hdrFlags] >> 1) }
+
+func (s *Solver) clauseActivity(c cref) float64 {
+	return math.Float64frombits(uint64(uint32(s.arena[c+hdrActLo])) | uint64(uint32(s.arena[c+hdrActHi]))<<32)
+}
+
+func (s *Solver) setClauseActivity(c cref, a float64) {
+	bits := math.Float64bits(a)
+	s.arena[c+hdrActLo] = Lit(uint32(bits))
+	s.arena[c+hdrActHi] = Lit(uint32(bits >> 32))
+}
+
+func (s *Solver) attach(c cref) {
+	lits := s.lits(c)
+	l0, l1 := lits[0], lits[1]
 	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{c, l1})
 	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{c, l0})
 }
 
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
-	s.assign[v] = boolToLbool(!l.Neg())
+	s.assign[l] = lTrue
+	s.assign[l.Not()] = lFalse
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 }
 
 // propagate performs unit propagation; it returns the conflicting
-// clause or nil.
-func (s *Solver) propagate() *clause {
+// clause or noReason.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.stats.Propagations++
 		ws := s.watches[p]
 		kept := ws[:0]
-		var conflict *clause
+		conflict := noReason
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if conflict != nil {
+			if conflict != noReason {
 				kept = append(kept, ws[i:]...)
 				break
 			}
@@ -385,21 +482,22 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
+			lits := s.lits(c)
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.value(first) == lTrue {
 				kept = append(kept, watcher{c, first})
 				continue
 			}
 			// Find a new watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					nw := c.lits[1].Not()
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					nw := lits[1].Not()
 					s.watches[nw] = append(s.watches[nw], watcher{c, first})
 					found = true
 					break
@@ -418,17 +516,18 @@ func (s *Solver) propagate() *clause {
 			s.uncheckedEnqueue(first, c)
 		}
 		s.watches[p] = kept
-		if conflict != nil {
+		if conflict != noReason {
 			return conflict
 		}
 	}
-	return nil
+	return noReason
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt
 // clause (with the asserting literal first) and the backtrack level.
-func (s *Solver) analyze(conflict *clause) ([]Lit, int32) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
+// The clause is solver-owned scratch, valid until the next conflict.
+func (s *Solver) analyze(conflict cref) ([]Lit, int32) {
+	learnt := append(s.learntBuf[:0], 0) // slot 0 reserved for the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
@@ -439,10 +538,10 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int32) {
 		if p != -1 {
 			start = 1
 		}
-		if c.learnt {
+		if s.isLearnt(c) {
 			s.bumpClause(c)
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.lits(c)[start:] {
 			v := q.Var()
 			if s.seen[v] != 0 || s.level[v] == 0 {
 				continue
@@ -478,7 +577,7 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int32) {
 	}
 	j := 1
 	for i := 1; i < len(learnt); i++ {
-		if s.reason[learnt[i].Var()] == nil || !s.litRedundant(learnt[i]) {
+		if s.reason[learnt[i].Var()] == noReason || !s.litRedundant(learnt[i]) {
 			learnt[j] = learnt[i]
 			j++
 		}
@@ -506,24 +605,25 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int32) {
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
 		bt = s.level[learnt[1].Var()]
 	}
+	s.learntBuf = learnt
 	return learnt, bt
 }
 
 // litRedundant checks whether l is implied by the other marked
 // literals (recursive clause minimization, Sörensson & Biere).
 func (s *Solver) litRedundant(l Lit) bool {
-	stack := []Lit{l}
+	stack := append(s.redundantS[:0], l)
+	defer func() { s.redundantS = stack[:0] }()
 	top := len(s.minimizeS)
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		c := s.reason[p.Var()]
-		for _, q := range c.lits[1:] {
+		for _, q := range s.lits(s.reason[p.Var()])[1:] {
 			v := q.Var()
 			if s.seen[v] != 0 || s.level[v] == 0 {
 				continue
 			}
-			if s.reason[v] == nil {
+			if s.reason[v] == noReason {
 				// Decision variable not in the clause: l is not
 				// redundant; undo the marks made in this call.
 				for _, m := range s.minimizeS[top:] {
@@ -551,11 +651,12 @@ func (s *Solver) bumpVar(v Var) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	a := s.clauseActivity(c) + s.claInc
+	s.setClauseActivity(c, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.activity *= 1e-20
+			s.setClauseActivity(lc, s.clauseActivity(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -569,8 +670,9 @@ func (s *Solver) backtrackTo(level int32) {
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		l := s.trail[i]
 		v := l.Var()
-		s.assign[v] = lUndef
-		s.reason[v] = nil
+		s.assign[l] = lUndef
+		s.assign[l.Not()] = lUndef
+		s.reason[v] = noReason
 		if s.opts.PhaseSaving {
 			s.phase[v] = !l.Neg()
 		}
@@ -582,13 +684,26 @@ func (s *Solver) backtrackTo(level int32) {
 }
 
 // computeLBD counts the distinct decision levels in a clause (the
-// "glue" of glucose-style heuristics).
+// "glue" of glucose-style heuristics), marking each level with a fresh
+// stamp.
 func (s *Solver) computeLBD(lits []Lit) int {
-	seen := map[int32]bool{}
-	for _, l := range lits {
-		seen[s.level[l.Var()]] = true
+	for len(s.levelStamp) <= int(s.decisionLevel()) {
+		s.levelStamp = append(s.levelStamp, 0)
 	}
-	return len(seen)
+	s.stamp++
+	if s.stamp == 0 {
+		// The stamp wrapped: forget every old mark.
+		clear(s.levelStamp)
+		s.stamp = 1
+	}
+	n := 0
+	for _, l := range lits {
+		if lv := s.level[l.Var()]; s.levelStamp[lv] != s.stamp {
+			s.levelStamp[lv] = s.stamp
+			n++
+		}
+	}
+	return n
 }
 
 func (s *Solver) pickBranchLit() (Lit, bool) {
@@ -597,7 +712,7 @@ func (s *Solver) pickBranchLit() (Lit, bool) {
 		if !ok {
 			return 0, false
 		}
-		if s.assign[v] == lUndef {
+		if s.varValue(v) == lUndef {
 			s.stats.Decisions++
 			return MkLit(v, !s.phase[v]), true
 		}
@@ -606,6 +721,8 @@ func (s *Solver) pickBranchLit() (Lit, bool) {
 
 // reduceDB removes roughly half of the learnt clauses, keeping the
 // most active / lowest-LBD ones. Clauses locked as reasons survive.
+// Removed clauses stay in the arena as garbage until it exceeds half
+// of the arena, when compact reclaims it.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) == 0 {
 		return
@@ -614,38 +731,78 @@ func (s *Solver) reduceDB() {
 	// approximation via average.
 	var sum float64
 	for _, c := range s.learnts {
-		sum += c.activity
+		sum += s.clauseActivity(c)
 	}
 	lim := sum / float64(len(s.learnts))
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		locked := false
-		if r := s.reason[c.lits[0].Var()]; r == c && s.value(c.lits[0]) == lTrue {
-			locked = true
-		}
-		if locked || c.lbd <= 2 || c.activity >= lim {
+		lits := s.lits(c)
+		locked := s.reason[lits[0].Var()] == c && s.value(lits[0]) == lTrue
+		if locked || s.clauseLBD(c) <= 2 || s.clauseActivity(c) >= lim {
 			kept = append(kept, c)
 			continue
 		}
 		s.detach(c)
-		s.proofDelete(c.lits)
-		s.litsLive -= int64(len(c.lits))
+		s.proofDelete(lits)
+		s.litsLive -= int64(len(lits))
 		s.stats.Removed++
+		s.wasted += clauseHeader + len(lits)
 	}
 	s.learnts = kept
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, wl := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
-		ws := s.watches[wl]
-		for i, w := range ws {
-			if w.c == c {
-				ws[i] = ws[len(ws)-1]
-				s.watches[wl] = ws[:len(ws)-1]
-				break
-			}
+func (s *Solver) detach(c cref) {
+	lits := s.lits(c)
+	s.unwatch(lits[0].Not(), c)
+	s.unwatch(lits[1].Not(), c)
+}
+
+func (s *Solver) unwatch(wl Lit, c cref) {
+	ws := s.watches[wl]
+	for i, w := range ws {
+		if w.c == c {
+			ws[i] = ws[len(ws)-1]
+			s.watches[wl] = ws[:len(ws)-1]
+			return
 		}
 	}
+}
+
+// compact copies the live clauses into a fresh arena, problem clauses
+// then learnts in list order, and rewrites every reference in place:
+// the clause lists, the watch lists and the reasons keep their order,
+// so the search cannot tell that the clauses moved. Each moved
+// clause's old header carries its new offset while references are
+// rewritten; every reference is to a live clause, because removed
+// clauses are detached and never locked as reasons.
+func (s *Solver) compact() {
+	to := make([]Lit, 0, len(s.arena)-s.wasted)
+	move := func(refs []cref) {
+		for i, c := range refs {
+			n := cref(len(to))
+			to = append(to, s.arena[c:c+clauseHeader+cref(s.arena[c+hdrSize])]...)
+			s.arena[c+hdrActLo] = Lit(n)
+			refs[i] = n
+		}
+	}
+	move(s.clauses)
+	move(s.learnts)
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = cref(s.arena[ws[i].c+hdrActLo])
+		}
+	}
+	for v, r := range s.reason {
+		if r != noReason {
+			s.reason[v] = cref(s.arena[r+hdrActLo])
+		}
+	}
+	s.arena = to
+	s.wasted = 0
+	s.compactions++
 }
 
 // luby returns the i-th element (1-based) of the Luby sequence.
@@ -675,7 +832,7 @@ func (s *Solver) Solve(budget Budget, assumptions ...Lit) Status {
 	if !s.okay {
 		return Unsat
 	}
-	if c := s.propagate(); c != nil {
+	if c := s.propagate(); c != noReason {
 		s.okay = false
 		s.proofAdd(nil)
 		s.proofFlush()
@@ -742,7 +899,7 @@ func (s *Solver) Solve(budget Budget, assumptions ...Lit) Status {
 
 	for {
 		conflict := s.propagate()
-		if conflict != nil {
+		if conflict != noReason {
 			s.stats.Conflicts++
 			conflictsSinceRestart++
 			if s.decisionLevel() == 0 {
@@ -771,12 +928,12 @@ func (s *Solver) Solve(budget Budget, assumptions ...Lit) Status {
 			s.exportLearnt(learnt, lbd)
 			s.backtrackTo(bt)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], noReason)
 			} else {
-				c := &clause{lits: learnt, learnt: true, lbd: lbd}
+				c := s.alloc(learnt, true, lbd)
 				s.litsLive += int64(len(learnt))
-				if c.lbd > s.stats.MaxLBD {
-					s.stats.MaxLBD = c.lbd
+				if lbd > s.stats.MaxLBD {
+					s.stats.MaxLBD = lbd
 				}
 				s.learnts = append(s.learnts, c)
 				s.stats.Learnt++
@@ -848,22 +1005,22 @@ func (s *Solver) Solve(budget Budget, assumptions ...Lit) Status {
 				return Unsat
 			}
 			s.trailLim = append(s.trailLim, int32(len(s.trail)))
-			s.uncheckedEnqueue(a, nil)
+			s.uncheckedEnqueue(a, noReason)
 			continue
 		}
 
 		l, ok := s.pickBranchLit()
 		if !ok {
 			// All variables assigned: SAT.
-			s.model = make([]bool, len(s.assign))
-			for v := range s.assign {
-				s.model[v] = s.assign[v] == lTrue
+			s.model = make([]bool, s.NumVars())
+			for v := range s.model {
+				s.model[v] = s.varValue(Var(v)) == lTrue
 			}
 			s.proofFlush()
 			return Sat
 		}
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
-		s.uncheckedEnqueue(l, nil)
+		s.uncheckedEnqueue(l, noReason)
 	}
 }
 

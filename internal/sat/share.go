@@ -102,37 +102,21 @@ func (s *Solver) importShared(budget Budget) {
 	}
 }
 
-// importClause adds one foreign clause at decision level 0, mirroring
+// importClause adds one foreign clause at decision level 0, with
 // AddClause's normalization: satisfied clauses and tautologies are
 // dropped, false literals removed. An empty residue makes the solver
 // unsat (the clause is implied, so the formula is refuted); a unit is
 // enqueued and propagated immediately so later clauses in the batch
 // see the strengthened assignment.
 func (s *Solver) importClause(lits []Lit, maxLits int64) {
-	out := make([]Lit, 0, len(lits))
 	for _, l := range lits {
-		if int(l.Var()) >= len(s.assign) {
+		if int(l.Var()) >= s.NumVars() {
 			return // unknown variable: encodings diverged, drop the clause
 		}
-		switch s.value(l) {
-		case lTrue:
-			return // already satisfied at level 0
-		case lFalse:
-			continue
-		}
-		dup := false
-		for _, o := range out {
-			if o == l {
-				dup = true
-				break
-			}
-			if o == l.Not() {
-				return // tautology
-			}
-		}
-		if !dup {
-			out = append(out, l)
-		}
+	}
+	out, keep := s.normalize(lits)
+	if !keep {
+		return // satisfied at level 0, or a tautology
 	}
 	switch len(out) {
 	case 0:
@@ -140,9 +124,9 @@ func (s *Solver) importClause(lits []Lit, maxLits int64) {
 		s.okay = false
 		s.stats.Imported++
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
+		s.uncheckedEnqueue(out[0], noReason)
 		s.stats.Imported++
-		if s.propagate() != nil {
+		if s.propagate() != noReason {
 			s.okay = false
 		}
 	default:
@@ -152,7 +136,7 @@ func (s *Solver) importClause(lits []Lit, maxLits int64) {
 		// LBD cannot be recomputed here (the exporter's decision levels
 		// are meaningless locally); clause length is a sound upper bound
 		// and keeps short imports safe from reduceDB.
-		c := &clause{lits: out, learnt: true, lbd: len(out)}
+		c := s.alloc(out, true, len(out))
 		s.litsLive += int64(len(out))
 		s.learnts = append(s.learnts, c)
 		s.attach(c)
@@ -174,7 +158,7 @@ func (s *Solver) TopVars(k int) []Var {
 	}
 	cands := make([]cand, 0, len(s.activity))
 	for v := range s.activity {
-		if s.assign[v] != lUndef {
+		if s.varValue(Var(v)) != lUndef {
 			continue // fixed at level 0 (callers invoke this between Solves)
 		}
 		cands = append(cands, cand{Var(v), s.activity[v]})

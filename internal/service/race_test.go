@@ -37,8 +37,8 @@ func TestSustains64ConcurrentInFlight(t *testing.T) {
 			// identity, so all 64 run their full wall-clock budget.
 			x, y := fmt.Sprintf("x%d", i), fmt.Sprintf("y%d", i)
 			req := service.SolveRequest{
-				A: fmt.Sprintf("%s*%s", x, y),
-				B: fmt.Sprintf("(%[1]s&~%[2]s)*(~%[1]s&%[2]s) + (%[1]s&%[2]s)*(%[1]s|%[2]s)", x, y),
+				A:     fmt.Sprintf("%s*%s", x, y),
+				B:     fmt.Sprintf("(%[1]s&~%[2]s)*(~%[1]s&%[2]s) + (%[1]s&%[2]s)*(%[1]s|%[2]s)", x, y),
 				Width: 64,
 				// The wall budget is the overlap window: every request
 				// must still be running when the slowest-to-arrive one

@@ -3,7 +3,6 @@ package smt
 import (
 	"time"
 
-	"mbasolver/internal/bitblast"
 	"mbasolver/internal/bv"
 	"mbasolver/internal/core"
 	"mbasolver/internal/fault"
@@ -105,7 +104,7 @@ func (s *Solver) solveAssertions(start time.Time, assertions []*bv.Term, budget 
 	if budget.stopped() || (!deadline.IsZero() && time.Now().After(deadline)) {
 		return SatResult{Status: SatUnknown, Reason: ReasonBudget, Elapsed: time.Since(start)}
 	}
-	bl := bitblast.New(s.satOpts)
+	bl := acquireBlaster(s.satOpts)
 	if budget.Stop != nil {
 		bl.SetStop(budget.Stop)
 	}
@@ -117,7 +116,9 @@ func (s *Solver) solveAssertions(start time.Time, assertions []*bv.Term, budget 
 		out := bl.Blast(t)
 		if out == nil {
 			// Cancelled, out of time, or over the circuit cap mid-encoding.
-			return SatResult{Status: SatUnknown, Reason: bl.StopReason(), Elapsed: time.Since(start)}
+			res := SatResult{Status: SatUnknown, Reason: bl.StopReason(), Elapsed: time.Since(start)}
+			releaseBlaster(bl)
+			return res
 		}
 		bl.AssertTrue(out[0])
 	}
@@ -145,6 +146,7 @@ func (s *Solver) solveAssertions(start time.Time, assertions []*bv.Term, budget 
 		res.Status = SatUnknown
 		res.Reason = bl.UnknownReason()
 	}
+	releaseBlaster(bl)
 	return res
 }
 

@@ -34,6 +34,7 @@ func BenchmarkCheckTermEquivFresh(b *testing.B) {
 	pairs := benchPairs(b)
 	s := NewZ3Sim()
 	budget := Budget{Conflicts: 200_000}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := pairs[i%len(pairs)]

@@ -130,8 +130,8 @@ func TestContextSolveAssertionsDifferential(t *testing.T) {
 	const width = 8
 	mk := func(src string) *bv.Term { return bv.FromExpr(parser.MustParse(src), width) }
 	sets := [][]*bv.Term{
-		{bv.Predicate(bv.Eq, mk("x&y"), mk("x|y"))},                     // sat: forces x==y
-		{bv.Predicate(bv.Ne, mk("x+y"), mk("(x|y)+y-(~x&y)"))},          // unsat: identity
+		{bv.Predicate(bv.Eq, mk("x&y"), mk("x|y"))},            // sat: forces x==y
+		{bv.Predicate(bv.Ne, mk("x+y"), mk("(x|y)+y-(~x&y)"))}, // unsat: identity
 		{bv.Predicate(bv.Eq, mk("x"), mk("y+1")), bv.Predicate(bv.Ult, mk("y"), mk("x"))},
 		{bv.Predicate(bv.Ne, mk("x"), mk("x"))}, // trivially unsat
 	}

@@ -100,7 +100,7 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 	// Screening solve: cheap conflict budget, full sharing with any
 	// cross-personality pool the caller wired in. Its blaster doubles
 	// as the reference encoding the split variables are drawn from.
-	screen := bitblast.New(s.satOpts)
+	screen := acquireBlaster(s.satOpts)
 	if budget.Stop != nil {
 		screen.SetStop(budget.Stop)
 	}
@@ -110,7 +110,9 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 	screen.SetMaxVars(budget.MaxVars)
 	out := screen.Blast(query)
 	if out == nil {
-		return Result{Status: Timeout, Reason: screen.StopReason(), Elapsed: time.Since(start)}
+		res := Result{Status: Timeout, Reason: screen.StopReason(), Elapsed: time.Since(start)}
+		releaseBlaster(screen)
+		return res
 	}
 	screen.AssertTrue(out[0])
 	if budget.Share != nil {
@@ -131,6 +133,7 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 	}
 	if verdict != sat.Unknown {
 		s.assembleVerdict(&res, verdict, screen, query, origA, origB)
+		releaseBlaster(screen)
 		return res
 	}
 	// Only a conflict-budget expiry earns the cube phase: an external
@@ -140,10 +143,12 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 		(!deadline.IsZero() && !time.Now().Before(deadline)) {
 		res.Status = Unknown
 		res.Reason = screen.UnknownReason()
+		releaseBlaster(screen)
 		return res
 	}
 
 	splitVars := screen.S.TopVars(opts.Vars)
+	releaseBlaster(screen)
 	if len(splitVars) == 0 {
 		res.Status = Unknown
 		res.Reason = ReasonBudget
@@ -225,7 +230,7 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 						ok = false
 					}
 				}()
-				b = bitblast.New(s.satOpts)
+				b = acquireBlaster(s.satOpts)
 				b.SetStop(&localStop)
 				if !deadline.IsZero() {
 					b.SetDeadline(deadline)
@@ -233,6 +238,7 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 				b.SetMaxVars(budget.MaxVars)
 				o := b.Blast(query)
 				if o == nil {
+					releaseBlaster(b)
 					return nil, false
 				}
 				b.AssertTrue(o[0])
@@ -250,11 +256,7 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 				return
 			}
 			before := bl.S.Stats()
-			defer func() {
-				after := bl.S.Stats()
-				conflicts.Add(after.Conflicts - before.Conflicts)
-				props.Add(after.Propagations - before.Propagations)
-			}()
+			panicked := false
 			for cube := range work {
 				if localStop.Load() {
 					report(cubeOutcome{status: sat.Unknown, reason: ReasonBudget})
@@ -265,6 +267,7 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 						if r := recover(); r != nil {
 							fault.RecordPanic("smt.cube", r)
 							o = cubeOutcome{status: sat.Unknown, reason: ReasonPanic}
+							panicked = true
 						}
 					}()
 					if siteCube.Fire() {
@@ -287,6 +290,12 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 					return o
 				}()
 				report(o)
+			}
+			after := bl.S.Stats()
+			conflicts.Add(after.Conflicts - before.Conflicts)
+			props.Add(after.Propagations - before.Propagations)
+			if !panicked {
+				releaseBlaster(bl)
 			}
 		}(w)
 	}

@@ -17,6 +17,7 @@
 package smt
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -35,6 +36,28 @@ var (
 	siteRewrite = fault.NewSite("smt.rewrite")
 	siteContext = fault.NewSite("smt.context")
 )
+
+// blasters pools the Blasters of fresh queries, one pool for every
+// personality: Reset with the next query's options makes a returned
+// Blaster search exactly like a new one, while its maps, clause arena
+// and watch lists keep their grown capacity. Warm Contexts keep their
+// own long-lived Blasters and never use it.
+var blasters sync.Pool
+
+// acquireBlaster returns an empty Blaster with the given options,
+// reused from the pool when one is there.
+func acquireBlaster(opts sat.Options) *bitblast.Blaster {
+	if bl, ok := blasters.Get().(*bitblast.Blaster); ok {
+		bl.Reset(opts)
+		return bl
+	}
+	return bitblast.New(opts)
+}
+
+// releaseBlaster returns a Blaster to the pool once its query has
+// read everything it needs from it. A query that panics never calls
+// it, so a Blaster left half-updated by a panic is dropped, not reused.
+func releaseBlaster(bl *bitblast.Blaster) { blasters.Put(bl) }
 
 // Status is the outcome of an equivalence check.
 type Status int8
@@ -107,8 +130,8 @@ type Result struct {
 }
 
 // Solver is one SMT solver personality. Solvers are stateless between
-// queries (each query builds a fresh SAT instance) and therefore safe
-// for concurrent use.
+// queries (each query gets an empty SAT instance from the shared
+// Blaster pool) and therefore safe for concurrent use.
 type Solver struct {
 	name    string
 	level   bv.RewriteLevel
@@ -192,7 +215,7 @@ func (s *Solver) checkTermEquiv(start time.Time, ta, tb *bv.Term, budget Budget)
 		return *early
 	}
 
-	bl := bitblast.New(s.satOpts)
+	bl := acquireBlaster(s.satOpts)
 	if budget.Stop != nil {
 		bl.SetStop(budget.Stop)
 	}
@@ -203,7 +226,9 @@ func (s *Solver) checkTermEquiv(start time.Time, ta, tb *bv.Term, budget Budget)
 	out := bl.Blast(query)
 	if out == nil {
 		// Cancelled, out of time, or over the circuit cap mid-encoding.
-		return Result{Status: Timeout, Reason: bl.StopReason(), Elapsed: time.Since(start)}
+		res := Result{Status: Timeout, Reason: bl.StopReason(), Elapsed: time.Since(start)}
+		releaseBlaster(bl)
+		return res
 	}
 	bl.AssertTrue(out[0])
 	if budget.Share != nil {
@@ -220,6 +245,7 @@ func (s *Solver) checkTermEquiv(start time.Time, ta, tb *bv.Term, budget Budget)
 		Propagations: bl.S.Stats().Propagations,
 	}
 	s.assembleVerdict(&res, verdict, bl, query, origA, origB)
+	releaseBlaster(bl)
 	return res
 }
 

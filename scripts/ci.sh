@@ -8,6 +8,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 go vet ./...
+# Formatting gate: gofmt must have nothing to rewrite anywhere in the
+# tree (perfbench included).
+test -z "$(gofmt -l .)"
 go build ./...
 # Project-specific static analysis: budget discipline in the solver
 # hot paths, atomic/plain access mixing, lock discipline, expr/bv
@@ -49,6 +52,7 @@ go test -race -count=1 ./internal/portfolio/ -run 'TestParallelMatchesSolo|TestP
 # execute (full numbers: scripts/bench.sh).
 go test ./internal/harness/ -run 'TestSolverBenchSmoke|TestParallelBenchSmoke|TestClusterBenchSmoke|TestEvalBenchSmoke'
 go test ./internal/smt/ -run '^$' -bench CheckTermEquiv -benchtime 1x
+go test ./internal/sat/ -run '^$' -bench Solve -benchtime 1x
 
 # Benchmark gate: the end-to-end benchmark's known-answer and
 # determinism tests (raw, simplified, and the service path client →
