@@ -1,9 +1,6 @@
 package bv
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // RewriteLevel selects how much word-level preprocessing a solver
 // personality performs before bit-blasting. The three levels model the
@@ -32,6 +29,7 @@ type Rewriter struct {
 	cons  map[string]*Term
 	memo  map[*Term]*Term
 	keys  map[*Term]string
+	buf   []byte // Key's scratch
 }
 
 // NewRewriter returns a rewriter at the given level.
@@ -243,30 +241,36 @@ func (r *Rewriter) intern(t *Term) *Term {
 
 // Key returns a canonical structural key for a term. Keys are cached
 // per node pointer; terms are immutable so the cache never invalidates.
+// A key is assembled from the cached keys of its arguments where they
+// have them, so no subterm that was already keyed is serialized again;
+// only the requested term's key is added to the cache.
 func (r *Rewriter) Key(t *Term) string {
 	if k, ok := r.keys[t]; ok {
 		return k
 	}
-	var b strings.Builder
-	writeTermKey(&b, t)
-	k := b.String()
+	r.buf = r.appendKey(r.buf[:0], t)
+	k := string(r.buf)
 	r.keys[t] = k
 	return k
 }
 
-func writeTermKey(b *strings.Builder, t *Term) {
+// appendKey appends t's key: "#val/width" for a constant, "name/width"
+// for a variable and "(op arg ...)" otherwise.
+func (r *Rewriter) appendKey(b []byte, t *Term) []byte {
+	if k, ok := r.keys[t]; ok {
+		return append(b, k...)
+	}
 	switch t.Op {
 	case Const:
-		fmt.Fprintf(b, "#%d/%d", t.Val, t.Width)
+		b = strconv.AppendUint(append(b, '#'), t.Val, 10)
 	case Var:
-		fmt.Fprintf(b, "%s/%d", t.Name, t.Width)
+		b = append(b, t.Name...)
 	default:
-		b.WriteByte('(')
-		b.WriteString(t.Op.String())
+		b = append(append(b, '('), t.Op.String()...)
 		for _, a := range t.Args {
-			b.WriteByte(' ')
-			writeTermKey(b, a)
+			b = r.appendKey(append(b, ' '), a)
 		}
-		b.WriteByte(')')
+		return append(b, ')')
 	}
+	return strconv.AppendUint(append(b, '/'), uint64(t.Width), 10)
 }

@@ -290,20 +290,21 @@ func (s *Simplifier) abstract(e *expr.Expr, depth int) (*expr.Expr, []binding) {
 
 func (s *Simplifier) bind(n *expr.Expr, binds *[]binding, byKey map[string]string, depth int) *expr.Expr {
 	s.stats.Abstractions++
-	sub := n
+	var sub *expr.Expr
+	var key string
 	if raw := s.simplifyOnce(n, depth+1); sizeAtMost(raw, maxExprNodes) {
-		sub = expr.Canon(raw)
+		sub, key = expr.CanonKey(raw)
 	} else {
 		s.stats.Bailouts++
+		sub, key = n, n.Key()
 	}
-	key := sub.Key()
 	if !s.opts.DisableCSE {
 		if name, ok := byKey[key]; ok {
 			s.stats.CSEHits++
 			return expr.Var(name)
 		}
 	}
-	name := fmt.Sprintf("%s%d", tempPrefix, len(*binds))
+	name := tempNames.at(len(*binds))
 	*binds = append(*binds, binding{name: name, sub: sub})
 	byKey[key] = name
 	return expr.Var(name)

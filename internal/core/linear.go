@@ -1,9 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 
 	"mbasolver/internal/eval"
 	"mbasolver/internal/expr"
@@ -41,7 +41,7 @@ func (s *Simplifier) polyOf(e *expr.Expr) *poly.Poly {
 		}
 		s.stats.Bailouts++
 	}
-	return poly.FromAtom(poly.NewAtom(expr.Canon(e)), w)
+	return poly.FromAtom(poly.CanonAtom(e), w)
 }
 
 // normalizeBitwise returns the normalized linear polynomial of a
@@ -72,7 +72,7 @@ func (s *Simplifier) normalizeBitwise(e *expr.Expr, vars []string) *poly.Poly {
 func placeholderVars(n int) []string {
 	v := make([]string, n)
 	for i := range v {
-		v[i] = fmt.Sprintf("_v%d", i)
+		v[i] = placeholderNames.at(i)
 	}
 	return v
 }
@@ -84,13 +84,41 @@ func placeholderVars(n int) []string {
 func (s *Simplifier) polyFromNormalized(normalized *expr.Expr, vars []string) *poly.Poly {
 	env := make(map[string]*expr.Expr, len(vars))
 	for i, v := range vars {
-		env[fmt.Sprintf("_v%d", i)] = expr.Var(v)
+		env[placeholderNames.at(i)] = expr.Var(v)
 	}
 	renamed := expr.SubstituteVars(normalized, env)
-	return poly.FromExpr(renamed, s.opts.Width, func(sub *expr.Expr) poly.Atom {
-		return poly.NewAtom(expr.Canon(sub))
-	})
+	return poly.FromExpr(renamed, s.opts.Width, poly.CanonAtom)
 }
+
+// indexedNames is a family of generated variable names, prefix
+// followed by a decimal index, with the first few built once up front.
+type indexedNames struct {
+	prefix string
+	first  []string
+}
+
+func newIndexedNames(prefix string, n int) indexedNames {
+	first := make([]string, n)
+	for i := range first {
+		first[i] = prefix + strconv.Itoa(i)
+	}
+	return indexedNames{prefix: prefix, first: first}
+}
+
+// at returns the i-th name of the family.
+func (f indexedNames) at(i int) string {
+	if i < len(f.first) {
+		return f.first[i]
+	}
+	return f.prefix + strconv.Itoa(i)
+}
+
+// placeholderNames are the look-up table's placeholders _v0, _v1, ...;
+// tempNames the abstraction temporaries _t0, _t1, ....
+var (
+	placeholderNames = newIndexedNames("_v", 32)
+	tempNames        = newIndexedNames(tempPrefix, 32)
+)
 
 // generate builds the normalized expression for a signature vector
 // over the given variable names (paper §4.2–§4.3, GenerateMBA).

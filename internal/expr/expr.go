@@ -12,7 +12,6 @@ package expr
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Op identifies the operator at the root of an expression node.
@@ -315,37 +314,30 @@ func IsBitwisePure(e *Expr) bool {
 }
 
 // Key returns a compact canonical string for the tree, suitable as a
-// map key. Unlike String it is unambiguous without precedence rules.
+// map key. Unlike String it is unambiguous without precedence rules. A
+// variable's key is its name, so leaf keys cost no allocation.
 func (e *Expr) Key() string {
-	var b strings.Builder
-	writeKey(&b, e)
-	return b.String()
+	if e != nil && e.Op == OpVar {
+		return e.Name
+	}
+	return string(appendKey(nil, e))
 }
 
-func writeKey(b *strings.Builder, e *Expr) {
+func appendKey(b []byte, e *Expr) []byte {
 	if e == nil {
-		b.WriteString("_")
-		return
+		return append(b, '_')
 	}
 	switch e.Op {
 	case OpVar:
-		b.WriteString(e.Name)
+		return append(b, e.Name...)
 	case OpConst:
-		fmt.Fprintf(b, "#%d", e.Val)
+		return appendConstKey(b, e.Val)
 	case OpNot, OpNeg:
-		if e.Op == OpNot {
-			b.WriteByte('~')
-		} else {
-			b.WriteString("u-")
-		}
-		b.WriteByte('(')
-		writeKey(b, e.X)
-		b.WriteByte(')')
+		b = appendKey(appendUnaryOpen(b, e.Op), e.X)
+		return append(b, ')')
 	default:
-		b.WriteByte('(')
-		writeKey(b, e.X)
-		b.WriteString(e.Op.String())
-		writeKey(b, e.Y)
-		b.WriteByte(')')
+		b = appendKey(append(b, '('), e.X)
+		b = appendKey(append(b, e.Op.String()...), e.Y)
+		return append(b, ')')
 	}
 }

@@ -27,48 +27,35 @@ func (d Digest) Short() string { return hex.EncodeToString(d[:8]) }
 // encoding (no reliance on variable-name character sets) and hashed
 // with SHA-256.
 func Hash(e *Expr) Digest {
-	h := sha256.New()
-	var scratch [9]byte
-	hashTerm(h, Canon(e), &scratch)
-	var d Digest
-	h.Sum(d[:0])
-	return d
+	c := getCanonizer()
+	defer c.release()
+	c.tmp = appendHashTerm(c.tmp[:0], c.canon(e))
+	return sha256.Sum256(c.tmp)
 }
 
 // HashString is Hash rendered as hex, for callers that want a plain
 // string key.
 func HashString(e *Expr) string { return Hash(e).String() }
 
-// hashWriter is the subset of hash.Hash the serializer needs.
-type hashWriter interface{ Write(p []byte) (int, error) }
-
-// hashTerm serializes one node: a tag byte, then the payload. Variable
-// names are length-prefixed so "ab"+"c" and "a"+"bc" cannot alias;
-// constants are fixed-width little-endian; children follow in order,
-// with a distinct tag for nil (absent operand), so the encoding is
-// prefix-free and injective on canonical trees.
-func hashTerm(h hashWriter, e *Expr, scratch *[9]byte) {
+// appendHashTerm serializes one node: a tag byte, then the payload.
+// Variable names are length-prefixed so "ab"+"c" and "a"+"bc" cannot
+// alias; constants are fixed-width little-endian; children follow in
+// order, with a distinct tag for nil (absent operand), so the encoding
+// is prefix-free and injective on canonical trees.
+func appendHashTerm(b []byte, e *Expr) []byte {
 	if e == nil {
-		scratch[0] = 0xff
-		h.Write(scratch[:1])
-		return
+		return append(b, 0xff)
 	}
 	switch e.Op {
 	case OpVar:
-		scratch[0] = byte(OpVar)
-		binary.LittleEndian.PutUint64(scratch[1:], uint64(len(e.Name)))
-		h.Write(scratch[:9])
-		h.Write([]byte(e.Name))
+		b = binary.LittleEndian.AppendUint64(append(b, byte(OpVar)), uint64(len(e.Name)))
+		return append(b, e.Name...)
 	case OpConst:
-		scratch[0] = byte(OpConst)
-		binary.LittleEndian.PutUint64(scratch[1:], e.Val)
-		h.Write(scratch[:9])
-	default:
-		scratch[0] = byte(e.Op)
-		h.Write(scratch[:1])
-		hashTerm(h, e.X, scratch)
-		if e.Op.IsBinary() {
-			hashTerm(h, e.Y, scratch)
-		}
+		return binary.LittleEndian.AppendUint64(append(b, byte(OpConst)), e.Val)
 	}
+	b = appendHashTerm(append(b, byte(e.Op)), e.X)
+	if e.Op.IsBinary() {
+		b = appendHashTerm(b, e.Y)
+	}
+	return b
 }

@@ -91,8 +91,5 @@ func Load(r io.Reader) ([]Sample, error) {
 // formal polynomial over canonical bitwise atoms (a cheap sufficient
 // check for "trivially equal to any solver's preprocessing").
 func formallyEqual(a, b *expr.Expr, width uint) bool {
-	atomize := func(sub *expr.Expr) poly.Atom {
-		return poly.NewAtom(expr.Canon(sub))
-	}
-	return poly.FromExpr(a, width, atomize).Equal(poly.FromExpr(b, width, atomize))
+	return poly.FromExpr(a, width, poly.CanonAtom).Equal(poly.FromExpr(b, width, poly.CanonAtom))
 }

@@ -1,25 +1,23 @@
 package parser
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"mbasolver/internal/expr"
 )
 
 // FuzzParse exercises the lexer/parser for panics and checks the
-// print-reparse fixpoint on every accepted input.
+// print-reparse fixpoint on every accepted input. Its seeds, one per
+// line of testdata/seeds.txt, are shared with internal/expr's
+// canonical-key fuzz target.
 func FuzzParse(f *testing.F) {
-	for _, seed := range []string{
-		"x",
-		"2*(x|y) - (~x&y) - (x&~y)",
-		"(x&~y)*(~x&y) + (x&y)*(x|y)",
-		"~(x-1)",
-		"0xdeadbeef ^ 42",
-		"x+-~y",
-		"((((x))))",
-		"18446744073709551615",
-		"a|b^c&d+e*f",
-	} {
+	data, err := os.ReadFile("testdata/seeds.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -12,9 +12,8 @@
 package poly
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"mbasolver/internal/eval"
 	"mbasolver/internal/expr"
@@ -31,54 +30,89 @@ type Atom struct {
 // NewAtom wraps an expression as an atom.
 func NewAtom(e *expr.Expr) Atom { return Atom{Key: e.Key(), E: e} }
 
+// CanonAtom canonicalizes e (expr.Canon) and wraps the result as an
+// atom, taking its key from the same pass.
+func CanonAtom(e *expr.Expr) Atom {
+	c, key := expr.CanonKey(e)
+	return Atom{Key: key, E: c}
+}
+
 // Monomial is a product of atom powers. The factor keys are kept
-// sorted; Pow holds the exponent per key.
+// sorted; Pow holds the exponent per key. A monomial is immutable once
+// built, so its key is computed once, when it is built.
 type Monomial struct {
 	keys []string
 	pow  map[string]int
-}
-
-func newMonomial() *Monomial {
-	return &Monomial{pow: map[string]int{}}
+	key  string
 }
 
 // one is the empty monomial (the constant-term monomial).
-func one() *Monomial { return newMonomial() }
+func one() *Monomial { return &Monomial{pow: map[string]int{}} }
 
 // mulAtom returns the monomial multiplied by atom^k.
 func (m *Monomial) mulAtom(key string, k int) *Monomial {
-	out := newMonomial()
-	for _, ky := range m.keys {
-		out.keys = append(out.keys, ky)
-		out.pow[ky] = m.pow[ky]
-	}
-	if _, ok := out.pow[key]; !ok {
-		out.keys = append(out.keys, key)
-		sort.Strings(out.keys)
-	}
-	out.pow[key] += k
+	out := m.clone(1)
+	out.addFactor(key, k)
+	out.seal()
 	return out
 }
 
 func (m *Monomial) mul(o *Monomial) *Monomial {
-	out := m
+	if len(o.keys) == 0 {
+		return m
+	}
+	out := m.clone(len(o.keys))
 	for _, k := range o.keys {
-		out = out.mulAtom(k, o.pow[k])
+		out.addFactor(k, o.pow[k])
+	}
+	out.seal()
+	return out
+}
+
+// clone copies m's factors with room for extra more.
+func (m *Monomial) clone(extra int) *Monomial {
+	out := &Monomial{
+		keys: make([]string, len(m.keys), len(m.keys)+extra),
+		pow:  make(map[string]int, len(m.keys)+extra),
+	}
+	copy(out.keys, m.keys)
+	for _, k := range m.keys {
+		out.pow[k] = m.pow[k]
 	}
 	return out
 }
 
-// Key is the canonical string of the monomial, used for collection.
-func (m *Monomial) Key() string {
-	var b strings.Builder
+// addFactor multiplies a monomial under construction by atom^k,
+// keeping keys sorted.
+func (m *Monomial) addFactor(key string, k int) {
+	if _, ok := m.pow[key]; !ok {
+		i := sort.SearchStrings(m.keys, key)
+		m.keys = append(m.keys, "")
+		copy(m.keys[i+1:], m.keys[i:])
+		m.keys[i] = key
+	}
+	m.pow[key] += k
+}
+
+// seal computes the key of a finished monomial: its factors as
+// key^power, joined by '.'.
+func (m *Monomial) seal() {
+	n := 0
+	for _, k := range m.keys {
+		n += len(k) + 4
+	}
+	b := make([]byte, 0, n)
 	for i, k := range m.keys {
 		if i > 0 {
-			b.WriteByte('.')
+			b = append(b, '.')
 		}
-		fmt.Fprintf(&b, "%s^%d", k, m.pow[k])
+		b = strconv.AppendInt(append(append(b, k...), '^'), int64(m.pow[k]), 10)
 	}
-	return b.String()
+	m.key = string(b)
 }
+
+// Key is the canonical string of the monomial, used for collection.
+func (m *Monomial) Key() string { return m.key }
 
 // Degree is the total degree of the monomial.
 func (m *Monomial) Degree() int {

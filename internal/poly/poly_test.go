@@ -10,7 +10,7 @@ import (
 	"mbasolver/internal/parser"
 )
 
-func atomize(sub *expr.Expr) Atom { return NewAtom(expr.Canon(sub)) }
+func atomize(sub *expr.Expr) Atom { return CanonAtom(sub) }
 
 func fromSrc(t *testing.T, src string, width uint) *Poly {
 	t.Helper()

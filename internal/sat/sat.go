@@ -571,13 +571,17 @@ func (s *Solver) analyze(conflict cref) ([]Lit, int32) {
 
 	// Minimize: remove literals implied by the rest of the clause.
 	s.analyzeTs = s.analyzeTs[:0]
-	for _, l := range learnt {
+	var levels uint32 // abstraction of the levels of learnt[1:]
+	for i, l := range learnt {
 		s.analyzeTs = append(s.analyzeTs, l)
 		s.seen[l.Var()] = 1
+		if i > 0 {
+			levels |= s.abstractLevel(l.Var())
+		}
 	}
 	j := 1
 	for i := 1; i < len(learnt); i++ {
-		if s.reason[learnt[i].Var()] == noReason || !s.litRedundant(learnt[i]) {
+		if s.reason[learnt[i].Var()] == noReason || !s.litRedundant(learnt[i], levels) {
 			learnt[j] = learnt[i]
 			j++
 		}
@@ -609,9 +613,18 @@ func (s *Solver) analyze(conflict cref) ([]Lit, int32) {
 	return learnt, bt
 }
 
+// abstractLevel hashes v's decision level to one bit of a 32-bit set.
+func (s *Solver) abstractLevel(v Var) uint32 { return 1 << (uint32(s.level[v]) & 31) }
+
 // litRedundant checks whether l is implied by the other marked
-// literals (recursive clause minimization, Sörensson & Biere).
-func (s *Solver) litRedundant(l Lit) bool {
+// literals (recursive clause minimization, Sörensson & Biere). levels
+// is the abstraction of the learnt clause's levels (MiniSat's prune):
+// an implied literal at a level outside the clause fails at once. That
+// cannot change the answer: every implied literal at such a level
+// depends on that level's decision, which is in neither the clause nor
+// any literal marked redundant, so the full search would fail too, and
+// a failed call undoes its marks either way.
+func (s *Solver) litRedundant(l Lit, levels uint32) bool {
 	stack := append(s.redundantS[:0], l)
 	defer func() { s.redundantS = stack[:0] }()
 	top := len(s.minimizeS)
@@ -623,9 +636,10 @@ func (s *Solver) litRedundant(l Lit) bool {
 			if s.seen[v] != 0 || s.level[v] == 0 {
 				continue
 			}
-			if s.reason[v] == noReason {
-				// Decision variable not in the clause: l is not
-				// redundant; undo the marks made in this call.
+			if s.reason[v] == noReason || s.abstractLevel(v)&levels == 0 {
+				// A decision not in the clause, or a literal whose
+				// level has none: l is not redundant; undo the marks
+				// made in this call.
 				for _, m := range s.minimizeS[top:] {
 					s.seen[m.Var()] = 0
 				}

@@ -324,11 +324,12 @@ type job struct {
 	members    []int // batch item indices the answer fans out to
 
 	width        uint
-	spec         solveSpec  // solve options; spec.deadline bounds every kind
-	a, b         *expr.Expr // solve operands
-	e            *expr.Expr // simplify/classify input
-	disj, verify bool       // simplify basis and proof request
-	samples      int        // classify sample count and seed
+	spec         solveSpec   // solve options; spec.deadline bounds every kind
+	a, b         *expr.Expr  // solve operands
+	e            *expr.Expr  // simplify/classify input
+	digest       expr.Digest // e's canonical digest, already in key
+	disj, verify bool        // simplify basis and proof request
+	samples      int         // classify sample count and seed
 	seed         uint64
 
 	// resp is the answer once recalled, run or degraded; errText
@@ -408,12 +409,14 @@ func (s *Server) parseBatchItem(it BatchItem, deadline time.Time) (*job, error) 
 		if seed == 0 {
 			seed = classifySeed
 		}
-		key := classifyKey(width, req.Samples, seed, expr.Hash(e))
+		digest := expr.Hash(e)
+		key := classifyKey(width, req.Samples, seed, digest)
 		return &job{
 			kind:    kindClassify,
 			key:     key,
 			group:   key,
 			e:       e,
+			digest:  digest,
 			width:   width,
 			spec:    solveSpec{deadline: deadline},
 			samples: req.Samples,
@@ -434,12 +437,14 @@ func (s *Server) parseBatchItem(it BatchItem, deadline time.Time) (*job, error) 
 		if err != nil {
 			return nil, fmt.Errorf("expr: %w", err)
 		}
-		key := simplifyKey(width, disj, req.Verify, expr.Hash(e))
+		digest := expr.Hash(e)
+		key := simplifyKey(width, disj, req.Verify, digest)
 		return &job{
 			kind:   kindSimplify,
 			key:    key,
 			group:  key,
 			e:      e,
+			digest: digest,
 			width:  width,
 			spec:   solveSpec{deadline: deadline},
 			disj:   disj,
@@ -457,9 +462,9 @@ func (s *Server) runBatchGroup(r *http.Request, j *job) error {
 		case kindSolve:
 			j.resp = s.runSolve(wc, j.a, j.b, j.width, j.spec)
 		case kindClassify:
-			j.resp = runClassify(wc, j.e, j.width, j.samples, j.seed)
+			j.resp = runClassify(wc, j.e, j.digest, j.width, j.samples, j.seed)
 		default:
-			j.resp = s.runSimplify(wc, j.e, j.width, j.disj, j.verify, j.spec.deadline)
+			j.resp = s.runSimplify(wc, j.e, j.digest, j.width, j.disj, j.verify, j.spec.deadline)
 		}
 	})
 	if err != nil {

@@ -658,8 +658,8 @@ func (s *Server) parseOne(w http.ResponseWriter, r *http.Request, start time.Tim
 }
 
 // runSimplify executes one simplification (optionally verified) on the
-// worker.
-func (s *Server) runSimplify(wc *workerCtx, e *expr.Expr, width uint, disj, verify bool, deadline time.Time) *SimplifyResponse {
+// worker. digest is e's canonical digest.
+func (s *Server) runSimplify(wc *workerCtx, e *expr.Expr, digest expr.Digest, width uint, disj, verify bool, deadline time.Time) *SimplifyResponse {
 	simplified := wc.simplifier(width, disj).Simplify(e)
 	basis := "conj"
 	if disj {
@@ -672,7 +672,7 @@ func (s *Server) runSimplify(wc *workerCtx, e *expr.Expr, width uint, disj, veri
 		Basis:      basis,
 		Before:     MetricsOf(metrics.Measure(e)),
 		After:      MetricsOf(metrics.Measure(simplified)),
-		Hash:       expr.HashString(e),
+		Hash:       digest.String(),
 	}
 	if verify {
 		resp.Verify = s.runSolve(wc, e, simplified, width, solveSpec{
@@ -783,12 +783,13 @@ const classifySeed = 0x5eed5eed5eed5eed
 // runClassify computes metrics and, when samples > 0, draws the I/O
 // sample block on the bitsliced bytecode engine. The worker's stop
 // flag bounds sampling: a cancelled request returns the samples drawn
-// so far (callers must not cache truncated answers).
-func runClassify(wc *workerCtx, e *expr.Expr, width uint, samples int, seed uint64) *ClassifyResponse {
+// so far (callers must not cache truncated answers). digest is e's
+// canonical digest.
+func runClassify(wc *workerCtx, e *expr.Expr, digest expr.Digest, width uint, samples int, seed uint64) *ClassifyResponse {
 	resp := &ClassifyResponse{
 		Input:   e.String(),
 		Metrics: MetricsOf(metrics.Measure(e)),
-		Hash:    expr.HashString(e),
+		Hash:    digest.String(),
 		Width:   width,
 	}
 	if samples > 0 {

@@ -53,6 +53,13 @@ go test -race -count=1 ./internal/portfolio/ -run 'TestParallelMatchesSolo|TestP
 go test ./internal/harness/ -run 'TestSolverBenchSmoke|TestParallelBenchSmoke|TestClusterBenchSmoke|TestEvalBenchSmoke'
 go test ./internal/smt/ -run '^$' -bench CheckTermEquiv -benchtime 1x
 go test ./internal/sat/ -run '^$' -bench Solve -benchtime 1x
+go test ./internal/expr/ -run '^$' -bench Hash -benchtime 1x
+go test ./internal/bv/ -run '^$' -bench Rewrite -benchtime 1x
+
+# Canonical-key fuzz: the single-pass expr.Canon/Key/Hash must agree
+# with the test-only quadratic reference (trees, key bytes, digests) on
+# every expression the parser accepts.
+go test ./internal/expr/ -run '^$' -fuzz '^FuzzCanon$' -fuzztime 10s
 
 # Benchmark gate: the end-to-end benchmark's known-answer and
 # determinism tests (raw, simplified, and the service path client →
