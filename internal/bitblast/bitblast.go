@@ -66,6 +66,11 @@ type Stats struct {
 	GateMisses  int64
 }
 
+// Plus returns the counter-wise sum of s and o.
+func (s Stats) Plus(o Stats) Stats {
+	return Stats{s.CacheHits + o.CacheHits, s.CacheMisses + o.CacheMisses, s.GateHits + o.GateHits, s.GateMisses + o.GateMisses}
+}
+
 // Stats returns the Blaster's lifetime encoding counters. Callers
 // measuring a single query on a long-lived Blaster should diff two
 // snapshots.

@@ -20,20 +20,12 @@ import (
 // atoms, which keeps the transformation semantics-preserving at the
 // cost of less simplification.
 func (s *Simplifier) polyOf(e *expr.Expr) *poly.Poly {
-	w := s.opts.Width
-	switch e.Op {
-	case expr.OpConst:
-		return poly.FromConst(e.Val, w)
-	case expr.OpAdd:
-		return s.polyOf(e.X).Add(s.polyOf(e.Y))
-	case expr.OpSub:
-		return s.polyOf(e.X).Sub(s.polyOf(e.Y))
-	case expr.OpMul:
-		return s.polyOf(e.X).Mul(s.polyOf(e.Y))
-	case expr.OpNeg:
-		return s.polyOf(e.X).Neg()
-	}
-	// Variable or bitwise-rooted subtree.
+	return poly.FromExpr(e, s.opts.Width, s.leafPoly)
+}
+
+// leafPoly is polyOf's polynomial for a variable or bitwise-rooted
+// subtree.
+func (s *Simplifier) leafPoly(e *expr.Expr) *poly.Poly {
 	if expr.IsBitwisePure(e) {
 		vars := sortedVarsOf(e)
 		if len(vars) <= s.opts.MaxVars {
@@ -41,7 +33,7 @@ func (s *Simplifier) polyOf(e *expr.Expr) *poly.Poly {
 		}
 		s.stats.Bailouts++
 	}
-	return poly.FromAtom(poly.CanonAtom(e), w)
+	return poly.FromAtom(poly.CanonAtom(e), s.opts.Width)
 }
 
 // normalizeBitwise returns the normalized linear polynomial of a
@@ -87,7 +79,7 @@ func (s *Simplifier) polyFromNormalized(normalized *expr.Expr, vars []string) *p
 		env[placeholderNames.at(i)] = expr.Var(v)
 	}
 	renamed := expr.SubstituteVars(normalized, env)
-	return poly.FromExpr(renamed, s.opts.Width, poly.CanonAtom)
+	return poly.FromExpr(renamed, s.opts.Width, poly.Atoms(s.opts.Width, poly.CanonAtom))
 }
 
 // indexedNames is a family of generated variable names, prefix

@@ -17,10 +17,7 @@ import (
 // normalization — the generator must produce complex corpora, not
 // simplified ones).
 func expandToPolyForm(e *expr.Expr, width uint) *expr.Expr {
-	p := poly.FromExpr(e, width, func(sub *expr.Expr) poly.Atom {
-		return poly.NewAtom(sub)
-	})
-	return p.ToExpr()
+	return poly.FromExpr(e, width, poly.Atoms(width, poly.NewAtom)).ToExpr()
 }
 
 // Save writes samples in the corpus text format: one per line,
@@ -91,5 +88,6 @@ func Load(r io.Reader) ([]Sample, error) {
 // formal polynomial over canonical bitwise atoms (a cheap sufficient
 // check for "trivially equal to any solver's preprocessing").
 func formallyEqual(a, b *expr.Expr, width uint) bool {
-	return poly.FromExpr(a, width, poly.CanonAtom).Equal(poly.FromExpr(b, width, poly.CanonAtom))
+	atoms := poly.Atoms(width, poly.CanonAtom)
+	return poly.FromExpr(a, width, atoms).Equal(poly.FromExpr(b, width, atoms))
 }

@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mbasolver/internal/smt"
@@ -67,5 +70,35 @@ func TestParallelBenchSmoke(t *testing.T) {
 	}
 	if report.ParallelTimeouts > report.SoloTimeouts {
 		t.Errorf("share+cubes has MORE timeouts (%d) than solo (%d)", report.ParallelTimeouts, report.SoloTimeouts)
+	}
+}
+
+// TestSolverBenchCountersMatchCommitted reruns the solver benchmark at
+// BENCH_solver.json's committed config and requires every
+// deterministic counter of every fresh and incremental run to match
+// the committed report exactly: a change that alters what the solvers
+// search, encode or reuse must regenerate the file (scripts/bench.sh)
+// and say so. Wall clock and the racy parallel section are not
+// compared.
+func TestSolverBenchCountersMatchCommitted(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_solver.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed BenchReport
+	if err := json.Unmarshal(raw, &committed); err != nil {
+		t.Fatal(err)
+	}
+	got := RunSolverBench(committed.Config)
+	if len(got.Runs) != len(committed.Runs) {
+		t.Fatalf("%d runs, committed %d", len(got.Runs), len(committed.Runs))
+	}
+	for i, want := range committed.Runs {
+		run := got.Runs[i]
+		run.WallMS, want.WallMS = 0, 0
+		if run != want {
+			t.Errorf("run %d (%s %s) counters differ from BENCH_solver.json:\n got %+v\nwant %+v",
+				i, want.Solver, want.Mode, run, want)
+		}
 	}
 }

@@ -227,29 +227,31 @@ func (p *Poly) mergeAtoms(o *Poly) {
 }
 
 // Add returns p + o.
-func (p *Poly) Add(o *Poly) *Poly {
-	out := p.clone()
-	out.mergeAtoms(o)
-	for _, t := range o.terms {
-		out.addTerm(t.coeff, t.mono)
-	}
-	return out
-}
+func (p *Poly) Add(o *Poly) *Poly { return p.clone().Accumulate(o, false) }
 
 // Sub returns p - o.
-func (p *Poly) Sub(o *Poly) *Poly {
-	out := p.clone()
-	out.mergeAtoms(o)
-	mask := eval.Mask(p.Width)
-	for _, t := range o.terms {
-		out.addTerm(-t.coeff&mask, t.mono)
-	}
-	return out
-}
+func (p *Poly) Sub(o *Poly) *Poly { return p.clone().Accumulate(o, true) }
 
 // Neg returns -p.
-func (p *Poly) Neg() *Poly {
-	return FromConst(0, p.Width).Sub(p)
+func (p *Poly) Neg() *Poly { return New(p.Width).Accumulate(p, true) }
+
+// Accumulate adds o to p in place, or subtracts it when neg, and
+// returns p. Unlike Add and Sub it mutates p, which must therefore be
+// owned by the caller (fresh from New, FromConst, FromAtom or an
+// arithmetic method, and held nowhere else) and must not be o.
+// Folding a chain of k terms this way copies each term once instead of
+// the O(k²) term copies of folding it with Add.
+func (p *Poly) Accumulate(o *Poly, neg bool) *Poly {
+	p.mergeAtoms(o)
+	mask := eval.Mask(p.Width)
+	for _, t := range o.terms {
+		c := t.coeff
+		if neg {
+			c = -c & mask
+		}
+		p.addTerm(c, t.mono)
+	}
+	return p
 }
 
 // Mul returns p · o, fully expanded and collected.
@@ -378,23 +380,44 @@ func (p *Poly) monoExpr(m *Monomial, mag uint64) *expr.Expr {
 	return out
 }
 
-// FromExpr expands an expression into a polynomial. atomize decides
-// how a non-arithmetic subtree becomes an atom: it receives the subtree
-// and returns the atom to use (letting the caller simplify/canonicalize
-// it first). Constants fold; +,-,* and unary - expand; every other
-// operator (bitwise) becomes an atom.
-func FromExpr(e *expr.Expr, width uint, atomize func(*expr.Expr) Atom) *Poly {
+// FromExpr expands an expression into a polynomial: constants fold,
+// +, -, * and unary - expand, and every other subtree (a variable or a
+// bitwise operation) is handed to leaf, whose polynomial stands for it
+// — letting the caller atomize, canonicalize or normalize it first.
+// Sums, differences and negations accumulate into one owned polynomial
+// (see Accumulate); leaf's results are only read.
+func FromExpr(e *expr.Expr, width uint, leaf func(*expr.Expr) *Poly) *Poly {
+	p := New(width)
+	p.expand(e, false, leaf)
+	return p
+}
+
+// Atoms is the FromExpr leaf that makes every non-arithmetic subtree
+// one atom, built by atom (NewAtom, CanonAtom, or the caller's own).
+func Atoms(width uint, atom func(*expr.Expr) Atom) func(*expr.Expr) *Poly {
+	return func(e *expr.Expr) *Poly { return FromAtom(atom(e), width) }
+}
+
+// expand adds e to p in place, or subtracts it when neg.
+func (p *Poly) expand(e *expr.Expr, neg bool, leaf func(*expr.Expr) *Poly) {
 	switch e.Op {
 	case expr.OpConst:
-		return FromConst(e.Val, width)
+		c := e.Val
+		if neg {
+			c = -c
+		}
+		p.addTerm(c, one())
 	case expr.OpAdd:
-		return FromExpr(e.X, width, atomize).Add(FromExpr(e.Y, width, atomize))
+		p.expand(e.X, neg, leaf)
+		p.expand(e.Y, neg, leaf)
 	case expr.OpSub:
-		return FromExpr(e.X, width, atomize).Sub(FromExpr(e.Y, width, atomize))
-	case expr.OpMul:
-		return FromExpr(e.X, width, atomize).Mul(FromExpr(e.Y, width, atomize))
+		p.expand(e.X, neg, leaf)
+		p.expand(e.Y, !neg, leaf)
 	case expr.OpNeg:
-		return FromExpr(e.X, width, atomize).Neg()
+		p.expand(e.X, !neg, leaf)
+	case expr.OpMul:
+		p.Accumulate(FromExpr(e.X, p.Width, leaf).Mul(FromExpr(e.Y, p.Width, leaf)), neg)
+	default:
+		p.Accumulate(leaf(e), neg)
 	}
-	return FromAtom(atomize(e), width)
 }

@@ -2,6 +2,7 @@ package poly
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -10,11 +11,9 @@ import (
 	"mbasolver/internal/parser"
 )
 
-func atomize(sub *expr.Expr) Atom { return CanonAtom(sub) }
-
 func fromSrc(t *testing.T, src string, width uint) *Poly {
 	t.Helper()
-	return FromExpr(parser.MustParse(src), width, atomize)
+	return FromExpr(parser.MustParse(src), width, Atoms(width, CanonAtom))
 }
 
 func TestPaperWorkedExample(t *testing.T) {
@@ -84,7 +83,7 @@ func TestToExprRoundTripSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, src := range srcs {
 		in := parser.MustParse(src)
-		out := FromExpr(in, 64, atomize).ToExpr()
+		out := FromExpr(in, 64, Atoms(64, CanonAtom)).ToExpr()
 		if eq, env := eval.ProbablyEqual(rng, in, out, 64, 100); !eq {
 			t.Errorf("%q expanded to %q; differs at %v", src, out, env)
 		}
@@ -110,9 +109,9 @@ func TestRingLawsProperty(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := FromExpr(genExpr(rng, 2), 64, atomize)
-		b := FromExpr(genExpr(rng, 2), 64, atomize)
-		c := FromExpr(genExpr(rng, 2), 64, atomize)
+		a := FromExpr(genExpr(rng, 2), 64, Atoms(64, CanonAtom))
+		b := FromExpr(genExpr(rng, 2), 64, Atoms(64, CanonAtom))
+		c := FromExpr(genExpr(rng, 2), 64, Atoms(64, CanonAtom))
 		lhs := a.Add(b).Mul(c)
 		rhs := a.Mul(c).Add(b.Mul(c))
 		if !lhs.Equal(rhs) {
@@ -157,5 +156,27 @@ func TestToExprSignedRendering(t *testing.T) {
 func TestZeroPolyToExpr(t *testing.T) {
 	if got := New(64).ToExpr(); !got.IsConst(0) {
 		t.Errorf("zero poly renders as %v", got)
+	}
+}
+
+// TestLeftDeepSumAllocsLinear expands x0 + x1 + ... + x1023 built
+// left-deep, the shape a parser gives a long sum. Folding it with Add
+// would clone the growing polynomial at every step (about k²/2 term
+// copies for k terms); the accumulating expansion copies each term
+// once, so allocations stay within a constant per term.
+func TestLeftDeepSumAllocsLinear(t *testing.T) {
+	const k = 1024
+	sum := expr.Var("x0")
+	for i := 1; i < k; i++ {
+		sum = expr.Add(sum, expr.Var("x"+strconv.Itoa(i)))
+	}
+	leaf := Atoms(64, NewAtom)
+	var p *Poly
+	allocs := testing.AllocsPerRun(3, func() { p = FromExpr(sum, 64, leaf) })
+	if p.NumTerms() != k {
+		t.Fatalf("expansion has %d terms, want %d", p.NumTerms(), k)
+	}
+	if perTerm := allocs / k; perTerm > 24 {
+		t.Errorf("expanding a %d-term sum made %.0f allocations (%.1f per term); want at most 24 per term", k, allocs, perTerm)
 	}
 }

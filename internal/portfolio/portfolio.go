@@ -92,6 +92,7 @@ type Options struct {
 // engine answers one personality's queries: a stateless *smt.Solver
 // or a warm *smt.Context.
 type engine interface {
+	CheckEquiv(a, b *expr.Expr, width uint, budget smt.Budget) smt.Result
 	CheckTermEquiv(ta, tb *bv.Term, budget smt.Budget) smt.Result
 	SolveAssertions(assertions []*bv.Term, budget smt.Budget) smt.SatResult
 }
@@ -159,10 +160,28 @@ func (s *Set) Reset() {
 // CheckTermEquiv races the engines on one term-equivalence query. The
 // first Equivalent/NotEquivalent verdict wins and the remaining
 // engines are cancelled; if every engine exhausts the budget the
-// result is Timeout. budget.Stop, when set, cancels the entire
-// portfolio. Engines whose circuit breaker is open sit the race out
-// (reported as Skipped in Engines).
+// result is Timeout, carrying the conflicts and propagations every
+// engine spent. budget.Stop, when set, cancels the entire portfolio.
+// Engines whose circuit breaker is open sit the race out (reported as
+// Skipped in Engines).
 func (s *Set) CheckTermEquiv(ta, tb *bv.Term, budget smt.Budget) Result {
+	return s.checkEquiv(budget, func(e engine, b smt.Budget) smt.Result {
+		return e.CheckTermEquiv(ta, tb, b)
+	}, func() (*bv.Term, *bv.Term) { return ta, tb })
+}
+
+// CheckEquiv is CheckTermEquiv over expressions at the given width.
+// Each engine translates the sides itself, so a warm context interns
+// them as it builds them.
+func (s *Set) CheckEquiv(a, b *expr.Expr, width uint, budget smt.Budget) Result {
+	return s.checkEquiv(budget, func(e engine, bu smt.Budget) smt.Result {
+		return e.CheckEquiv(a, b, width, bu)
+	}, func() (*bv.Term, *bv.Term) { return bv.FromExpr(a, width), bv.FromExpr(b, width) })
+}
+
+// checkEquiv races solve across the engines, then runs the cube phase
+// on the terms from sides when the race came back budget-bound.
+func (s *Set) checkEquiv(budget smt.Budget, solve func(engine, smt.Budget) smt.Result, sides func() (*bv.Term, *bv.Term)) Result {
 	start := time.Now()
 	// With a cube phase waiting, the race doubles as the screen: clamp
 	// it to the screen's conflict budget so a hard query fails over to
@@ -172,27 +191,24 @@ func (s *Set) CheckTermEquiv(ta, tb *bv.Term, budget smt.Budget) Result {
 		raceBudget.Conflicts = s.cubes.ScreenConflicts
 	}
 	r := race(s, budget.Stop, func(i int, stop *atomic.Bool) smt.Result {
-		return s.engines[i].CheckTermEquiv(ta, tb, s.engineBudget(i, raceBudget, stop))
+		return solve(s.engines[i], s.engineBudget(i, raceBudget, stop))
 	}, equivReport)
 	res := Result{Result: r.best, Winner: r.winner, Engines: r.engines}
 	if r.winner == "" {
 		res.Result = smt.Result{Status: smt.Timeout, Reason: r.reason}
+		res.Conflicts, res.Propagations = spent(r.engines)
 	}
 	res.Elapsed = time.Since(start)
 	if r.winner != "" || s.cubes == nil {
 		return res
 	}
+	ta, tb := sides()
 	return s.runCubePhase(res, ta, tb, budget, start)
-}
-
-// CheckEquiv is CheckTermEquiv over expressions at the given width.
-func (s *Set) CheckEquiv(a, b *expr.Expr, width uint, budget smt.Budget) Result {
-	return s.CheckTermEquiv(bv.FromExpr(a, width), bv.FromExpr(b, width), budget)
 }
 
 // SolveAssertions races the engines on the conjunction of asserted
 // width-1 terms; the first sat/unsat verdict wins, with
-// breaker-skipped engines as in CheckTermEquiv.
+// breaker-skipped engines and a Timeout's spend as in CheckTermEquiv.
 func (s *Set) SolveAssertions(assertions []*bv.Term, budget smt.Budget) SatResult {
 	start := time.Now()
 	r := race(s, budget.Stop, func(i int, stop *atomic.Bool) smt.SatResult {
@@ -201,9 +217,19 @@ func (s *Set) SolveAssertions(assertions []*bv.Term, budget smt.Budget) SatResul
 	res := SatResult{SatResult: r.best, Winner: r.winner, Engines: r.engines}
 	if r.winner == "" {
 		res.SatResult = smt.SatResult{Status: smt.SatUnknown, Reason: r.reason}
+		res.Conflicts, res.Propagations = spent(r.engines)
 	}
 	res.Elapsed = time.Since(start)
 	return res
+}
+
+// spent totals the search effort of every engine in a race.
+func spent(engines []Engine) (conflicts, propagations int64) {
+	for _, e := range engines {
+		conflicts += e.Conflicts
+		propagations += e.Propagations
+	}
+	return conflicts, propagations
 }
 
 // equivReport is one equivalence result as its Engine entry, and
@@ -253,11 +279,14 @@ func (s *Set) engineBudget(i int, budget smt.Budget, stop *atomic.Bool) smt.Budg
 	return budget
 }
 
-// race runs solve once per admitted engine (by solver index)
-// concurrently, each under a private stop flag, cancels everyone as
-// soon as some result is definitive, feeds every outcome to its
-// breaker, and reports the engines in solver order. A non-nil parent
-// flag cancels the whole race when raised.
+// race runs solve once per admitted engine (by solver index), cancels
+// everyone as soon as some result is definitive, feeds every outcome to
+// its breaker, and reports the engines in solver order. A non-nil
+// parent flag cancels the whole race when raised.
+//
+// A lone admitted engine has no one to race: it runs inline on the
+// caller's goroutine under the parent flag itself. Several run
+// concurrently, each under a private stop flag.
 func race[T any](s *Set, parent *atomic.Bool, solve func(i int, stop *atomic.Bool) T,
 	report func(T) (Engine, bool)) raced[T] {
 
@@ -270,54 +299,61 @@ func race[T any](s *Set, parent *atomic.Bool, solve func(i int, stop *atomic.Boo
 	}
 	idx := s.admitted()
 	stops := make([]*atomic.Bool, len(idx))
-	type done struct {
-		k int
-		r T
-	}
-	ch := make(chan done, len(idx))
-	for k, i := range idx {
-		stops[k] = new(atomic.Bool)
-		//lint:ignore goroutinelife ch is buffered to len(idx) so the send never blocks, and solve honors the per-engine stop flag raised by cancelAll
-		go func(k, i int) { ch <- done{k, solve(i, stops[k])} }(k, i)
-	}
-	cancelAll := func() {
-		for _, st := range stops {
-			st.Store(true)
-		}
-	}
-
-	// Propagate external cancellation while the race runs.
-	watcherDone := make(chan struct{})
-	defer close(watcherDone)
-	if parent != nil {
-		go func() {
-			tick := time.NewTicker(time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-watcherDone:
-					return
-				case <-tick.C:
-					if parent.Load() {
-						cancelAll()
-						return
-					}
-				}
-			}
-		}()
-	}
-
-	out := raced[T]{engines: make([]Engine, len(s.solvers))}
 	reports := make([]Engine, len(idx))
 	definitive := make([]bool, len(idx))
+	out := raced[T]{engines: make([]Engine, len(s.solvers))}
 	win := -1
-	for range idx {
-		d := <-ch
-		reports[d.k], definitive[d.k] = report(d.r)
-		if win == -1 && definitive[d.k] {
-			win = d.k
-			out.best = d.r
-			cancelAll()
+	if len(idx) == 1 {
+		stops[0] = parent
+		r := solve(idx[0], parent)
+		if reports[0], definitive[0] = report(r); definitive[0] {
+			win, out.best = 0, r
+		}
+	} else {
+		type done struct {
+			k int
+			r T
+		}
+		ch := make(chan done, len(idx))
+		for k, i := range idx {
+			stops[k] = new(atomic.Bool)
+			//lint:ignore goroutinelife ch is buffered to len(idx) so the send never blocks, and solve honors the per-engine stop flag raised by cancelAll
+			go func(k, i int) { ch <- done{k, solve(i, stops[k])} }(k, i)
+		}
+		cancelAll := func() {
+			for _, st := range stops {
+				st.Store(true)
+			}
+		}
+
+		// Propagate external cancellation while the race runs.
+		watcherDone := make(chan struct{})
+		defer close(watcherDone)
+		if parent != nil {
+			go func() {
+				tick := time.NewTicker(time.Millisecond)
+				defer tick.Stop()
+				for {
+					select {
+					case <-watcherDone:
+						return
+					case <-tick.C:
+						if parent.Load() {
+							cancelAll()
+							return
+						}
+					}
+				}
+			}()
+		}
+
+		for range idx {
+			d := <-ch
+			reports[d.k], definitive[d.k] = report(d.r)
+			if win == -1 && definitive[d.k] {
+				win, out.best = d.k, d.r
+				cancelAll()
+			}
 		}
 	}
 
@@ -336,7 +372,7 @@ func race[T any](s *Set, parent *atomic.Bool, solve func(i int, stop *atomic.Boo
 		// engine that failed fast in a race someone else won would be
 		// mislabeled as cancelled, hiding real failures from
 		// observability and from its breaker.
-		e.Cancelled = !definitive[k] && e.Reason == smt.ReasonBudget && stops[k].Load()
+		e.Cancelled = !definitive[k] && e.Reason == smt.ReasonBudget && stops[k] != nil && stops[k].Load()
 		e.Won = k == win
 		out.engines[i] = e
 		// A cancelled run says nothing about the engine's health.

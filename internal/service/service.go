@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -64,11 +65,11 @@ type Config struct {
 	// BreakerThreshold is the consecutive structural-failure count
 	// (contained panics, blown memory caps — not ordinary timeouts)
 	// that opens a personality's circuit breaker. Default 3; negative
-	// disables the breakers. Portfolio solves are guarded whether
-	// contexts are warm or not: while a breaker is open the portfolio
-	// skips that engine. Solo queries are guarded only on the
-	// incremental path, where an open breaker falls back to a stateless
-	// fresh solver, so requests keep being answered.
+	// disables the breakers. Every solve is guarded, warm or not: a
+	// portfolio solve skips an engine whose breaker is open, and a solo
+	// solve (a one-engine portfolio) runs its engine anyway, because
+	// answering degraded beats refusing; a poisoned warm context resets
+	// itself before it answers again.
 	BreakerThreshold int
 	// BreakerCooldown is the open interval before a breaker admits a
 	// probe query (default 250ms; backs off exponentially on repeated
@@ -137,7 +138,7 @@ func (c Config) withDefaults() Config {
 }
 
 // portfolioOptions maps the config onto each worker's portfolio set;
-// the solo contexts' breakers take the same BreakerOptions.
+// the one-engine solo sets take its Incremental and Breakers.
 func (c Config) portfolioOptions() portfolio.Options {
 	o := portfolio.Options{Incremental: !c.DisableIncremental, Share: c.Share}
 	if c.Cubes {
@@ -194,11 +195,10 @@ type simpKey struct {
 // (single-goroutine by contract) are safe here and accumulate warm
 // state across every query the worker serves.
 type workerCtx struct {
-	stop     *atomic.Bool
-	simps    map[simpKey]*core.Simplifier
-	solo     map[string]*smt.Context       // per-personality incremental contexts
-	set      *portfolio.Set                // portfolio line-up
-	breakers map[string]*portfolio.Breaker // guards the solo contexts; nil when disabled
+	stop  *atomic.Bool
+	simps map[simpKey]*core.Simplifier
+	solo  map[string]*portfolio.Set // one-engine set per personality
+	set   *portfolio.Set            // portfolio line-up
 }
 
 // resetSolvers rebuilds the worker's accumulated solver state after a
@@ -207,8 +207,8 @@ type workerCtx struct {
 // a wrong verdict from a half-updated one.
 func (w *workerCtx) resetSolvers() {
 	w.simps = map[simpKey]*core.Simplifier{}
-	for _, c := range w.solo {
-		c.Reset()
+	for _, set := range w.solo {
+		set.Reset()
 	}
 	w.set.Reset()
 }
@@ -338,18 +338,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	opts := s.cfg.portfolioOptions()
-	w := &workerCtx{simps: map[simpKey]*core.Simplifier{}, set: portfolio.New(s.all, opts)}
-	if opts.Incremental {
-		w.solo = make(map[string]*smt.Context, len(s.all))
-		for _, sv := range s.all {
-			w.solo[sv.Name()] = sv.NewContext(smt.ContextOptions{})
-		}
-		if bo := opts.Breakers; bo != nil {
-			w.breakers = make(map[string]*portfolio.Breaker, len(s.all))
-			for _, sv := range s.all {
-				w.breakers[sv.Name()] = portfolio.NewBreaker(sv.Name(), *bo)
-			}
-		}
+	w := &workerCtx{
+		simps: map[simpKey]*core.Simplifier{},
+		solo:  make(map[string]*portfolio.Set, len(s.all)),
+		set:   portfolio.New(s.all, opts),
+	}
+	for _, sv := range s.all {
+		w.solo[sv.Name()] = portfolio.New([]*smt.Solver{sv}, portfolio.Options{Incremental: opts.Incremental, Breakers: opts.Breakers})
 	}
 	for {
 		select {
@@ -721,38 +716,20 @@ func (s *Server) runSolve(wc *workerCtx, a, b *expr.Expr, width uint, spec solve
 		Conflicts: spec.conflicts,
 		Stop:      wc.stop,
 	}
+	// A solo solve is a one-engine portfolio of the named personality.
+	set, name := wc.set, ""
+	if !spec.portfolio {
+		name = cmp.Or(spec.solver, "btorsim")
+		set = wc.solo[name]
+	}
+	res := set.CheckEquiv(a, b, width, budget)
+	resp := solveResponse(res.Result, width)
+	resp.Solver = name
 	if spec.portfolio {
-		res := wc.set.CheckEquiv(a, b, width, budget)
-		resp := solveResponse(res.Result, width)
 		resp.Solver = res.Winner
 		resp.Engines = EnginesOf(res.Engines)
-		if res.Winner != "" {
-			s.met.verdict(res.Winner, resp.Status)
-		} else {
-			s.met.verdict(portfolio.Name, resp.Status)
-		}
-		return resp
+		name = cmp.Or(res.Winner, portfolio.Name)
 	}
-	name := spec.solver
-	if name == "" {
-		name = "btorsim"
-	}
-	var res smt.Result
-	// The breaker guards the warm incremental context; while it is open
-	// the query still runs, on a stateless fresh solver, so clients see
-	// degraded latency rather than refusals. Only runs that actually
-	// used the context feed the breaker.
-	br := wc.breakers[name]
-	if ctx := wc.solo[name]; ctx != nil && (br == nil || br.Allow()) {
-		res = ctx.CheckEquiv(a, b, width, budget)
-		if br != nil {
-			br.Report(res.Reason)
-		}
-	} else {
-		res = s.solvers[name].CheckEquiv(a, b, width, budget)
-	}
-	resp := solveResponse(res, width)
-	resp.Solver = name
 	s.met.verdict(name, resp.Status)
 	return resp
 }

@@ -30,17 +30,28 @@ func arithEqual(a, b *bv.Term, rw *bv.Rewriter, width uint) bool {
 // rewriter key (so x&y and y&x unify only if the rewrite level already
 // unified them).
 func termPoly(t *bv.Term, rw *bv.Rewriter, width uint) *poly.Poly {
+	p := poly.New(width)
+	addTermPoly(p, t, false, rw)
+	return p
+}
+
+// addTermPoly adds t to p in place, or subtracts it when neg, so a
+// chain of sums accumulates into one polynomial (poly.Accumulate).
+func addTermPoly(p *poly.Poly, t *bv.Term, neg bool, rw *bv.Rewriter) {
 	switch t.Op {
-	case bv.Const:
-		return poly.FromConst(t.Val, width)
 	case bv.Add:
-		return termPoly(t.Args[0], rw, width).Add(termPoly(t.Args[1], rw, width))
+		addTermPoly(p, t.Args[0], neg, rw)
+		addTermPoly(p, t.Args[1], neg, rw)
 	case bv.Sub:
-		return termPoly(t.Args[0], rw, width).Sub(termPoly(t.Args[1], rw, width))
-	case bv.Mul:
-		return termPoly(t.Args[0], rw, width).Mul(termPoly(t.Args[1], rw, width))
+		addTermPoly(p, t.Args[0], neg, rw)
+		addTermPoly(p, t.Args[1], !neg, rw)
 	case bv.Neg:
-		return termPoly(t.Args[0], rw, width).Neg()
+		addTermPoly(p, t.Args[0], !neg, rw)
+	case bv.Mul:
+		p.Accumulate(termPoly(t.Args[0], rw, p.Width).Mul(termPoly(t.Args[1], rw, p.Width)), neg)
+	case bv.Const:
+		p.Accumulate(poly.FromConst(t.Val, p.Width), neg)
+	default:
+		p.Accumulate(poly.FromAtom(poly.Atom{Key: rw.Key(t)}, p.Width), neg)
 	}
-	return poly.FromAtom(poly.Atom{Key: rw.Key(t)}, width)
 }

@@ -5,8 +5,6 @@ import (
 
 	"mbasolver/internal/bv"
 	"mbasolver/internal/core"
-	"mbasolver/internal/fault"
-	"mbasolver/internal/sat"
 )
 
 // SatStatus is the outcome of a satisfiability query (as opposed to
@@ -48,105 +46,9 @@ type SatResult struct {
 // solver boundary: panics below it degrade to SatUnknown with
 // ReasonPanic and are recorded, never propagated.
 func (s *Solver) SolveAssertions(assertions []*bv.Term, budget Budget) (res SatResult) {
-	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			fault.RecordPanic("smt.SolveAssertions", r)
-			res = SatResult{Status: SatUnknown, Reason: ReasonPanic, Elapsed: time.Since(start)}
-		}
-	}()
-	return s.solveAssertions(start, assertions, budget)
-}
-
-func (s *Solver) solveAssertions(start time.Time, assertions []*bv.Term, budget Budget) SatResult {
-	var deadline time.Time
-	if budget.Timeout > 0 {
-		deadline = start.Add(budget.Timeout)
-	}
-	// Consult the budget before the rewrite loop: per-assertion
-	// rewriting is the heavy phase on large inputs, and an exhausted
-	// budget must not buy any of it.
-	if budget.stopped() || (!deadline.IsZero() && time.Now().After(deadline)) {
-		return SatResult{Status: SatUnknown, Reason: ReasonBudget, Elapsed: time.Since(start)}
-	}
-	if siteRewrite.Fire() {
-		fault.PanicAt("smt.rewrite")
-	}
-	rw := bv.NewRewriter(s.level)
-
-	vars := map[string]uint{}
-	rewritten := make([]*bv.Term, 0, len(assertions))
-	for _, a := range assertions {
-		for name, width := range bv.Vars(a) {
-			vars[name] = width
-		}
-		t := a
-		if s.level != bv.RewriteNone {
-			t = rw.Rewrite(a)
-		}
-		if t.Op == bv.Const {
-			if t.Val == 0 {
-				return SatResult{Status: Unsatisfiable, Elapsed: time.Since(start)}
-			}
-			continue // trivially true assertion
-		}
-		rewritten = append(rewritten, t)
-	}
-	if len(rewritten) == 0 {
-		// All assertions rewrote to true: any assignment works.
-		model := map[string]uint64{}
-		for name := range vars {
-			model[name] = 0
-		}
-		return SatResult{Status: Satisfiable, Model: model, Elapsed: time.Since(start)}
-	}
-
-	if budget.stopped() || (!deadline.IsZero() && time.Now().After(deadline)) {
-		return SatResult{Status: SatUnknown, Reason: ReasonBudget, Elapsed: time.Since(start)}
-	}
-	bl := acquireBlaster(s.satOpts)
-	if budget.Stop != nil {
-		bl.SetStop(budget.Stop)
-	}
-	if !deadline.IsZero() {
-		bl.SetDeadline(deadline)
-	}
-	bl.SetMaxVars(budget.MaxVars)
-	for _, t := range rewritten {
-		out := bl.Blast(t)
-		if out == nil {
-			// Cancelled, out of time, or over the circuit cap mid-encoding.
-			res := SatResult{Status: SatUnknown, Reason: bl.StopReason(), Elapsed: time.Since(start)}
-			releaseBlaster(bl)
-			return res
-		}
-		bl.AssertTrue(out[0])
-	}
-	sb := sat.Budget{Conflicts: s.scaledConflicts(budget.Conflicts), Stop: budget.Stop, Deadline: deadline, MaxLits: budget.MaxLits}
-	verdict := bl.Solve(sb)
-	res := SatResult{
-		Elapsed:      time.Since(start),
-		Conflicts:    bl.S.Stats().Conflicts,
-		Propagations: bl.S.Stats().Propagations,
-	}
-	switch verdict {
-	case sat.Sat:
-		res.Status = Satisfiable
-		res.Model = map[string]uint64{}
-		for name := range vars {
-			if v, ok := bl.Model(name); ok {
-				res.Model[name] = v
-			} else {
-				res.Model[name] = 0 // unconstrained by the circuit
-			}
-		}
-	case sat.Unsat:
-		res.Status = Unsatisfiable
-	default:
-		res.Status = SatUnknown
-		res.Reason = bl.UnknownReason()
-	}
-	releaseBlaster(bl)
+	q := s.newQuery(budget)
+	defer contain("smt.SolveAssertions", q.start, nil, &res)
+	res, _ = s.solveTerms(q, assertions, nil, nil, fresh{})
 	return res
 }
 

@@ -137,20 +137,13 @@ func (s *Solver) NewContext(opts ContextOptions) *Context {
 	}
 }
 
-// Solver returns the personality this context runs.
-func (c *Context) Solver() *Solver { return c.s }
-
 // Stats returns the context's reuse counters.
 func (c *Context) Stats() ContextStats {
 	out := c.stats
 	out.Intern = c.in.Stats()
 	out.Blast = c.retiredBlast
 	for _, st := range c.states {
-		bs := st.bl.Stats()
-		out.Blast.CacheHits += bs.CacheHits
-		out.Blast.CacheMisses += bs.CacheMisses
-		out.Blast.GateHits += bs.GateHits
-		out.Blast.GateMisses += bs.GateMisses
+		out.Blast = out.Blast.Plus(st.bl.Stats())
 		out.Vars += st.bl.S.NumVars()
 		out.Clauses += st.bl.S.NumClauses()
 		out.Learnts += st.bl.S.NumLearnts()
@@ -210,11 +203,7 @@ func (c *Context) retire(width uint) {
 	if !ok {
 		return
 	}
-	bs := st.bl.Stats()
-	c.retiredBlast.CacheHits += bs.CacheHits
-	c.retiredBlast.CacheMisses += bs.CacheMisses
-	c.retiredBlast.GateHits += bs.GateHits
-	c.retiredBlast.GateMisses += bs.GateMisses
+	c.retiredBlast = c.retiredBlast.Plus(st.bl.Stats())
 	delete(c.states, width)
 }
 
@@ -274,32 +263,20 @@ func (c *Context) recycleIfOverLimit(width uint, st *ctxState) {
 // CheckEquiv is Solver.CheckEquiv through the incremental context.
 func (c *Context) CheckEquiv(a, b *expr.Expr, width uint, budget Budget) (res Result) {
 	c.ensureHealthy()
-	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			c.poisoned = true
-			fault.RecordPanic("smt.Context.CheckEquiv", r)
-			res = Result{Status: Unknown, Reason: ReasonPanic, Elapsed: time.Since(start)}
-		}
-	}()
-	var deadline time.Time
-	if budget.Timeout > 0 {
-		deadline = start.Add(budget.Timeout)
+	q := c.s.newQuery(budget)
+	defer contain("smt.Context.CheckEquiv", q.start, &c.poisoned, &res)
+	// Translation walks both trees; consult the budget first, like the
+	// pipeline does before its heavy phases.
+	if q.expired() {
+		return q.unknown(ReasonBudget)
 	}
-	// Translation walks both trees; consult the budget first, exactly
-	// like the one-shot path does before its heavy phases.
-	if budget.stopped() || (!deadline.IsZero() && time.Now().After(deadline)) {
-		return Result{Status: Timeout, Reason: ReasonBudget, Elapsed: time.Since(start)}
-	}
-	ta := c.in.FromExpr(a, width)
-	tb := c.in.FromExpr(b, width)
-	return c.checkTermEquiv(start, ta, tb, budget)
+	return c.check(q, c.in.FromExpr(a, width), c.in.FromExpr(b, width))
 }
 
 // CheckTermEquiv decides ta == tb within the budget, reusing every
 // structure the context has accumulated. It returns the same verdicts
-// as Solver.CheckTermEquiv on the same inputs: the word-level phases
-// are identical, and the SAT phase decides the same query (UNSAT of
+// as Solver.CheckTermEquiv on the same inputs: the word-level phase is
+// the same pipeline, and the SAT phase decides the same query (UNSAT of
 // ta != tb) over the same personality options — only warm-started.
 //
 // Like the one-shot path it is a solver boundary: a panic below it is
@@ -308,176 +285,20 @@ func (c *Context) CheckEquiv(a, b *expr.Expr, width uint, budget Budget) (res Re
 // the next query rebuilds from scratch rather than trusting them.
 func (c *Context) CheckTermEquiv(ta, tb *bv.Term, budget Budget) (res Result) {
 	c.ensureHealthy()
-	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			c.poisoned = true
-			fault.RecordPanic("smt.Context.CheckTermEquiv", r)
-			res = Result{Status: Unknown, Reason: ReasonPanic, Elapsed: time.Since(start)}
-		}
-	}()
-	return c.checkTermEquiv(start, ta, tb, budget)
+	q := c.s.newQuery(budget)
+	defer contain("smt.Context.CheckTermEquiv", q.start, &c.poisoned, &res)
+	return c.check(q, ta, tb)
 }
 
-func (c *Context) checkTermEquiv(start time.Time, ta, tb *bv.Term, budget Budget) Result {
-	width := ta.Width
-	var deadline time.Time
-	if budget.Timeout > 0 {
-		deadline = start.Add(budget.Timeout)
-	}
-
-	// Budget gate before the word-level phase (interning walks the full
-	// trees, rewriting and polynomial expansion can be the expensive
-	// part), mirroring the one-shot path.
-	if budget.stopped() || (!deadline.IsZero() && time.Now().After(deadline)) {
-		return Result{Status: Timeout, Reason: ReasonBudget, Elapsed: time.Since(start)}
-	}
-	if siteContext.Fire() {
-		// Simulated context corruption: damage the caches for real, then
-		// panic; the boundary recover poisons the context and the next
-		// query proves the reset path by answering correctly anyway.
-		c.Corrupt()
-		fault.PanicAt("smt.context")
-	}
-	if siteRewrite.Fire() {
-		fault.PanicAt("smt.rewrite")
-	}
-
-	// Hash-cons the inputs so repeated structure — across queries, not
-	// just within this one — collapses to shared pointers before any
-	// pointer-keyed cache sees it.
-	ta, tb = c.in.Intern(ta), c.in.Intern(tb)
-	origA, origB := ta, tb
-
-	// Pre-solve equivalence screen, mirroring the one-shot path: a
-	// refute-only vector pass that catches most non-identities before
-	// rewriting or the warm SAT circuit get involved. It leaves the
-	// context untouched, so screened queries cost no learned state.
-	if !budget.NoScreen {
-		if w, ok := screenEquiv(ta, tb, budget, deadline); ok {
-			c.stats.Queries++
-			return Result{
-				Status: NotEquivalent, Witness: w, Screened: true,
-				Elapsed: time.Since(start),
-			}
-		}
-	}
-
-	if c.s.level != bv.RewriteNone {
-		ta, tb = c.rw.Rewrite(ta), c.rw.Rewrite(tb)
-		if ta == tb {
-			c.stats.Queries++
-			return Result{Status: Equivalent, Elapsed: time.Since(start), Rewritten: true}
-		}
-		if arithEqual(ta, tb, c.rw, width) {
-			c.stats.Queries++
-			return Result{Status: Equivalent, Elapsed: time.Since(start), Rewritten: true}
-		}
-	}
-	if budget.stopped() || (!deadline.IsZero() && time.Now().After(deadline)) {
-		return Result{Status: Timeout, Reason: ReasonBudget, Elapsed: time.Since(start)}
-	}
-
-	// The rewriter's memo is pointer-keyed, so building the disequality
-	// through the interner makes a repeated query hit it immediately and
-	// yield the exact query pointer previous repetitions produced —
-	// which is what keys the activation-literal cache below.
-	query := c.in.Predicate(bv.Ne, ta, tb)
-	query = c.rw.Rewrite(query)
-
-	if query.Op == bv.Const {
+// check runs an equivalence query through the pipeline on the
+// context's interner, rewriter and warm circuits. Queries counts every
+// query the pipeline answered, at the word level or by a search.
+func (c *Context) check(q query, ta, tb *bv.Term) Result {
+	res, answered := c.s.checkTerms(q, ta, tb, c.in, c.rw, c)
+	if answered {
 		c.stats.Queries++
-		res := Result{Elapsed: time.Since(start), Rewritten: true}
-		if query.Val == 0 {
-			res.Status = Equivalent
-		} else {
-			res.Status = NotEquivalent
-			// nil Witness = none found (budget bail or probe failure),
-			// never an all-zeros assignment nobody checked.
-			if w, ok := findWitness(origA, origB, budget, deadline); ok {
-				res.Witness = w
-			}
-		}
-		return res
 	}
-
-	st := c.state(width)
-	st = c.reconcileVars(width, st, bv.Vars(query))
-	bl := st.bl
-	bl.SetStop(budget.Stop)
-	bl.SetDeadline(deadline)
-	bl.SetMaxVars(budget.MaxVars)
-
-	act, ok := st.acts[query]
-	if !ok {
-		out := bl.Blast(query)
-		if out == nil {
-			// Interrupted mid-encoding: the partial circuit is unusable,
-			// drop this width and report the degradation.
-			c.retire(width)
-			c.stats.Recycles++
-			return Result{Status: Timeout, Reason: bl.StopReason(), Elapsed: time.Since(start)}
-		}
-		act = bl.Assume(out[0])
-		st.acts[query] = act
-	} else {
-		c.stats.ActHits++
-	}
-
-	// Clause sharing on a persistent circuit: the query holds only
-	// under its activation literal, so exports carry the guard slot and
-	// imports are re-guarded (see bitblast.SetShareAct). Sharing is
-	// enabled per query and disabled right after the solve — a later
-	// unshared query must not publish under a stale generation.
-	if budget.Share != nil {
-		bl.SetShareAct(act)
-		bl.EnableShare(budget.Share, sat.ShareOptions{})
-	}
-
-	// The persistent solver accumulates lifetime counters; report this
-	// query's spend as a delta.
-	before := bl.S.Stats()
-	sb := sat.Budget{Conflicts: c.s.scaledConflicts(budget.Conflicts), Stop: budget.Stop, Deadline: deadline, MaxLits: budget.MaxLits}
-	verdict := bl.Solve(sb, act)
-	after := bl.S.Stats()
-	if budget.Share != nil {
-		bl.DisableShare()
-		bl.ClearShareAct()
-	}
-
-	c.stats.Queries++
-	res := Result{
-		Elapsed:      time.Since(start),
-		Conflicts:    after.Conflicts - before.Conflicts,
-		Propagations: after.Propagations - before.Propagations,
-	}
-	switch verdict {
-	case sat.Unsat:
-		res.Status = Equivalent
-	case sat.Sat:
-		res.Status = NotEquivalent
-		res.Witness = map[string]uint64{}
-		for name := range bv.Vars(query) {
-			if v, ok := bl.Model(name); ok {
-				res.Witness[name] = v
-			}
-		}
-		for name := range termVars(origA, origB) {
-			if _, ok := res.Witness[name]; !ok {
-				res.Witness[name] = 0
-			}
-		}
-	default:
-		res.Status = Timeout
-		res.Reason = bl.UnknownReason()
-	}
-	c.recycleIfOverLimit(width, st)
 	return res
-}
-
-// CheckZero decides e == 0 for all inputs through the context.
-func (c *Context) CheckZero(e *expr.Expr, width uint, budget Budget) Result {
-	return c.CheckEquiv(e, expr.Const(0), width, budget)
 }
 
 // SolveAssertions is Solver.SolveAssertions through the incremental
@@ -488,128 +309,121 @@ func (c *Context) CheckZero(e *expr.Expr, width uint, budget Budget) Result {
 // context, exactly like CheckTermEquiv.
 func (c *Context) SolveAssertions(assertions []*bv.Term, budget Budget) (res SatResult) {
 	c.ensureHealthy()
-	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			c.poisoned = true
-			fault.RecordPanic("smt.Context.SolveAssertions", r)
-			res = SatResult{Status: SatUnknown, Reason: ReasonPanic, Elapsed: time.Since(start)}
-		}
-	}()
-	return c.solveAssertions(start, assertions, budget)
+	q := c.s.newQuery(budget)
+	defer contain("smt.Context.SolveAssertions", q.start, &c.poisoned, &res)
+	res, answered := c.s.solveTerms(q, assertions, c.in, c.rw, c)
+	if answered {
+		c.stats.Queries++
+	}
+	return res
 }
 
-func (c *Context) solveAssertions(start time.Time, assertions []*bv.Term, budget Budget) SatResult {
-	var deadline time.Time
-	if budget.Timeout > 0 {
-		deadline = start.Add(budget.Timeout)
-	}
-	if budget.stopped() || (!deadline.IsZero() && time.Now().After(deadline)) {
-		return SatResult{Status: SatUnknown, Reason: ReasonBudget, Elapsed: time.Since(start)}
-	}
+// The warm back end: the Context itself. Each result width keeps one
+// live Blaster whose circuit is the union of every query seen so far;
+// a query is checked under its activation literal.
+
+// enter fires the smt.context fault site: simulated corruption damages
+// the caches for real, then panics; the boundary poisons the context
+// and the next query proves the reset path by answering correctly
+// anyway.
+func (c *Context) enter() {
 	if siteContext.Fire() {
 		c.Corrupt()
 		fault.PanicAt("smt.context")
 	}
-	if siteRewrite.Fire() {
-		fault.PanicAt("smt.rewrite")
-	}
+}
 
-	vars := map[string]uint{}
-	rewritten := make([]*bv.Term, 0, len(assertions))
-	for _, a := range assertions {
-		a = c.in.Intern(a)
-		for name, width := range bv.Vars(a) {
-			vars[name] = width
-		}
-		t := a
-		if c.s.level != bv.RewriteNone {
-			t = c.rw.Rewrite(a)
-		}
-		if t.Op == bv.Const {
-			if t.Val == 0 {
-				c.stats.Queries++
-				return SatResult{Status: Unsatisfiable, Elapsed: time.Since(start)}
-			}
-			continue // trivially true assertion
-		}
-		rewritten = append(rewritten, t)
+func (c *Context) decide(q query) (Result, bool) {
+	width := q.a.Width
+	st := c.warmState(&q, width, bv.Vars(q.residual))
+	bl := st.bl
+	act, ok := c.activate(st, width, q.residual)
+	if !ok {
+		return q.unknown(bl.StopReason()), false
 	}
-	if len(rewritten) == 0 {
-		c.stats.Queries++
-		model := map[string]uint64{}
-		for name := range vars {
-			model[name] = 0
-		}
-		return SatResult{Status: Satisfiable, Model: model, Elapsed: time.Since(start)}
+	// Clause sharing on a persistent circuit: the query holds only
+	// under its activation literal, so exports carry the guard slot and
+	// imports are re-guarded (see bitblast.SetShareAct). Sharing is
+	// enabled per query and disabled right after the solve — a later
+	// unshared query must not publish under a stale generation.
+	if q.budget.Share != nil {
+		bl.SetShareAct(act)
+		bl.EnableShare(q.budget.Share, sat.ShareOptions{})
 	}
+	v, res := c.search(&q, bl, act)
+	if q.budget.Share != nil {
+		bl.DisableShare()
+		bl.ClearShareAct()
+	}
+	q.verdict(&res, v, bl)
+	c.recycleIfOverLimit(width, st)
+	return res, true
+}
 
-	if budget.stopped() || (!deadline.IsZero() && time.Now().After(deadline)) {
-		return SatResult{Status: SatUnknown, Reason: ReasonBudget, Elapsed: time.Since(start)}
-	}
-
+func (c *Context) solveAll(q query, ts []*bv.Term, vars map[string]uint) (SatResult, bool) {
 	// Assertion sets share one state, keyed by the widest variable in
 	// play; sets over clashing variable widths recycle it (reconcileVars)
 	// rather than panicking in VarBits.
-	var stateKey uint = 1
+	var key uint = 1
 	for _, w := range vars {
-		if w > stateKey {
-			stateKey = w
+		if w > key {
+			key = w
 		}
 	}
-	st := c.state(stateKey)
-	st = c.reconcileVars(stateKey, st, vars)
+	st := c.warmState(&q, key, vars)
 	bl := st.bl
-	bl.SetStop(budget.Stop)
-	bl.SetDeadline(deadline)
-	bl.SetMaxVars(budget.MaxVars)
-
-	acts := make([]sat.Lit, 0, len(rewritten))
-	for _, t := range rewritten {
-		act, ok := st.acts[t]
+	acts := make([]sat.Lit, 0, len(ts))
+	for _, t := range ts {
+		act, ok := c.activate(st, key, t)
 		if !ok {
-			out := bl.Blast(t)
-			if out == nil {
-				c.retire(stateKey)
-				c.stats.Recycles++
-				return SatResult{Status: SatUnknown, Reason: bl.StopReason(), Elapsed: time.Since(start)}
-			}
-			act = bl.Assume(out[0])
-			st.acts[t] = act
-		} else {
-			c.stats.ActHits++
+			return SatResult{Status: SatUnknown, Reason: bl.StopReason(), Elapsed: time.Since(q.start)}, false
 		}
 		acts = append(acts, act)
 	}
+	v, r := c.search(&q, bl, acts...)
+	res := SatResult{Elapsed: r.Elapsed, Conflicts: r.Conflicts, Propagations: r.Propagations}
+	satVerdict(&res, v, bl, vars)
+	c.recycleIfOverLimit(key, st)
+	return res, true
+}
 
+// warmState returns the state for key with vars reconciled, its
+// Blaster armed for q.
+func (c *Context) warmState(q *query, key uint, vars map[string]uint) *ctxState {
+	st := c.reconcileVars(key, c.state(key), vars)
+	q.arm(st.bl, q.budget.Stop)
+	return st
+}
+
+// activate returns the activation literal guarding t in st, encoding t
+// on first sight. ok is false when encoding was interrupted: the
+// partial circuit is unusable, so the state is dropped.
+func (c *Context) activate(st *ctxState, key uint, t *bv.Term) (sat.Lit, bool) {
+	if act, ok := st.acts[t]; ok {
+		c.stats.ActHits++
+		return act, true
+	}
+	out := st.bl.Blast(t)
+	if out == nil {
+		c.retire(key)
+		c.stats.Recycles++
+		return 0, false
+	}
+	act := st.bl.Assume(out[0])
+	st.acts[t] = act
+	return act, true
+}
+
+// search runs the warm solver under the activation literals and
+// reports this query's spend: the persistent solver's counters are
+// lifetime totals, so the query's share is a delta.
+func (c *Context) search(q *query, bl *bitblast.Blaster, acts ...sat.Lit) (sat.Status, Result) {
 	before := bl.S.Stats()
-	sb := sat.Budget{Conflicts: c.s.scaledConflicts(budget.Conflicts), Stop: budget.Stop, Deadline: deadline, MaxLits: budget.MaxLits}
-	verdict := bl.Solve(sb, acts...)
+	v := bl.Solve(q.satBudget(q.budget.Conflicts, q.budget.Stop), acts...)
 	after := bl.S.Stats()
-
-	c.stats.Queries++
-	res := SatResult{
-		Elapsed:      time.Since(start),
+	return v, Result{
+		Elapsed:      time.Since(q.start),
 		Conflicts:    after.Conflicts - before.Conflicts,
 		Propagations: after.Propagations - before.Propagations,
 	}
-	switch verdict {
-	case sat.Sat:
-		res.Status = Satisfiable
-		res.Model = map[string]uint64{}
-		for name := range vars {
-			if v, ok := bl.Model(name); ok {
-				res.Model[name] = v
-			} else {
-				res.Model[name] = 0 // unconstrained by the circuit
-			}
-		}
-	case sat.Unsat:
-		res.Status = Unsatisfiable
-	default:
-		res.Status = SatUnknown
-		res.Reason = bl.UnknownReason()
-	}
-	c.recycleIfOverLimit(stateKey, st)
-	return res
 }

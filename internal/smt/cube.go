@@ -47,9 +47,7 @@ const (
 // WithDefaults returns a copy with zero fields replaced by their
 // defaults, so callers staging work around a cube phase (e.g. the
 // portfolio's screen race) can see the effective settings.
-func (o CubeOptions) WithDefaults() CubeOptions { return o.withDefaults() }
-
-func (o CubeOptions) withDefaults() CubeOptions {
+func (o CubeOptions) WithDefaults() CubeOptions {
 	if o.Vars <= 0 {
 		o.Vars = defaultCubeVars
 	}
@@ -65,108 +63,75 @@ func (o CubeOptions) withDefaults() CubeOptions {
 	return o
 }
 
-// CheckTermEquivCube decides ta == tb by cube-and-conquer: a short
-// screening solve filters out easy queries (and harvests VSIDS
-// activities), then the query is split on the top-k most active
-// variables into 2^k cubes raced by workers under one shared budget.
-// The first satisfying cube wins (NotEquivalent with a model-backed
-// witness); if every cube is refuted the conjunction of verdicts is
-// Equivalent; anything else merges to a reasoned Unknown, with
-// ReasonBudget dominating (one exhausted cube means more budget could
-// still decide the query, whereas resource/panic degradations are
-// structural).
+// CheckTermEquivCube decides ta == tb by cube-and-conquer: the query
+// runs the common word-level pipeline, then a short screening solve
+// filters out easy queries (and harvests VSIDS activities), then the
+// query is split on the top-k most active variables into 2^k cubes
+// raced by workers under one shared budget. The first satisfying cube
+// wins (NotEquivalent with a model-backed witness); if every cube is
+// refuted the conjunction of verdicts is Equivalent; anything else
+// merges to a reasoned Unknown, with ReasonBudget dominating (one
+// exhausted cube means more budget could still decide the query,
+// whereas resource/panic degradations are structural).
 //
 // Like CheckTermEquiv it is a solver boundary: panics below degrade
 // to Unknown(ReasonPanic). Each cube worker additionally contains its
 // own panics so one poisoned cube cannot take down the others.
 func (s *Solver) CheckTermEquivCube(ta, tb *bv.Term, budget Budget, opts CubeOptions) (res Result) {
-	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			fault.RecordPanic("smt.CheckTermEquivCube", r)
-			res = Result{Status: Unknown, Reason: ReasonPanic, Elapsed: time.Since(start)}
-		}
-	}()
-	return s.checkTermEquivCube(start, ta, tb, budget, opts)
+	q := s.newQuery(budget)
+	defer contain("smt.CheckTermEquivCube", q.start, nil, &res)
+	res, _ = s.checkTerms(q, ta, tb, nil, nil, cubes{opts: opts.WithDefaults()})
+	return res
 }
 
-func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Budget, opts CubeOptions) Result {
-	opts = opts.withDefaults()
-	query, origA, origB, deadline, early := s.prepareQuery(start, ta, tb, budget)
-	if early != nil {
-		return *early
-	}
+// cubes is the cube-and-conquer back end. Its screening solve is the
+// fresh back end's search under a clamped conflict budget, and
+// satisfiability queries run fresh.
+type cubes struct {
+	fresh
+	opts CubeOptions
+}
 
+func (cb cubes) decide(q query) (Result, bool) {
 	// Screening solve: cheap conflict budget, full sharing with any
 	// cross-personality pool the caller wired in. Its blaster doubles
 	// as the reference encoding the split variables are drawn from.
-	screen := acquireBlaster(s.satOpts)
-	if budget.Stop != nil {
-		screen.SetStop(budget.Stop)
+	screenConflicts := cb.opts.ScreenConflicts
+	if q.budget.Conflicts > 0 && q.budget.Conflicts < screenConflicts {
+		screenConflicts = q.budget.Conflicts
 	}
-	if !deadline.IsZero() {
-		screen.SetDeadline(deadline)
-	}
-	screen.SetMaxVars(budget.MaxVars)
-	out := screen.Blast(query)
-	if out == nil {
-		res := Result{Status: Timeout, Reason: screen.StopReason(), Elapsed: time.Since(start)}
-		releaseBlaster(screen)
-		return res
-	}
-	screen.AssertTrue(out[0])
-	if budget.Share != nil {
-		screen.EnableShare(budget.Share, sat.ShareOptions{})
-	}
-
-	screenConflicts := opts.ScreenConflicts
-	if budget.Conflicts > 0 && budget.Conflicts < screenConflicts {
-		screenConflicts = budget.Conflicts
-	}
-	sb := sat.Budget{Conflicts: s.scaledConflicts(screenConflicts), Stop: budget.Stop, Deadline: deadline, MaxLits: budget.MaxLits}
-	verdict := screen.Solve(sb)
-
-	res := Result{
-		Elapsed:      time.Since(start),
-		Conflicts:    screen.S.Stats().Conflicts,
-		Propagations: screen.S.Stats().Propagations,
-	}
-	if verdict != sat.Unknown {
-		s.assembleVerdict(&res, verdict, screen, query, origA, origB)
-		releaseBlaster(screen)
-		return res
-	}
+	res, screen, ok := q.solveFresh(screenConflicts)
 	// Only a conflict-budget expiry earns the cube phase: an external
 	// stop or deadline means the whole query is out of time, and a
 	// resource/panic degradation would only repeat 2^k times.
-	if screen.UnknownReason() != ReasonBudget || budget.stopped() ||
-		(!deadline.IsZero() && !time.Now().Before(deadline)) {
-		res.Status = Unknown
-		res.Reason = screen.UnknownReason()
+	if !ok || res.Status != Unknown || res.Reason != ReasonBudget || q.budget.stopped() ||
+		(!q.deadline.IsZero() && !time.Now().Before(q.deadline)) {
 		releaseBlaster(screen)
-		return res
+		return res, ok
 	}
-
-	splitVars := screen.S.TopVars(opts.Vars)
+	splitVars := screen.S.TopVars(cb.opts.Vars)
 	releaseBlaster(screen)
 	if len(splitVars) == 0 {
-		res.Status = Unknown
-		res.Reason = ReasonBudget
-		return res
+		return res, true
 	}
+	return q.conquer(res, splitVars, cb.opts), true
+}
 
+// conquer races the 2^k cubes over splitVars and merges their
+// verdicts into res, the screening solve's Unknown.
+func (q *query) conquer(res Result, splitVars []sat.Var, opts CubeOptions) Result {
 	// Enumerate the 2^k cubes over the split variables. Workers blast
 	// the same residual query term with the same options, so variable
 	// numbering is identical across workers and the screen — the cube
 	// literals are valid everywhere.
 	ncubes := 1 << len(splitVars)
-	cubes := make([][]sat.Lit, ncubes)
-	for i := range cubes {
+	all := make([][]sat.Lit, ncubes)
+	for i := range all {
 		cube := make([]sat.Lit, len(splitVars))
 		for j, v := range splitVars {
 			cube[j] = sat.MkLit(v, i>>j&1 == 1)
 		}
-		cubes[i] = cube
+		all[i] = cube
 	}
 
 	nw := opts.Workers
@@ -181,7 +146,7 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 	var localStop atomic.Bool
 	watcherDone := make(chan struct{})
 	defer close(watcherDone)
-	if budget.Stop != nil {
+	if q.budget.Stop != nil {
 		go func() {
 			tick := time.NewTicker(time.Millisecond)
 			defer tick.Stop()
@@ -190,7 +155,7 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 				case <-watcherDone:
 					return
 				case <-tick.C:
-					if budget.Stop.Load() {
+					if q.budget.Stop.Load() {
 						localStop.Store(true)
 						return
 					}
@@ -230,13 +195,9 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 						ok = false
 					}
 				}()
-				b = acquireBlaster(s.satOpts)
-				b.SetStop(&localStop)
-				if !deadline.IsZero() {
-					b.SetDeadline(deadline)
-				}
-				b.SetMaxVars(budget.MaxVars)
-				o := b.Blast(query)
+				b = acquireBlaster(q.s.satOpts)
+				q.arm(b, &localStop)
+				o := b.Blast(q.residual)
 				if o == nil {
 					releaseBlaster(b)
 					return nil, false
@@ -273,15 +234,14 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 					if siteCube.Fire() {
 						fault.PanicAt("smt.cube")
 					}
-					cb := sat.Budget{Conflicts: s.scaledConflicts(budget.Conflicts), Stop: &localStop, Deadline: deadline, MaxLits: budget.MaxLits}
-					v := bl.Solve(cb, cube...)
+					v := bl.Solve(q.satBudget(q.budget.Conflicts, &localStop), cube...)
 					o = cubeOutcome{status: v}
 					switch v {
 					case sat.Sat:
 						// First SAT wins: extract the witness while this
 						// worker still owns the model, then cancel the rest.
 						var tmp Result
-						s.assembleVerdict(&tmp, v, bl, query, origA, origB)
+						q.verdict(&tmp, v, bl)
 						o.witness = tmp.Witness
 						localStop.Store(true)
 					case sat.Unknown:
@@ -300,7 +260,7 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 		}(w)
 	}
 
-	for _, cube := range cubes {
+	for _, cube := range all {
 		work <- cube
 	}
 	close(work)
@@ -309,7 +269,7 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 
 	res.Conflicts += conflicts.Load()
 	res.Propagations += props.Load()
-	res.Elapsed = time.Since(start)
+	res.Elapsed = time.Since(q.start)
 
 	allUnsat := true
 	mergedReason := ReasonNone
@@ -339,7 +299,7 @@ func (s *Solver) checkTermEquivCube(start time.Time, ta, tb *bv.Term, budget Bud
 	}
 	res.Status = Unknown
 	res.Reason = mergedReason
-	if budget.stopped() {
+	if q.budget.stopped() {
 		res.Reason = ReasonBudget
 	}
 	return res

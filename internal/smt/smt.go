@@ -30,7 +30,7 @@ import (
 
 // Fault-injection sites (no-ops unless a chaos plan arms them):
 // smt.rewrite panics inside the word-level phase to exercise the
-// boundary containment below; smt.context corrupts an incremental
+// boundary containment (contain); smt.context corrupts an incremental
 // Context's caches before panicking, exercising poison-and-reset.
 var (
 	siteRewrite = fault.NewSite("smt.rewrite")
@@ -194,172 +194,14 @@ func (s *Solver) CheckEquiv(a, b *expr.Expr, width uint, budget Budget) Result {
 }
 
 // CheckTermEquiv is CheckEquiv over pre-built bitvector terms. It is a
-// solver boundary: any panic below it — a genuine bug or an injected
-// fault — is contained here and degrades to Unknown with ReasonPanic
-// rather than crashing the caller; the panic is recorded through
-// fault.RecordPanic so containment stays observable.
+// solver boundary: any panic below it is contained and degrades to
+// Unknown with ReasonPanic rather than crashing the caller (see
+// contain).
 func (s *Solver) CheckTermEquiv(ta, tb *bv.Term, budget Budget) (res Result) {
-	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			fault.RecordPanic("smt.CheckTermEquiv", r)
-			res = Result{Status: Unknown, Reason: ReasonPanic, Elapsed: time.Since(start)}
-		}
-	}()
-	return s.checkTermEquiv(start, ta, tb, budget)
-}
-
-func (s *Solver) checkTermEquiv(start time.Time, ta, tb *bv.Term, budget Budget) Result {
-	query, origA, origB, deadline, early := s.prepareQuery(start, ta, tb, budget)
-	if early != nil {
-		return *early
-	}
-
-	bl := acquireBlaster(s.satOpts)
-	if budget.Stop != nil {
-		bl.SetStop(budget.Stop)
-	}
-	if !deadline.IsZero() {
-		bl.SetDeadline(deadline)
-	}
-	bl.SetMaxVars(budget.MaxVars)
-	out := bl.Blast(query)
-	if out == nil {
-		// Cancelled, out of time, or over the circuit cap mid-encoding.
-		res := Result{Status: Timeout, Reason: bl.StopReason(), Elapsed: time.Since(start)}
-		releaseBlaster(bl)
-		return res
-	}
-	bl.AssertTrue(out[0])
-	if budget.Share != nil {
-		// One-shot solvers assert the query outright, so exported
-		// clauses need no activation guard.
-		bl.EnableShare(budget.Share, sat.ShareOptions{})
-	}
-
-	sb := sat.Budget{Conflicts: s.scaledConflicts(budget.Conflicts), Stop: budget.Stop, Deadline: deadline, MaxLits: budget.MaxLits}
-	verdict := bl.Solve(sb)
-	res := Result{
-		Elapsed:      time.Since(start),
-		Conflicts:    bl.S.Stats().Conflicts,
-		Propagations: bl.S.Stats().Propagations,
-	}
-	s.assembleVerdict(&res, verdict, bl, query, origA, origB)
-	releaseBlaster(bl)
+	q := s.newQuery(budget)
+	defer contain("smt.CheckTermEquiv", q.start, nil, &res)
+	res, _ = s.checkTerms(q, ta, tb, nil, nil, fresh{})
 	return res
-}
-
-// prepareQuery runs the word-level phase shared by the one-shot and
-// cube-and-conquer paths: budget gates, rewriting, arithmetic
-// normalization, and the residual-query fold. A non-nil early result
-// means the query was decided (or degraded) without touching a SAT
-// solver; otherwise the returned residual query must be blasted.
-func (s *Solver) prepareQuery(start time.Time, ta, tb *bv.Term, budget Budget) (query, origA, origB *bv.Term, deadline time.Time, early *Result) {
-	width := ta.Width
-	origA, origB = ta, tb
-	if budget.Timeout > 0 {
-		deadline = start.Add(budget.Timeout)
-	}
-
-	// Consult the budget before the word-level phase, not only after:
-	// rewriting and polynomial expansion can themselves be the
-	// expensive part (termPoly is exponential on adversarial Mul
-	// nests), and a query whose budget is already exhausted must not
-	// buy any of it.
-	if budget.stopped() || (!deadline.IsZero() && time.Now().After(deadline)) {
-		return nil, origA, origB, deadline, &Result{Status: Timeout, Reason: ReasonBudget, Elapsed: time.Since(start)}
-	}
-	if siteRewrite.Fire() {
-		fault.PanicAt("smt.rewrite")
-	}
-
-	// Pre-solve equivalence screen: evaluate corner + random vector
-	// blocks on the bitsliced engine before buying any rewriting or
-	// SAT work. Most non-identities die here with a verified witness;
-	// the screen is refute-only, so it can never flip a verdict.
-	if !budget.NoScreen {
-		if w, ok := screenEquiv(ta, tb, budget, deadline); ok {
-			return nil, origA, origB, deadline, &Result{
-				Status: NotEquivalent, Witness: w, Screened: true,
-				Elapsed: time.Since(start),
-			}
-		}
-	}
-
-	rw := bv.NewRewriter(s.level)
-	if s.level != bv.RewriteNone {
-		ta, tb = rw.Rewrite(ta), rw.Rewrite(tb)
-		// Hash-consing may already have unified the two sides.
-		if ta == tb {
-			return nil, origA, origB, deadline, &Result{Status: Equivalent, Elapsed: time.Since(start), Rewritten: true}
-		}
-		// Word-level arithmetic normalization (every real solver's
-		// preprocessing does this): expand both sides as polynomials
-		// over bitwise atoms and compare.
-		if arithEqual(ta, tb, rw, width) {
-			return nil, origA, origB, deadline, &Result{Status: Equivalent, Elapsed: time.Since(start), Rewritten: true}
-		}
-	}
-	if budget.stopped() || (!deadline.IsZero() && time.Now().After(deadline)) {
-		return nil, origA, origB, deadline, &Result{Status: Timeout, Reason: ReasonBudget, Elapsed: time.Since(start)}
-	}
-
-	query = bv.Predicate(bv.Ne, ta, tb)
-	query = rw.Rewrite(query)
-
-	// The rewriter may still decide the residual query outright.
-	if query.Op == bv.Const {
-		res := Result{Elapsed: time.Since(start), Rewritten: true}
-		if query.Val == 0 {
-			res.Status = Equivalent
-		} else {
-			res.Status = NotEquivalent
-			// The fold proves the sides differ but carries no model;
-			// probe the original terms for a concrete distinguishing
-			// input so callers can always replay the counterexample. A
-			// nil witness (budget expired mid-probe, or every probe
-			// failed) is reported as "no witness found" rather than an
-			// all-zeros map.
-			if w, ok := findWitness(origA, origB, budget, deadline); ok {
-				res.Witness = w
-			}
-		}
-		return nil, origA, origB, deadline, &res
-	}
-	return query, origA, origB, deadline, nil
-}
-
-// assembleVerdict fills res from a SAT phase outcome, extracting a
-// model-backed witness on Sat (variables the rewriter eliminated are
-// unconstrained by the circuit and pinned to zero so the witness
-// covers every variable of the original query and replays cleanly).
-func (s *Solver) assembleVerdict(res *Result, verdict sat.Status, bl *bitblast.Blaster, query, origA, origB *bv.Term) {
-	switch verdict {
-	case sat.Unsat:
-		res.Status = Equivalent
-	case sat.Sat:
-		res.Status = NotEquivalent
-		res.Witness = map[string]uint64{}
-		for name := range bv.Vars(query) {
-			if v, ok := bl.Model(name); ok {
-				res.Witness[name] = v
-			}
-		}
-		for name := range termVars(origA, origB) {
-			if _, ok := res.Witness[name]; !ok {
-				res.Witness[name] = 0
-			}
-		}
-	default:
-		res.Status = Timeout
-		res.Reason = bl.UnknownReason()
-	}
-}
-
-// CheckZero decides whether e == 0 for all inputs (the MBA identity
-// equation form E = 0).
-func (s *Solver) CheckZero(e *expr.Expr, width uint, budget Budget) Result {
-	return s.CheckEquiv(e, expr.Const(0), width, budget)
 }
 
 // NewCustom builds a personality with explicit rewrite level and SAT

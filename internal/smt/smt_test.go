@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mbasolver/internal/eval"
+	"mbasolver/internal/expr"
 	"mbasolver/internal/parser"
 )
 
@@ -98,11 +99,11 @@ func TestCheckZero(t *testing.T) {
 	s := NewZ3Sim()
 	// x - y - (x^y) - 2*(x|~y) - 2 == 0 (Example 1 rearranged).
 	e := parser.MustParse("x - y - (x^y) - 2*(x|~y) - 2")
-	if res := s.CheckZero(e, 8, Budget{Timeout: 30 * time.Second}); res.Status != Equivalent {
-		t.Errorf("CheckZero(example 1) = %v, want equivalent", res.Status)
+	if res := s.CheckEquiv(e, expr.Const(0), 8, Budget{Timeout: 30 * time.Second}); res.Status != Equivalent {
+		t.Errorf("CheckEquiv(example 1, 0) = %v, want equivalent", res.Status)
 	}
-	if res := s.CheckZero(parser.MustParse("x+1"), 8, Budget{}); res.Status != NotEquivalent {
-		t.Errorf("CheckZero(x+1) = %v, want not-equivalent", res.Status)
+	if res := s.CheckEquiv(parser.MustParse("x+1"), expr.Const(0), 8, Budget{}); res.Status != NotEquivalent {
+		t.Errorf("CheckEquiv(x+1, 0) = %v, want not-equivalent", res.Status)
 	}
 }
 

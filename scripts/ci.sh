@@ -48,9 +48,11 @@ go test -race -count=1 ./internal/portfolio/ -run 'TestParallelMatchesSolo|TestP
 # Bench smoke: the miniature incremental-vs-fresh solver benchmark,
 # the solo-vs-share+cubes benchmark, the sharded-cluster benchmark and
 # the evaluation-engine benchmark must run end to end with zero
-# verdict/evaluation mismatches, and the Go benchmarks must still
+# verdict/evaluation mismatches, the solver benchmark rerun at
+# BENCH_solver.json's config must reproduce its committed
+# deterministic counters exactly, and the Go benchmarks must still
 # execute (full numbers: scripts/bench.sh).
-go test ./internal/harness/ -run 'TestSolverBenchSmoke|TestParallelBenchSmoke|TestClusterBenchSmoke|TestEvalBenchSmoke'
+go test ./internal/harness/ -run 'TestSolverBenchSmoke|TestSolverBenchCountersMatchCommitted|TestParallelBenchSmoke|TestClusterBenchSmoke|TestEvalBenchSmoke'
 go test ./internal/smt/ -run '^$' -bench CheckTermEquiv -benchtime 1x
 go test ./internal/sat/ -run '^$' -bench Solve -benchtime 1x
 go test ./internal/expr/ -run '^$' -bench Hash -benchtime 1x
