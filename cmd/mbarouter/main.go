@@ -4,9 +4,8 @@
 // Usage:
 //
 //	mbarouter -nodes http://h1:8391,http://h2:8391 [-addr 127.0.0.1:8390]
-//	          [-vnodes 64] [-probe-interval 500ms] [-probe-timeout 2s]
-//	          [-eject-threshold 3] [-eject-cooldown 500ms]
-//	          [-max-batch 1024]
+//	          [-probe-interval 500ms] [-probe-timeout 2s]
+//	          [-eject-threshold 3] [-eject-cooldown 500ms] [-max-batch 1024]
 //	mbarouter -selfcheck -target http://host:port
 //
 // The router owns no solver state — only the consistent-hash ring, the
@@ -47,7 +46,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8390", "listen address (port 0 picks a free port)")
 	nodes := flag.String("nodes", "", "comma-separated backend base URLs (required in server mode)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per backend on the hash ring (0 = 64)")
 	probeInterval := flag.Duration("probe-interval", 0, "active /readyz probe period (0 = 500ms, negative disables)")
 	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe timeout (0 = 2s)")
 	ejectThreshold := flag.Int("eject-threshold", 0, "consecutive failures ejecting a node (0 = 3)")
@@ -80,7 +78,6 @@ func main() {
 
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Nodes:         nodeList,
-		VirtualNodes:  *vnodes,
 		ProbeInterval: *probeInterval,
 		ProbeTimeout:  *probeTimeout,
 		Health: cluster.HealthOptions{

@@ -41,7 +41,7 @@ func solveTruth(t *testing.T) map[string]pair {
 	t.Helper()
 	truth := make(map[string]pair, len(corpus))
 	for _, p := range corpus {
-		key, err := (service.SolveRequest{A: p.a, B: p.b, Width: width}).RouteKey()
+		key, err := (service.BatchItem{Solve: &service.SolveRequest{A: p.a, B: p.b, Width: width}}).RouteKey()
 		if err != nil {
 			t.Fatal(err)
 		}

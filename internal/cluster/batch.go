@@ -9,18 +9,17 @@ import (
 	"mbasolver/internal/smt"
 )
 
-// This file is the batch fan-out engine shared by the HTTP router and
-// the cluster-aware client: split a batch into per-node sub-batches by
-// each item's canonical digest route key, send the sub-batches
-// concurrently, fail items over to their next ring replica when a node
-// cannot answer, reassemble everything in input order, and degrade
-// items whose every replica failed to reasoned Unknowns instead of
-// failing the batch.
+// This file is the router's batch fan-out engine: split a batch into
+// per-node sub-batches by each item's canonical digest route key, send
+// the sub-batches concurrently, fail items over to their next ring
+// replica when a node cannot answer, reassemble everything in input
+// order, and degrade items whose every replica failed to reasoned
+// Unknowns instead of failing the batch.
 
 // SendFunc posts one sub-batch to one node. Implementations: the
-// router's raw HTTP forward, the cluster client's typed call, and test
-// doubles. A non-nil error (or a malformed response) counts as a node
-// failure and triggers failover for every item in the sub-batch.
+// router's HTTP forward and test doubles. A non-nil error (or a
+// malformed response) counts as a node failure and triggers failover
+// for every item in the sub-batch.
 type SendFunc func(ctx context.Context, node string, req *service.BatchRequest) (*service.BatchResponse, error)
 
 // ExecuteOptions tunes one batch execution.
@@ -35,31 +34,48 @@ type ExecuteOptions struct {
 	Report func(node string, ok bool)
 }
 
+// replicaWalk is the one failover order of the cluster, for single
+// requests and batch items alike: a key's untried replicas in ring
+// order, routable ones first, then the untried ones allow refuses
+// (force-admitted — answering beats refusing), never a node twice.
+type replicaWalk struct {
+	seq  []string // replica preference order (ring sequence)
+	used []bool   // seq[i] already tried
+}
+
+func newReplicaWalk(ring *Ring, key string) replicaWalk {
+	seq := ring.Sequence(key)
+	return replicaWalk{seq: seq, used: make([]bool, len(seq))}
+}
+
+// next marks and returns the next node to try, or "" once every
+// replica has been tried. A nil allow admits every node.
+func (w *replicaWalk) next(allow func(string) bool) string {
+	pick := -1
+	for i, n := range w.seq {
+		if w.used[i] {
+			continue
+		}
+		if allow == nil || allow(n) {
+			pick = i
+			break
+		}
+		if pick < 0 {
+			pick = i
+		}
+	}
+	if pick < 0 {
+		return ""
+	}
+	w.used[pick] = true
+	return w.seq[pick]
+}
+
 // batchItemState tracks one item through failover rounds.
 type batchItemState struct {
 	idx  int // position in the original request
 	item service.BatchItem
-	seq  []string        // replica preference order (ring sequence)
-	used map[string]bool // nodes already tried — never the same dead node twice
-}
-
-// next returns the item's next target node honoring allow, falling
-// back to any untried node when allow refuses all of them, and ""
-// when every replica has been tried.
-func (st *batchItemState) next(allow func(string) bool) string {
-	var fallback string
-	for _, n := range st.seq {
-		if st.used[n] {
-			continue
-		}
-		if allow == nil || allow(n) {
-			return n
-		}
-		if fallback == "" {
-			fallback = n
-		}
-	}
-	return fallback
+	walk replicaWalk
 }
 
 // ExecuteBatch runs req across the ring. The returned response has one
@@ -67,8 +83,9 @@ func (st *batchItemState) next(allow func(string) bool) string {
 // are summed over the per-node sub-batches (dedup itself happens
 // node-side, and the ring guarantees structurally identical items
 // share a node, so cross-node duplicates cannot split a group).
-func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, send SendFunc, opts ExecuteOptions) *service.BatchResponse {
-	resp := &service.BatchResponse{
+// degraded counts the items no replica could answer.
+func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, send SendFunc, opts ExecuteOptions) (resp *service.BatchResponse, degraded int) {
+	resp = &service.BatchResponse{
 		Items: make([]service.BatchItemResult, len(req.Items)),
 	}
 
@@ -82,31 +99,22 @@ func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, se
 			resp.Items[idx].Error = err.Error()
 			continue
 		}
-		pending = append(pending, &batchItemState{
-			idx:  idx,
-			item: it,
-			seq:  ring.Sequence(key),
-			used: make(map[string]bool, 1),
-		})
+		pending = append(pending, &batchItemState{idx: idx, item: it, walk: newReplicaWalk(ring, key)})
 	}
 
 	// Failover rounds: each round sends every pending item to its next
-	// untried replica, at most once per node per round. len(nodes)
-	// rounds suffice — after that every item has tried every replica.
-	for round := 0; round < len(ring.nodes) && len(pending) > 0; round++ {
+	// untried replica, at most once per node per round, and degrades
+	// the items whose walk is over; every walk ends, so the rounds do.
+	for len(pending) > 0 {
 		byNode := make(map[string][]*batchItemState)
-		var exhausted []*batchItemState
 		for _, st := range pending {
-			node := st.next(opts.Allow)
+			node := st.walk.next(opts.Allow)
 			if node == "" {
-				exhausted = append(exhausted, st)
+				degradeItem(&resp.Items[st.idx], st.item)
+				degraded++
 				continue
 			}
-			st.used[node] = true
 			byNode[node] = append(byNode[node], st)
-		}
-		for _, st := range exhausted {
-			degradeItem(&resp.Items[st.idx], st.item)
 		}
 
 		var mu sync.Mutex
@@ -150,11 +158,7 @@ func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, se
 		}
 		wg.Wait()
 	}
-	// Anything still pending tried every replica and failed.
-	for _, st := range pending {
-		degradeItem(&resp.Items[st.idx], st.item)
-	}
-	return resp
+	return resp, degraded
 }
 
 // degradeItem fills the reasoned-Unknown answer for an item no node

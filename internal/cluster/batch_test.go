@@ -13,7 +13,7 @@ import (
 
 func testRing(t *testing.T, nodes ...string) *Ring {
 	t.Helper()
-	r, err := NewRing(nodes, 0)
+	r, err := NewRing(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestExecuteBatchOrderAndSharding(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		req.Items = append(req.Items, solveItem(fmt.Sprintf("x+%d", i), "x"))
 	}
-	resp := ExecuteBatch(context.Background(), ring, req, echoSend(nil), ExecuteOptions{})
+	resp, _ := ExecuteBatch(context.Background(), ring, req, echoSend(nil), ExecuteOptions{})
 	if len(resp.Items) != 12 {
 		t.Fatalf("got %d items, want 12", len(resp.Items))
 	}
@@ -87,7 +87,7 @@ func TestExecuteBatchIdenticalItemsShareNode(t *testing.T) {
 		solveItem("x+y", "(x|y)+(x&y)"),
 		solveItem("(x|y)+(x&y)", "x+y"), // order-normalized: same key
 	}}
-	resp := ExecuteBatch(context.Background(), ring, req, echoSend(nil), ExecuteOptions{})
+	resp, _ := ExecuteBatch(context.Background(), ring, req, echoSend(nil), ExecuteOptions{})
 	for i := 1; i < len(resp.Items); i++ {
 		if resp.Items[i].Node != resp.Items[0].Node {
 			t.Fatalf("identical items split across nodes %q and %q", resp.Items[0].Node, resp.Items[i].Node)
@@ -116,7 +116,7 @@ func TestExecuteBatchFailover(t *testing.T) {
 		return echoSend(nil)(ctx, node, sub)
 	}
 	var reports []string
-	resp := ExecuteBatch(context.Background(), ring, req, send, ExecuteOptions{
+	resp, _ := ExecuteBatch(context.Background(), ring, req, send, ExecuteOptions{
 		Report: func(node string, ok bool) {
 			mu.Lock()
 			reports = append(reports, fmt.Sprintf("%s=%t", node, ok))
@@ -163,7 +163,7 @@ func TestExecuteBatchAllNodesDownDegrades(t *testing.T) {
 	send := func(ctx context.Context, node string, sub *service.BatchRequest) (*service.BatchResponse, error) {
 		return nil, fmt.Errorf("refused")
 	}
-	resp := ExecuteBatch(context.Background(), ring, req, send, ExecuteOptions{})
+	resp, _ := ExecuteBatch(context.Background(), ring, req, send, ExecuteOptions{})
 	s := resp.Items[0]
 	if s.Solve == nil || s.Solve.Status != smt.Unknown.String() || s.Solve.Reason != service.ReasonUnavailable {
 		t.Fatalf("solve item not degraded to reasoned Unknown: %+v", s.Solve)
@@ -178,7 +178,7 @@ func TestExecuteBatchAllowFallback(t *testing.T) {
 	// (answering beats refusing) and succeed.
 	ring := testRing(t, "n1", "n2")
 	req := &service.BatchRequest{Items: []service.BatchItem{solveItem("x^y", "(x|y)-(x&y)")}}
-	resp := ExecuteBatch(context.Background(), ring, req, echoSend(nil), ExecuteOptions{
+	resp, _ := ExecuteBatch(context.Background(), ring, req, echoSend(nil), ExecuteOptions{
 		Allow: func(string) bool { return false },
 	})
 	if resp.Items[0].Solve == nil || resp.Items[0].Solve.Status != smt.Equivalent.String() {
@@ -198,7 +198,7 @@ func TestExecuteBatchMalformedItemLocalError(t *testing.T) {
 		{},                  // neither solve nor simplify
 		solveItem("x", "x"), // fine
 	}}
-	resp := ExecuteBatch(context.Background(), ring, req, send, ExecuteOptions{})
+	resp, _ := ExecuteBatch(context.Background(), ring, req, send, ExecuteOptions{})
 	if resp.Items[0].Error == "" || resp.Items[1].Error == "" {
 		t.Fatalf("malformed items not answered locally: %+v", resp.Items[:2])
 	}
@@ -225,7 +225,7 @@ func TestExecuteBatchShortResponseIsNodeFailure(t *testing.T) {
 		return echoSend(nil)(ctx, node, sub)
 	}
 	req := &service.BatchRequest{Items: []service.BatchItem{solveItem("x|y", "y|x")}}
-	resp := ExecuteBatch(context.Background(), ring, req, send, ExecuteOptions{})
+	resp, _ := ExecuteBatch(context.Background(), ring, req, send, ExecuteOptions{})
 	it := resp.Items[0]
 	if it.Solve == nil || it.Solve.Status != smt.Equivalent.String() {
 		t.Fatalf("item lost to a malformed node response: %+v", it)

@@ -41,32 +41,28 @@ type ringPoint struct {
 	node int // index into nodes
 }
 
-// DefaultVirtualNodes is the points-per-node count used when callers
-// pass 0.
+// DefaultVirtualNodes is every ring's points-per-node count.
 const DefaultVirtualNodes = 64
 
 // NewRing builds a ring over the given nodes (order-insensitive; the
 // hash space position depends only on the node name). It returns an
 // error on an empty or duplicate node list — a duplicate would
 // silently double that node's share.
-func NewRing(nodes []string, vnodes int) (*Ring, error) {
+func NewRing(nodes []string) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("ring needs at least one node")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
 	}
 	seen := make(map[string]bool, len(nodes))
 	r := &Ring{
 		nodes:  append([]string(nil), nodes...),
-		points: make([]ringPoint, 0, len(nodes)*vnodes),
+		points: make([]ringPoint, 0, len(nodes)*DefaultVirtualNodes),
 	}
 	for i, n := range r.nodes {
 		if seen[n] {
 			return nil, fmt.Errorf("duplicate node %q", n)
 		}
 		seen[n] = true
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVirtualNodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash: hashKey(n + "#" + strconv.Itoa(v)),
 				node: i,

@@ -6,26 +6,26 @@ import (
 )
 
 func TestNewRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty node list: want error")
 	}
-	if _, err := NewRing([]string{"a", "b", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "b", "a"}); err == nil {
 		t.Fatal("duplicate node: want error")
 	}
-	if _, err := NewRing([]string{"a"}, 0); err != nil {
+	if _, err := NewRing([]string{"a"}); err != nil {
 		t.Fatalf("single node: %v", err)
 	}
 }
 
 func TestRingLookupStable(t *testing.T) {
 	nodes := []string{"http://n1", "http://n2", "http://n3"}
-	r1, err := NewRing(nodes, 0)
+	r1, err := NewRing(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same nodes in a different construction order must map every key
 	// to the same owner: the ring position depends only on node names.
-	r2, err := NewRing([]string{"http://n3", "http://n1", "http://n2"}, 0)
+	r2, err := NewRing([]string{"http://n3", "http://n1", "http://n2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRingLookupStable(t *testing.T) {
 
 func TestRingDistribution(t *testing.T) {
 	nodes := []string{"http://n1", "http://n2", "http://n3"}
-	r, err := NewRing(nodes, 0)
+	r, err := NewRing(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRingDistribution(t *testing.T) {
 
 func TestRingSequence(t *testing.T) {
 	nodes := []string{"http://n1", "http://n2", "http://n3"}
-	r, err := NewRing(nodes, 0)
+	r, err := NewRing(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestRingSequence(t *testing.T) {
 // a node moves only the keys that node takes over, never keys between
 // two surviving nodes.
 func TestRingMinimalReshard(t *testing.T) {
-	small, err := NewRing([]string{"http://n1", "http://n2", "http://n3"}, 0)
+	small, err := NewRing([]string{"http://n1", "http://n2", "http://n3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := NewRing([]string{"http://n1", "http://n2", "http://n3", "http://n4"}, 0)
+	big, err := NewRing([]string{"http://n1", "http://n2", "http://n3", "http://n4"})
 	if err != nil {
 		t.Fatal(err)
 	}

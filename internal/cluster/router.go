@@ -20,8 +20,6 @@ import (
 type RouterConfig struct {
 	// Nodes are the backend base URLs, e.g. "http://10.0.0.7:8391".
 	Nodes []string
-	// VirtualNodes is the ring's points-per-node (default 64).
-	VirtualNodes int
 	// ProbeInterval is the active /readyz polling period (default
 	// 500ms; negative disables active probing, leaving only passive
 	// failure marking).
@@ -99,7 +97,7 @@ type RouterSnapshot struct {
 // prober loop.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg = cfg.withDefaults()
-	ring, err := NewRing(cfg.Nodes, cfg.VirtualNodes)
+	ring, err := NewRing(cfg.Nodes)
 	if err != nil {
 		return nil, fmt.Errorf("router ring: %w", err)
 	}
@@ -256,15 +254,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	id := r.Header.Get(service.HeaderRequestID)
-	resp := ExecuteBatch(r.Context(), rt.ring, &req, rt.sendSubBatch(id), ExecuteOptions{
+	resp, degraded := ExecuteBatch(r.Context(), rt.ring, &req, rt.sendSubBatch(id), ExecuteOptions{
 		Allow:  rt.health.Routable,
 		Report: rt.reportSend,
 	})
-	for i := range resp.Items {
-		if it := &resp.Items[i]; it.Solve != nil && it.Solve.Reason == service.ReasonUnavailable {
-			rt.met.degraded.Add(1)
-		}
-	}
+	rt.met.degraded.Add(int64(degraded))
 	resp.RequestID = id
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	service.WriteJSON(w, http.StatusOK, resp)
@@ -319,10 +313,10 @@ func (rt *Router) reportSend(node string, ok bool) {
 // ---- single-item routing --------------------------------------------
 
 // handleSingle forwards one solve/simplify/classify request to its
-// digest's owner node, failing over along the ring sequence on
-// transport errors and 502/503/504 — the "node is gone or leaving"
-// answers. Anything else (including a node's 400/429) is the backend's
-// real answer and is relayed verbatim.
+// digest's owner node, failing over along the key's replica walk (the
+// one batch items take) on transport errors and 502/503/504 — the
+// "node is gone or leaving" answers. Anything else (including a node's
+// 400/429) is the backend's real answer and is relayed verbatim.
 func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 	rt.met.singles.Add(1)
 	if r.Method != http.MethodPost {
@@ -340,30 +334,15 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	seq := rt.ring.Sequence(key)
-	tried := 0
+	walk := newReplicaWalk(rt.ring, key)
 	var lastErr error
-	for round := 0; round < 2 && tried < len(seq); round++ {
-		// Round 0 honors the health view; round 1 force-admits ejected
-		// nodes rather than refusing the request outright.
-		for _, node := range seq {
-			if tried == len(seq) {
-				break
-			}
-			if round == 0 && !rt.health.Routable(node) {
-				continue
-			}
-			if round == 1 && rt.health.Routable(node) {
-				continue // already tried in round 0
-			}
-			tried++
-			done, err := rt.forwardSingle(w, r, node, body)
-			if done {
-				return
-			}
-			lastErr = err
-			rt.met.failovers.Add(1)
+	for node := walk.next(rt.health.Routable); node != ""; node = walk.next(rt.health.Routable) {
+		done, err := rt.forwardSingle(w, r, node, body)
+		if done {
+			return
 		}
+		lastErr = err
+		rt.met.failovers.Add(1)
 	}
 	rt.met.degraded.Add(1)
 	service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorResponse{
@@ -412,30 +391,31 @@ func (rt *Router) forwardSingle(w http.ResponseWriter, r *http.Request, node str
 }
 
 // routeKeyFor computes the canonical route key for a single-item
-// request body, using the same digest canonicalization as the nodes'
-// cache keys so routing and caching agree on what "the same query"
-// means.
+// request body as the key of the one-item batch the node will run it
+// as, so routing and caching agree on what "the same query" means.
 func routeKeyFor(path string, body []byte) (string, error) {
+	var it service.BatchItem
+	var req any
 	switch path {
 	case service.PathSolve:
-		var req service.SolveRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", fmt.Errorf("invalid request body: %w", err)
-		}
-		return req.RouteKey()
+		it.Solve = new(service.SolveRequest)
+		req = it.Solve
 	case service.PathSimplify:
-		var req service.SimplifyRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", fmt.Errorf("invalid request body: %w", err)
-		}
-		return req.RouteKey()
+		it.Simplify = new(service.SimplifyRequest)
+		req = it.Simplify
 	default:
-		var req service.ClassifyRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", fmt.Errorf("invalid request body: %w", err)
-		}
-		return req.RouteKey()
+		it.Classify = new(service.ClassifyRequest)
+		req = it.Classify
 	}
+	if err := json.Unmarshal(body, req); err != nil {
+		return "", fmt.Errorf("invalid request body: %w", err)
+	}
+	if it.Solve != nil {
+		// A single solve's own budget is the node's to check; the
+		// batch item it runs as carries none.
+		it.Solve.TimeoutMS = 0
+	}
+	return it.RouteKey()
 }
 
 // ---- router health & metrics ----------------------------------------

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,13 +21,16 @@ import (
 // Sat per item (Reason = its own name), /v1/solve with Sat, /readyz
 // per its ready flag. down simulates a crashed process (connection
 // refused is emulated with an immediate 502 from a wrapper — for true
-// connection errors the chaos test kills real listeners).
+// connection errors the chaos test kills real listeners). reply, when
+// set, is the status /v1/solve answers with instead of a verdict.
 type fakeNode struct {
 	name    string
 	ready   atomic.Bool
 	down    atomic.Bool
+	reply   atomic.Int64
 	batches atomic.Int64
 	singles atomic.Int64
+	posts   atomic.Int64 // every /v1/solve request, down or not
 	srv     *httptest.Server
 }
 
@@ -57,8 +61,18 @@ func newFakeNode(t *testing.T, name string) *fakeNode {
 		json.NewEncoder(w).Encode(resp)
 	})
 	mux.HandleFunc(service.PathSolve, func(w http.ResponseWriter, r *http.Request) {
+		n.posts.Add(1)
 		if n.down.Load() {
 			http.Error(w, "down", http.StatusServiceUnavailable)
+			return
+		}
+		if code := int(n.reply.Load()); code != 0 {
+			if code == http.StatusTooManyRequests {
+				w.Header().Set("Retry-After", "1")
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(code)
+			fmt.Fprintf(w, `{"error":"%s says %d"}`, name, code)
 			return
 		}
 		n.singles.Add(1)
@@ -78,6 +92,9 @@ func newFakeNode(t *testing.T, name string) *fakeNode {
 	return n
 }
 
+// testThreshold is the test routers' ejection threshold.
+const testThreshold = 2
+
 func newTestRouter(t *testing.T, probe time.Duration, nodes ...*fakeNode) *Router {
 	t.Helper()
 	urls := make([]string, len(nodes))
@@ -88,7 +105,7 @@ func newTestRouter(t *testing.T, probe time.Duration, nodes ...*fakeNode) *Route
 		Nodes:         urls,
 		ProbeInterval: probe,
 		ProbeTimeout:  time.Second,
-		Health:        HealthOptions{Threshold: 2, Cooldown: 50 * time.Millisecond},
+		Health:        HealthOptions{Threshold: testThreshold, Cooldown: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,6 +222,239 @@ func TestRouterSingleFailover(t *testing.T) {
 	}
 	if resp.Reason != "n2" {
 		t.Fatalf("served by %q, want the live node n2", resp.Reason)
+	}
+}
+
+// postSolve sends one routed /v1/solve.
+func postSolve(h http.Handler, req service.SolveRequest) *httptest.ResponseRecorder {
+	body, _ := json.Marshal(req)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, service.PathSolve, bytes.NewReader(body)))
+	return rec
+}
+
+// byURL indexes fake nodes by base URL.
+func byURL(nodes ...*fakeNode) map[string]*fakeNode {
+	m := make(map[string]*fakeNode, len(nodes))
+	for _, n := range nodes {
+		m[n.srv.URL] = n
+	}
+	return m
+}
+
+func TestRouterSingleRoutesToOwner(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	nodes := []*fakeNode{newFakeNode(t, "n1"), newFakeNode(t, "n2"), newFakeNode(t, "n3")}
+	rt := newTestRouter(t, -1, nodes...)
+	owners := byURL(nodes...)
+	for i := 0; i < 12; i++ {
+		req := service.SolveRequest{A: fmt.Sprintf("x*%d", i), B: "x", Width: 8}
+		key, err := service.BatchItem{Solve: &req}.RouteKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := owners[rt.Ring().Lookup(key)].name
+		rec := postSolve(rt.Handler(), req)
+		var resp service.SolveResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+			t.Fatalf("solve %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+		if resp.Reason != want {
+			t.Fatalf("solve %d served by %s, want its ring owner %s", i, resp.Reason, want)
+		}
+	}
+	if got := rt.Snapshot().Forwarded; got != 12 {
+		t.Fatalf("%d forwards for 12 healthy-owner solves, want 12", got)
+	}
+}
+
+// TestRouterSingleRelaysNodeAnswers checks that a node's own refusals
+// (400, and 429 with Retry-After) reach the caller verbatim: no
+// failover to another replica, and no health failure charged to the
+// node.
+func TestRouterSingleRelaysNodeAnswers(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	nodes := []*fakeNode{newFakeNode(t, "n1"), newFakeNode(t, "n2"), newFakeNode(t, "n3")}
+	rt := newTestRouter(t, -1, nodes...)
+	req := service.SolveRequest{A: "x^y", B: "(x|y)-(x&y)", Width: 8}
+	for _, code := range []int{http.StatusBadRequest, http.StatusTooManyRequests} {
+		for _, n := range nodes {
+			n.reply.Store(int64(code))
+			n.posts.Store(0)
+		}
+		// Threshold answers in a row would eject the owner if any of
+		// them counted as a failure.
+		for i := 0; i < testThreshold; i++ {
+			rec := postSolve(rt.Handler(), req)
+			if rec.Code != code {
+				t.Fatalf("routed solve answered %d, want the node's %d", rec.Code, code)
+			}
+			if !strings.HasSuffix(strings.TrimSpace(rec.Body.String()), fmt.Sprintf(`says %d"}`, code)) {
+				t.Fatalf("body %q is not the node's", rec.Body.String())
+			}
+			if code == http.StatusTooManyRequests && rec.Header().Get("Retry-After") != "1" {
+				t.Fatalf("Retry-After %q, want the node's 1", rec.Header().Get("Retry-After"))
+			}
+		}
+		var posts int64
+		for _, n := range nodes {
+			posts += n.posts.Load()
+		}
+		if posts != testThreshold {
+			t.Fatalf("%d node requests for %d solves answered %d: the router failed over", posts, testThreshold, code)
+		}
+		for node, state := range rt.Snapshot().Nodes {
+			if state != "healthy" {
+				t.Fatalf("node %s is %s after answering %d", node, state, code)
+			}
+		}
+	}
+	if got := rt.Snapshot().Failovers; got != 0 {
+		t.Fatalf("%d failovers on verbatim answers, want 0", got)
+	}
+}
+
+// TestRouterSingleWalkTriesEveryReplicaOnce: the key's first two
+// replicas are down (each already one failure into its streak) and
+// the third is ejected but alive. The walk must reach the third after
+// the first two eject mid-walk, and never try a node twice.
+func TestRouterSingleWalkTriesEveryReplicaOnce(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	nodes := []*fakeNode{newFakeNode(t, "n1"), newFakeNode(t, "n2"), newFakeNode(t, "n3")}
+	rt := newTestRouter(t, -1, nodes...)
+	owners := byURL(nodes...)
+	req := service.SolveRequest{A: "x+y", B: "(x^y)+2*(x&y)", Width: 8}
+	key, err := service.BatchItem{Solve: &req}.RouteKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := rt.Ring().Sequence(key)
+	for _, node := range seq[:2] {
+		rt.Health().ReportFailure(node)
+		owners[node].down.Store(true)
+	}
+	for i := 0; i < testThreshold; i++ {
+		rt.Health().ReportFailure(seq[2])
+	}
+	if rt.Health().Routable(seq[2]) {
+		t.Fatal("third replica not ejected")
+	}
+
+	rec := postSolve(rt.Handler(), req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("routed solve answered %d %s, want 200 from the live replica", rec.Code, rec.Body.String())
+	}
+	var resp service.SolveResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if want := owners[seq[2]].name; resp.Reason != want {
+		t.Fatalf("served by %q, want the live replica %s", resp.Reason, want)
+	}
+	var forwards int64
+	for _, n := range nodes {
+		if got := n.posts.Load(); got > 1 {
+			t.Fatalf("node %s forwarded to %d times", n.name, got)
+		}
+		forwards += n.posts.Load()
+	}
+	if forwards > int64(len(seq)) {
+		t.Fatalf("%d forwards, more than the %d replicas", forwards, len(seq))
+	}
+}
+
+// TestRouterDegradedCountsRouterDegradations: the degraded counter
+// counts exactly the items the router itself degraded — simplify
+// items included — and not a node's own "unavailable" answers.
+func TestRouterDegradedCountsRouterDegradations(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	n1, n2 := newFakeNode(t, "n1"), newFakeNode(t, "n2")
+	rt := newTestRouter(t, -1, n1, n2)
+	n1.down.Store(true)
+	n2.down.Store(true)
+	resp, rec := postBatch(t, rt.Handler(), service.BatchRequest{
+		Items: []service.BatchItem{{Simplify: &service.SimplifyRequest{Expr: "x&y", Width: 8}}},
+	})
+	if resp == nil {
+		t.Fatalf("batch answered %d, want 200 with a degraded item", rec.Code)
+	}
+	if !strings.Contains(resp.Items[0].Error, service.ReasonUnavailable) {
+		t.Fatalf("simplify item error %q missing reason", resp.Items[0].Error)
+	}
+	if got := rt.Snapshot().Degraded; got != 1 {
+		t.Fatalf("degraded = %d after one router-degraded simplify item, want 1", got)
+	}
+
+	// A node whose verdicts carry the reason "unavailable" stands for
+	// a node shedding the group: its answer is not the router's
+	// degradation.
+	shed := newFakeNode(t, service.ReasonUnavailable)
+	rt2 := newTestRouter(t, -1, shed)
+	resp, rec = postBatch(t, rt2.Handler(), service.BatchRequest{
+		Items: []service.BatchItem{solveItem("x|y", "y|x")},
+	})
+	if resp == nil || resp.Items[0].Solve == nil || resp.Items[0].Solve.Reason != service.ReasonUnavailable {
+		t.Fatalf("node answer not relayed: %d %s", rec.Code, rec.Body.String())
+	}
+	if got := rt2.Snapshot().Degraded; got != 0 {
+		t.Fatalf("degraded = %d for a node-side answer, want 0", got)
+	}
+}
+
+// TestRouterMalformedItemErrorsMatchNode: a malformed item the router
+// answers locally carries the error a real node gives the same item.
+func TestRouterMalformedItemErrorsMatchNode(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	svc := service.New(service.Config{Workers: 1})
+	node := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		node.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := svc.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	rt, err := NewRouter(RouterConfig{Nodes: []string{node.URL}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+
+	items := []service.BatchItem{
+		{Solve: &service.SolveRequest{A: "x +* y", B: "x", Width: 8}},
+		{Solve: &service.SolveRequest{A: "x", B: "(y", Width: 8}},
+		{Simplify: &service.SimplifyRequest{Expr: "x &", Width: 8}},
+		{Classify: &service.ClassifyRequest{Expr: "~", Width: 8}},
+		{Solve: &service.SolveRequest{A: "x", B: "x"}, Simplify: &service.SimplifyRequest{Expr: "x"}},
+		{},
+		{Simplify: &service.SimplifyRequest{Expr: "x&y", Basis: "both"}},
+		{Solve: &service.SolveRequest{A: "x", B: "x", Conflicts: -1}},
+		{Solve: &service.SolveRequest{A: "x", B: "x", TimeoutMS: 5}},
+		{Classify: &service.ClassifyRequest{Expr: "x", Samples: -1}},
+	}
+	req := service.BatchRequest{Items: items}
+	direct, rec := postBatch(t, svc.Handler(), req)
+	if direct == nil {
+		t.Fatalf("node answered %d %s", rec.Code, rec.Body.String())
+	}
+	routed, rec := postBatch(t, rt.Handler(), req)
+	if routed == nil {
+		t.Fatalf("router answered %d %s", rec.Code, rec.Body.String())
+	}
+	for i := range items {
+		if direct.Items[i].Error == "" {
+			t.Fatalf("item %d: node accepted a malformed item: %+v", i, direct.Items[i])
+		}
+		if routed.Items[i].Error != direct.Items[i].Error {
+			t.Errorf("item %d: router error %q, node error %q", i, routed.Items[i].Error, direct.Items[i].Error)
+		}
+		if routed.Items[i].Node != "" {
+			t.Errorf("item %d was forwarded to %s; malformed items are answered locally", i, routed.Items[i].Node)
+		}
+	}
+	if got := rt.Snapshot().Forwarded; got != 0 {
+		t.Fatalf("%d sub-batches forwarded for an all-malformed batch, want 0", got)
 	}
 }
 

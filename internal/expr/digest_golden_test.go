@@ -13,8 +13,8 @@ import (
 // TestDigestGoldenVectors pins expr.Digest to the exact hex values in
 // testdata/digests.golden. The digest is a cross-process contract, not
 // an implementation detail: the service keys its verdict cache on it,
-// the cluster ring shards by it, and the cluster client and router
-// must both compute the same owner node for the same expression. Any
+// the cluster ring shards by it, and every router must compute the
+// same owner node for the same expression. Any
 // change to canonicalization or the hash serialization that moves
 // these values is a breaking change for every deployed cache and ring
 // — this test makes that change loud instead of silent.

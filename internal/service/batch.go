@@ -78,61 +78,28 @@ func (it BatchItem) kinds() int {
 // always lands on the same node, keeping that node's semantic LRU and
 // incremental contexts hot for its shard. The key is derived from
 // canonical digests, so textual variants of the same expression route
-// together. A solve or simplify route key has the shape of the node's
-// cache key but equals it only for an explicit width: with width 0 the
-// route key embeds w0 while the node resolves its DefaultWidth.
-// Classify items route by expression alone.
+// together, and from parseItem, the node's own first validation step,
+// so an item the router refuses carries exactly the node's error. A
+// solve or simplify route key has the shape of the node's cache key
+// but equals it only for an explicit width: with width 0 the route key
+// embeds w0 while the node resolves its DefaultWidth. Solve keys are
+// order-normalized (a vs b and b vs a route identically). Classify
+// items route by expression alone: leaving out the sampling options
+// keeps every sample variant of one expression on the node where its
+// classify cache lives.
 func (it BatchItem) RouteKey() (string, error) {
-	if it.kinds() != 1 {
-		return "", fmt.Errorf("batch item must set exactly one of solve, simplify, classify")
-	}
-	switch {
-	case it.Solve != nil:
-		return it.Solve.RouteKey()
-	case it.Simplify != nil:
-		return it.Simplify.RouteKey()
-	default:
-		return it.Classify.RouteKey()
-	}
-}
-
-// RouteKey returns the canonical digest-pair key of a solve request
-// (order-normalized: a vs b and b vs a route identically).
-func (r SolveRequest) RouteKey() (string, error) {
-	a, err := parser.Parse(r.A)
-	if err != nil {
-		return "", fmt.Errorf("a: %w", err)
-	}
-	b, err := parser.Parse(r.B)
-	if err != nil {
-		return "", fmt.Errorf("b: %w", err)
-	}
-	return solveKey(r.Width, expr.Hash(a), expr.Hash(b)), nil
-}
-
-// RouteKey returns the canonical digest key of a simplify request.
-func (r SimplifyRequest) RouteKey() (string, error) {
-	disj, err := parseBasis(r.Basis)
+	p, err := parseItem(it)
 	if err != nil {
 		return "", err
 	}
-	e, err := parser.Parse(r.Expr)
-	if err != nil {
-		return "", fmt.Errorf("expr: %w", err)
+	switch p.kind {
+	case kindSolve:
+		return solveKey(p.reqWidth, p.da, p.db), nil
+	case kindSimplify:
+		return simplifyKey(p.reqWidth, p.disj, p.verify, p.digest), nil
+	default:
+		return "classify|" + p.digest.String(), nil
 	}
-	return simplifyKey(r.Width, disj, r.Verify, expr.Hash(e)), nil
-}
-
-// RouteKey returns the canonical digest key of a classify request.
-// Sampling options (width, samples, seed) are deliberately excluded:
-// routing by expression alone keeps every sample variant of one
-// expression on the same node, where its classify cache lives.
-func (r ClassifyRequest) RouteKey() (string, error) {
-	e, err := parser.Parse(r.Expr)
-	if err != nil {
-		return "", fmt.Errorf("expr: %w", err)
-	}
-	return "classify|" + expr.HashString(e), nil
 }
 
 // BatchItemResult is one item's answer. Exactly one of Solve, Simplify
@@ -311,10 +278,74 @@ const (
 	kindClassify
 )
 
+// parsedItem is the server-independent half of an item's validation:
+// the exactly-one-kind check, the request-only checks, parsing and the
+// canonical digests. The router keys items from it and the node builds
+// its jobs on it, so both refuse a malformed item with one error.
+type parsedItem struct {
+	kind     jobKind
+	reqWidth uint        // the requested width; 0 = server default
+	a, b     *expr.Expr  // solve operands
+	da, db   expr.Digest // their canonical digests
+	e        *expr.Expr  // simplify/classify input
+	digest   expr.Digest // e's canonical digest
+	disj     bool        // simplify basis
+	verify   bool        // simplify proof request
+}
+
+// parseItem validates and parses one item without a server.
+func parseItem(it BatchItem) (p parsedItem, err error) {
+	if it.kinds() != 1 {
+		return p, fmt.Errorf("batch item must set exactly one of solve, simplify, classify")
+	}
+	switch {
+	case it.Solve != nil:
+		req := it.Solve
+		if req.TimeoutMS != 0 {
+			return p, fmt.Errorf("batch items cannot set timeout_ms; the batch deadline is shared")
+		}
+		if req.Conflicts < 0 {
+			return p, fmt.Errorf("conflicts must be non-negative")
+		}
+		if p.a, err = parser.Parse(req.A); err != nil {
+			return p, fmt.Errorf("a: %w", err)
+		}
+		if p.b, err = parser.Parse(req.B); err != nil {
+			return p, fmt.Errorf("b: %w", err)
+		}
+		p.kind, p.reqWidth = kindSolve, req.Width
+		p.da, p.db = expr.Hash(p.a), expr.Hash(p.b)
+		return p, nil
+	case it.Simplify != nil:
+		req := it.Simplify
+		if p.disj, err = parseBasis(req.Basis); err != nil {
+			return p, err
+		}
+		p.kind, p.reqWidth, p.verify = kindSimplify, req.Width, req.Verify
+		return p, p.parseExpr(req.Expr)
+	default:
+		req := it.Classify
+		if req.Samples < 0 {
+			return p, fmt.Errorf("samples must be non-negative")
+		}
+		p.kind, p.reqWidth = kindClassify, req.Width
+		return p, p.parseExpr(req.Expr)
+	}
+}
+
+// parseExpr parses and digests a simplify or classify input.
+func (p *parsedItem) parseExpr(text string) (err error) {
+	if p.e, err = parser.Parse(text); err != nil {
+		return fmt.Errorf("expr: %w", err)
+	}
+	p.digest = expr.Hash(p.e)
+	return nil
+}
+
 // job is one parsed, validated unit of work: a deduplicated /v1/batch
 // group, or a single-endpoint request run as a one-item batch.
 type job struct {
-	kind jobKind
+	parsedItem
 	// key is the semantic cache key, shared by the LRU and the store
 	// and so by every endpoint; group extends it with the execution
 	// options that change the answer's shape (solver choice, portfolio,
@@ -323,14 +354,10 @@ type job struct {
 	key, group string
 	members    []int // batch item indices the answer fans out to
 
-	width        uint
-	spec         solveSpec   // solve options; spec.deadline bounds every kind
-	a, b         *expr.Expr  // solve operands
-	e            *expr.Expr  // simplify/classify input
-	digest       expr.Digest // e's canonical digest, already in key
-	disj, verify bool        // simplify basis and proof request
-	samples      int         // classify sample count and seed
-	seed         uint64
+	width   uint      // the resolved ring width
+	spec    solveSpec // solve options; spec.deadline bounds every kind
+	samples int       // classify sample count and seed
+	seed    uint64
 
 	// resp is the answer once recalled, run or degraded; errText
 	// replaces it for a simplify or classify the pool could not run.
@@ -338,119 +365,56 @@ type job struct {
 	errText string
 }
 
-// parseBatchItem validates one item and builds its job.
+// parseBatchItem validates one item and builds its job: parseItem's
+// server-independent checks, then the server's width default and cap,
+// solver names, default budget and the key and group strings.
 func (s *Server) parseBatchItem(it BatchItem, deadline time.Time) (*job, error) {
-	if it.kinds() != 1 {
-		return nil, fmt.Errorf("batch item must set exactly one of solve, simplify, classify")
+	p, err := parseItem(it)
+	if err != nil {
+		return nil, err
 	}
-	switch {
-	case it.Solve != nil:
+	width, err := s.width(p.reqWidth)
+	if err != nil {
+		return nil, err
+	}
+	j := &job{parsedItem: p, width: width, spec: solveSpec{deadline: deadline}}
+	switch p.kind {
+	case kindSolve:
 		req := it.Solve
-		width, err := s.width(req.Width)
-		if err != nil {
-			return nil, err
-		}
 		if !req.Portfolio && req.Solver != "" {
 			if _, ok := s.solvers[req.Solver]; !ok {
 				return nil, fmt.Errorf("unknown solver %q (want z3sim, stpsim or btorsim)", req.Solver)
 			}
 		}
-		if req.TimeoutMS != 0 {
-			return nil, fmt.Errorf("batch items cannot set timeout_ms; the batch deadline is shared")
-		}
-		if req.Conflicts < 0 {
-			return nil, fmt.Errorf("conflicts must be non-negative")
-		}
-		a, err := parser.Parse(req.A)
-		if err != nil {
-			return nil, fmt.Errorf("a: %w", err)
-		}
-		b, err := parser.Parse(req.B)
-		if err != nil {
-			return nil, fmt.Errorf("b: %w", err)
-		}
 		conflicts := req.Conflicts
 		if conflicts == 0 {
 			conflicts = s.cfg.DefaultConflicts
 		}
-		key := solveKey(width, expr.Hash(a), expr.Hash(b))
-		return &job{
-			kind:  kindSolve,
-			key:   key,
-			group: fmt.Sprintf("%s|s=%s|p=%t|pre=%t|c=%d", key, req.Solver, req.Portfolio, req.Simplify, conflicts),
-			a:     a, b: b,
-			width: width,
-			spec: solveSpec{
-				solver:    req.Solver,
-				portfolio: req.Portfolio,
-				simplify:  req.Simplify,
-				conflicts: conflicts,
-				deadline:  deadline,
-			},
-		}, nil
-
-	case it.Classify != nil:
+		j.key = solveKey(width, p.da, p.db)
+		j.group = fmt.Sprintf("%s|s=%s|p=%t|pre=%t|c=%d", j.key, req.Solver, req.Portfolio, req.Simplify, conflicts)
+		j.spec = solveSpec{
+			solver:    req.Solver,
+			portfolio: req.Portfolio,
+			simplify:  req.Simplify,
+			conflicts: conflicts,
+			deadline:  deadline,
+		}
+	case kindClassify:
 		req := it.Classify
-		e, err := parser.Parse(req.Expr)
-		if err != nil {
-			return nil, fmt.Errorf("expr: %w", err)
-		}
-		width, err := s.width(req.Width)
-		if err != nil {
-			return nil, err
-		}
-		if req.Samples < 0 {
-			return nil, fmt.Errorf("samples must be non-negative")
-		}
 		if req.Samples > maxClassifySamples {
 			return nil, fmt.Errorf("samples %d above the server cap %d", req.Samples, maxClassifySamples)
 		}
-		seed := req.Seed
-		if seed == 0 {
-			seed = classifySeed
+		j.samples, j.seed = req.Samples, req.Seed
+		if j.seed == 0 {
+			j.seed = classifySeed
 		}
-		digest := expr.Hash(e)
-		key := classifyKey(width, req.Samples, seed, digest)
-		return &job{
-			kind:    kindClassify,
-			key:     key,
-			group:   key,
-			e:       e,
-			digest:  digest,
-			width:   width,
-			spec:    solveSpec{deadline: deadline},
-			samples: req.Samples,
-			seed:    seed,
-		}, nil
-
+		j.key = classifyKey(width, j.samples, j.seed, p.digest)
+		j.group = j.key
 	default:
-		req := it.Simplify
-		width, err := s.width(req.Width)
-		if err != nil {
-			return nil, err
-		}
-		disj, err := parseBasis(req.Basis)
-		if err != nil {
-			return nil, err
-		}
-		e, err := parser.Parse(req.Expr)
-		if err != nil {
-			return nil, fmt.Errorf("expr: %w", err)
-		}
-		digest := expr.Hash(e)
-		key := simplifyKey(width, disj, req.Verify, digest)
-		return &job{
-			kind:   kindSimplify,
-			key:    key,
-			group:  key,
-			e:      e,
-			digest: digest,
-			width:  width,
-			spec:   solveSpec{deadline: deadline},
-			disj:   disj,
-			verify: req.Verify,
-		}, nil
+		j.key = simplifyKey(width, p.disj, p.verify, p.digest)
+		j.group = j.key
 	}
+	return j, nil
 }
 
 // runBatchGroup executes one job on the worker pool and remembers its

@@ -6,67 +6,42 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mbasolver/internal/cluster"
+	"mbasolver/internal/leakcheck"
 	"mbasolver/internal/service"
 	"mbasolver/internal/smt"
 )
 
-// clusterNode is a scripted mbaserved stand-in for cluster-client
-// tests: it records the order of nodes contacted and can be toggled
-// dead (503 on everything).
+// These tests drive a cluster the way a deployment does: a Client
+// talks to an mbarouter (cluster.Router) that fronts scripted nodes.
+// The router owns routing, failover and degradation; the client must
+// see one server whose answers survive node failures.
+
+// clusterNode is a scripted mbaserved stand-in that answers with its
+// name as the Reason and can be toggled dead (503 on everything).
 type clusterNode struct {
-	name  string
-	dead  atomic.Bool
-	hits  atomic.Int64
-	srv   *httptest.Server
-	trace *callTrace
+	name string
+	dead atomic.Bool
+	srv  *httptest.Server
 }
 
-type callTrace struct {
-	mu    sync.Mutex
-	calls []string
-}
-
-func (tr *callTrace) add(name string) {
-	tr.mu.Lock()
-	tr.calls = append(tr.calls, name)
-	tr.mu.Unlock()
-}
-
-func (tr *callTrace) snapshot() []string {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return append([]string(nil), tr.calls...)
-}
-
-func newClusterNode(t *testing.T, name string, trace *callTrace) *clusterNode {
+func newClusterNode(t *testing.T, name string) *clusterNode {
 	t.Helper()
-	n := &clusterNode{name: name, trace: trace}
+	n := &clusterNode{name: name}
 	mux := http.NewServeMux()
 	answer := func(w http.ResponseWriter, v any) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(v)
 	}
-	mux.HandleFunc(service.PathSolve, func(w http.ResponseWriter, r *http.Request) {
-		n.trace.add(name)
-		if n.dead.Load() {
-			http.Error(w, `{"error":"down"}`, http.StatusServiceUnavailable)
-			return
-		}
-		n.hits.Add(1)
-		answer(w, service.SolveResponse{Status: smt.Equivalent.String(), Reason: name})
-	})
 	mux.HandleFunc(service.PathBatch, func(w http.ResponseWriter, r *http.Request) {
-		n.trace.add(name)
 		if n.dead.Load() {
 			http.Error(w, `{"error":"down"}`, http.StatusServiceUnavailable)
 			return
 		}
-		n.hits.Add(1)
 		var req service.BatchRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -93,162 +68,36 @@ func newClusterNode(t *testing.T, name string, trace *callTrace) *clusterNode {
 	return n
 }
 
-func newTestCluster(t *testing.T, cfg ClusterConfig, nodes ...*clusterNode) *Cluster {
+// newClusterClient starts a router over nodes (probing every probe
+// interval; negative disables probing) and returns a Client for it.
+func newClusterClient(t *testing.T, probe time.Duration, nodes ...*clusterNode) *Client {
 	t.Helper()
 	urls := make([]string, len(nodes))
 	for i, n := range nodes {
 		urls[i] = n.srv.URL
 	}
-	cc, err := NewCluster(urls, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cc
-}
-
-func nameOf(nodes []*clusterNode, url string) string {
-	for _, n := range nodes {
-		if n.srv.URL == url {
-			return n.name
-		}
-	}
-	return url
-}
-
-func TestClusterSolveRoutesToOwner(t *testing.T) {
-	trace := &callTrace{}
-	n1, n2, n3 := newClusterNode(t, "n1", trace), newClusterNode(t, "n2", trace), newClusterNode(t, "n3", trace)
-	all := []*clusterNode{n1, n2, n3}
-	cc := newTestCluster(t, ClusterConfig{}, n1, n2, n3)
-	for i := 0; i < 8; i++ {
-		req := service.SolveRequest{A: fmt.Sprintf("x+%d", i), B: "x", Width: 8}
-		key, err := req.RouteKey()
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := cc.Solve(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := nameOf(all, cc.Ring().Lookup(key)); resp.Reason != want {
-			t.Fatalf("query %d served by %q, ring owner is %q", i, resp.Reason, want)
-		}
-	}
-}
-
-func TestClusterFailoverNeverSameDeadNodeTwiceInARow(t *testing.T) {
-	trace := &callTrace{}
-	n1, n2 := newClusterNode(t, "n1", trace), newClusterNode(t, "n2", trace)
-	cc := newTestCluster(t, ClusterConfig{
-		Retry: RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond},
-	}, n1, n2)
-
-	// Find a request owned by n1, then kill n1.
-	var req service.SolveRequest
-	for i := 0; ; i++ {
-		req = service.SolveRequest{A: fmt.Sprintf("y+%d", i), B: "y", Width: 8}
-		key, err := req.RouteKey()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cc.Ring().Lookup(key) == n1.srv.URL {
-			break
-		}
-	}
-	n1.dead.Store(true)
-	resp, err := cc.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatalf("failover did not reach the live node: %v", err)
-	}
-	if resp.Reason != "n2" {
-		t.Fatalf("served by %q, want n2", resp.Reason)
-	}
-	calls := trace.snapshot()
-	for i := 1; i < len(calls); i++ {
-		if calls[i] == calls[i-1] {
-			t.Fatalf("same node tried twice in a row: %v", calls)
-		}
-	}
-	if calls[0] != "n1" {
-		t.Fatalf("first attempt went to %q, want the owner n1", calls[0])
-	}
-}
-
-func TestClusterSuspectDeprioritized(t *testing.T) {
-	trace := &callTrace{}
-	n1, n2 := newClusterNode(t, "n1", trace), newClusterNode(t, "n2", trace)
-	cc := newTestCluster(t, ClusterConfig{
-		SuspectTTL: time.Minute,
-		Retry:      RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond},
-	}, n1, n2)
-
-	var req service.SolveRequest
-	for i := 0; ; i++ {
-		req = service.SolveRequest{A: fmt.Sprintf("z+%d", i), B: "z", Width: 8}
-		key, _ := req.RouteKey()
-		if cc.Ring().Lookup(key) == n1.srv.URL {
-			break
-		}
-	}
-	n1.dead.Store(true)
-	if _, err := cc.Solve(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	// Second identical call: n1 is suspect, so the first attempt must
-	// skip straight to n2 without touching the dead node again.
-	before := len(trace.snapshot())
-	if _, err := cc.Solve(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	calls := trace.snapshot()[before:]
-	if len(calls) == 0 || calls[0] != "n2" {
-		t.Fatalf("suspect node not deprioritized; second call went %v", calls)
-	}
-}
-
-func TestClusterNonFailoverErrorReturnedVerbatim(t *testing.T) {
-	trace := &callTrace{}
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		trace.add("bad")
-		http.Error(w, `{"error":"width out of range"}`, http.StatusBadRequest)
-	}))
-	defer bad.Close()
-	good := newClusterNode(t, "good", trace)
-	cc, err := NewCluster([]string{bad.URL, good.srv.URL}, ClusterConfig{
-		Retry: RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond},
+	rt, err := cluster.NewRouter(cluster.RouterConfig{
+		Nodes:         urls,
+		ProbeInterval: probe,
+		ProbeTimeout:  time.Second,
+		Health:        cluster.HealthOptions{Threshold: 1, Cooldown: time.Minute},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find a request owned by the bad node; its 400 must come back
-	// unchanged, not fail over (a 4xx is the real answer).
-	var req service.SolveRequest
-	for i := 0; ; i++ {
-		req = service.SolveRequest{A: fmt.Sprintf("w+%d", i), B: "w", Width: 8}
-		key, _ := req.RouteKey()
-		if cc.Ring().Lookup(key) == bad.URL {
-			break
-		}
-	}
-	_, err = cc.Solve(context.Background(), req)
-	se, ok := err.(*StatusError)
-	if !ok || se.Code != http.StatusBadRequest {
-		t.Fatalf("want the node's 400 verbatim, got %v", err)
-	}
-	for _, c := range trace.snapshot() {
-		if c == "good" {
-			t.Fatalf("4xx answer caused failover: %v", trace.snapshot())
-		}
-	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+	return New(front.URL)
 }
 
 func TestClusterBatchDegradesWhenAllNodesDead(t *testing.T) {
-	trace := &callTrace{}
-	n1, n2 := newClusterNode(t, "n1", trace), newClusterNode(t, "n2", trace)
-	cc := newTestCluster(t, ClusterConfig{}, n1, n2)
+	t.Cleanup(leakcheck.Check(t))
+	n1, n2 := newClusterNode(t, "n1"), newClusterNode(t, "n2")
+	cl := newClusterClient(t, -1, n1, n2)
 	n1.dead.Store(true)
 	n2.dead.Store(true)
-	resp, err := cc.Batch(context.Background(), service.BatchRequest{
+	resp, err := cl.Batch(context.Background(), service.BatchRequest{
 		Items: []service.BatchItem{
 			{Solve: &service.SolveRequest{A: "x+y", B: "x|y", Width: 8}},
 		},
@@ -263,18 +112,21 @@ func TestClusterBatchDegradesWhenAllNodesDead(t *testing.T) {
 }
 
 func TestClusterBatchSplitsAndReassembles(t *testing.T) {
-	trace := &callTrace{}
-	n1, n2, n3 := newClusterNode(t, "n1", trace), newClusterNode(t, "n2", trace), newClusterNode(t, "n3", trace)
-	cc := newTestCluster(t, ClusterConfig{}, n1, n2, n3)
+	t.Cleanup(leakcheck.Check(t))
+	n1, n2, n3 := newClusterNode(t, "n1"), newClusterNode(t, "n2"), newClusterNode(t, "n3")
+	cl := newClusterClient(t, -1, n1, n2, n3)
 	req := service.BatchRequest{}
 	for i := 0; i < 12; i++ {
 		req.Items = append(req.Items, service.BatchItem{
 			Solve: &service.SolveRequest{A: fmt.Sprintf("v+%d", i), B: "v", Width: 8},
 		})
 	}
-	resp, err := cc.Batch(context.Background(), req)
+	resp, err := cl.Batch(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(resp.Items) != len(req.Items) {
+		t.Fatalf("%d results for %d items", len(resp.Items), len(req.Items))
 	}
 	served := map[string]bool{}
 	for i, it := range resp.Items {
@@ -289,18 +141,35 @@ func TestClusterBatchSplitsAndReassembles(t *testing.T) {
 }
 
 func TestClusterReady(t *testing.T) {
-	trace := &callTrace{}
-	n1, n2 := newClusterNode(t, "n1", trace), newClusterNode(t, "n2", trace)
-	cc := newTestCluster(t, ClusterConfig{}, n1, n2)
-	if err := cc.Ready(context.Background()); err != nil {
+	t.Cleanup(leakcheck.Check(t))
+	n1, n2 := newClusterNode(t, "n1"), newClusterNode(t, "n2")
+	cl := newClusterClient(t, 10*time.Millisecond, n1, n2)
+	ctx := context.Background()
+	if err := cl.Ready(ctx); err != nil {
 		t.Fatalf("ready with live nodes: %v", err)
 	}
+
+	// One dead node: once the prober has ejected it, the cluster is
+	// still ready on the other.
 	n1.dead.Store(true)
-	if err := cc.Ready(context.Background()); err != nil {
+	time.Sleep(100 * time.Millisecond)
+	if err := cl.Ready(ctx); err != nil {
 		t.Fatalf("ready with one live node: %v", err)
 	}
+
+	// Zero live nodes: the cluster must leave rotation with a 503.
 	n2.dead.Store(true)
-	if err := cc.Ready(context.Background()); err == nil {
-		t.Fatal("ready with zero live nodes: want error")
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		err := cl.Ready(ctx)
+		if se, ok := err.(*StatusError); ok && se.Code == http.StatusServiceUnavailable {
+			return
+		} else if err != nil {
+			t.Fatalf("ready with zero live nodes: want a 503, got %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("ready with zero live nodes: still ready after 3s of probing")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -117,7 +117,8 @@ echo "ci: mbaserved smoke ok"
 # --- cluster boot + selfcheck smoke -----------------------------------
 # Three mbaserved nodes behind an mbarouter: the router's selfcheck
 # drives a routed solve and a deduplicating batch through the ring,
-# then every process must drain cleanly on SIGTERM.
+# again after one node is killed, then every surviving process must
+# drain cleanly on SIGTERM.
 go build -o "$bin/mbarouter" ./cmd/mbarouter
 
 nodes=""
@@ -171,15 +172,22 @@ fi
 # and a request ID on the response.
 go run ./cmd/mbarouter -selfcheck -target "$router_url"
 
-# Graceful shutdown: router first, then the nodes; every SIGTERM must
-# drain and exit 0.
+# Failover on real connection errors: SIGKILL node 1 and rerun the
+# selfcheck. Its routed single solve and deduplicating batch must walk
+# past the dead replica to a live one.
+kill -KILL "${node_pids[0]}"
+wait "${node_pids[0]}" 2>/dev/null || true
+go run ./cmd/mbarouter -selfcheck -target "$router_url"
+
+# Graceful shutdown: router first, then the surviving nodes; every
+# SIGTERM must drain and exit 0.
 kill -TERM "$router"
 if ! wait "$router"; then
     echo "ci: mbarouter did not exit cleanly on SIGTERM" >&2
     cat "$rlog" >&2
     exit 1
 fi
-for i in 1 2 3; do
+for i in 2 3; do
     pid="${node_pids[$((i - 1))]}"
     kill -TERM "$pid"
     if ! wait "$pid"; then
