@@ -83,8 +83,10 @@ type batchItemState struct {
 // are summed over the per-node sub-batches (dedup itself happens
 // node-side, and the ring guarantees structurally identical items
 // share a node, so cross-node duplicates cannot split a group).
-// degraded counts the items no replica could answer.
-func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, send SendFunc, opts ExecuteOptions) (resp *service.BatchResponse, degraded int) {
+// degraded counts the items no replica could answer; failovers counts
+// the sub-batches that retried items on another replica after a failed
+// forward.
+func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, send SendFunc, opts ExecuteOptions) (resp *service.BatchResponse, degraded, failovers int) {
 	resp = &service.BatchResponse{
 		Items: make([]service.BatchItemResult, len(req.Items)),
 	}
@@ -105,7 +107,9 @@ func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, se
 	// Failover rounds: each round sends every pending item to its next
 	// untried replica, at most once per node per round, and degrades
 	// the items whose walk is over; every walk ends, so the rounds do.
-	for len(pending) > 0 {
+	// Every item pending after the first round had its forward fail, so
+	// every sub-batch of a later round is a failover.
+	for round := 0; len(pending) > 0; round++ {
 		byNode := make(map[string][]*batchItemState)
 		for _, st := range pending {
 			node := st.walk.next(opts.Allow)
@@ -117,6 +121,9 @@ func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, se
 			byNode[node] = append(byNode[node], st)
 		}
 
+		if round > 0 {
+			failovers += len(byNode)
+		}
 		var mu sync.Mutex
 		var wg sync.WaitGroup
 		pending = pending[:0]
@@ -158,7 +165,7 @@ func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, se
 		}
 		wg.Wait()
 	}
-	return resp, degraded
+	return resp, degraded, failovers
 }
 
 // degradeItem fills the reasoned-Unknown answer for an item no node

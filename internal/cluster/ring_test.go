@@ -114,3 +114,31 @@ func TestRingMinimalReshard(t *testing.T) {
 		t.Fatalf("adding a node moved %d of %d keys", moved, keys)
 	}
 }
+
+// TestRingSplitsTwoLoopbackNodes keeps the cluster benchmark's "the
+// ring splits" intent deterministic: over two fixed loopback node
+// addresses (the shape of the benchmark's nodes), the route keys of
+// real solve items spread over both nodes, each within a factor of two
+// of its fair share.
+func TestRingSplitsTwoLoopbackNodes(t *testing.T) {
+	nodes := []string{"http://127.0.0.1:41001", "http://127.0.0.1:41002"}
+	r, err := NewRing(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make(map[string]int)
+	const keys = 200
+	for i := 0; i < keys; i++ {
+		key, err := solveItem(fmt.Sprintf("x+%d", i), "x").RouteKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[r.Lookup(key)]++
+	}
+	fair := keys / len(nodes)
+	for _, n := range nodes {
+		if c := counts[n]; c < fair/2 || c > fair*2 {
+			t.Fatalf("node %s got %d of %d keys (fair %d): %v", n, c, keys, fair, counts)
+		}
+	}
+}

@@ -254,11 +254,12 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	id := r.Header.Get(service.HeaderRequestID)
-	resp, degraded := ExecuteBatch(r.Context(), rt.ring, &req, rt.sendSubBatch(id), ExecuteOptions{
+	resp, degraded, failovers := ExecuteBatch(r.Context(), rt.ring, &req, rt.sendSubBatch(id), ExecuteOptions{
 		Allow:  rt.health.Routable,
 		Report: rt.reportSend,
 	})
 	rt.met.degraded.Add(int64(degraded))
+	rt.met.failovers.Add(int64(failovers))
 	resp.RequestID = id
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	service.WriteJSON(w, http.StatusOK, resp)
@@ -299,15 +300,13 @@ func (rt *Router) sendSubBatch(id string) SendFunc {
 	}
 }
 
-// reportSend feeds passive health from forwarding outcomes and counts
-// failovers.
+// reportSend feeds passive health from forwarding outcomes.
 func (rt *Router) reportSend(node string, ok bool) {
 	if ok {
 		rt.health.ReportSuccess(node)
 		return
 	}
 	rt.health.ReportFailure(node)
-	rt.met.failovers.Add(1)
 }
 
 // ---- single-item routing --------------------------------------------
@@ -337,12 +336,14 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 	walk := newReplicaWalk(rt.ring, key)
 	var lastErr error
 	for node := walk.next(rt.health.Routable); node != ""; node = walk.next(rt.health.Routable) {
+		if lastErr != nil {
+			rt.met.failovers.Add(1) // the previous replica failed
+		}
 		done, err := rt.forwardSingle(w, r, node, body)
 		if done {
 			return
 		}
 		lastErr = err
-		rt.met.failovers.Add(1)
 	}
 	rt.met.degraded.Add(1)
 	service.WriteJSON(w, http.StatusServiceUnavailable, service.ErrorResponse{

@@ -130,7 +130,7 @@ func postBatch(t *testing.T, h http.Handler, req service.BatchRequest) (*service
 }
 
 func TestRouterBatchRoutesAndReassembles(t *testing.T) {
-	defer leakcheck.Check(t)
+	t.Cleanup(leakcheck.Check(t))
 	n1, n2, n3 := newFakeNode(t, "n1"), newFakeNode(t, "n2"), newFakeNode(t, "n3")
 	rt := newTestRouter(t, -1, n1, n2, n3)
 	req := service.BatchRequest{}
@@ -163,7 +163,7 @@ func TestRouterBatchRoutesAndReassembles(t *testing.T) {
 }
 
 func TestRouterBatchFailover(t *testing.T) {
-	defer leakcheck.Check(t)
+	t.Cleanup(leakcheck.Check(t))
 	n1, n2, n3 := newFakeNode(t, "n1"), newFakeNode(t, "n2"), newFakeNode(t, "n3")
 	rt := newTestRouter(t, -1, n1, n2, n3)
 	n2.down.Store(true)
@@ -204,7 +204,7 @@ func TestRouterBatchFailover(t *testing.T) {
 }
 
 func TestRouterSingleFailover(t *testing.T) {
-	defer leakcheck.Check(t)
+	t.Cleanup(leakcheck.Check(t))
 	n1, n2 := newFakeNode(t, "n1"), newFakeNode(t, "n2")
 	rt := newTestRouter(t, -1, n1, n2)
 	n1.down.Store(true)
@@ -459,7 +459,7 @@ func TestRouterMalformedItemErrorsMatchNode(t *testing.T) {
 }
 
 func TestRouterAllNodesDownDegrades(t *testing.T) {
-	defer leakcheck.Check(t)
+	t.Cleanup(leakcheck.Check(t))
 	n1, n2 := newFakeNode(t, "n1"), newFakeNode(t, "n2")
 	rt := newTestRouter(t, -1, n1, n2)
 	n1.down.Store(true)
@@ -486,8 +486,38 @@ func TestRouterAllNodesDownDegrades(t *testing.T) {
 	}
 }
 
+// TestRouterFailoversCountRetries checks that a failover is counted
+// only when a failed forward is followed by a try on another replica:
+// with both nodes of a two-node cluster down, a single request and a
+// one-item batch each try both nodes, so each fails over once.
+func TestRouterFailoversCountRetries(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	n1, n2 := newFakeNode(t, "n1"), newFakeNode(t, "n2")
+	n1.down.Store(true)
+	n2.down.Store(true)
+
+	rt := newTestRouter(t, -1, n1, n2)
+	if rec := postSolve(rt.Handler(), service.SolveRequest{A: "x", B: "x", Width: 8}); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("single answered %d, want 503", rec.Code)
+	}
+	if tried := n1.posts.Load() + n2.posts.Load(); tried != 2 {
+		t.Fatalf("single tried %d nodes, want 2", tried)
+	}
+	if got := rt.Snapshot().Failovers; got != 1 {
+		t.Fatalf("single: %d failovers, want 1", got)
+	}
+
+	rt = newTestRouter(t, -1, n1, n2)
+	if resp, rec := postBatch(t, rt.Handler(), service.BatchRequest{Items: []service.BatchItem{solveItem("x+y", "x|y")}}); resp == nil {
+		t.Fatalf("batch answered %d, want 200 with a degraded item", rec.Code)
+	}
+	if snap := rt.Snapshot(); snap.Forwarded != 2 || snap.Failovers != 1 {
+		t.Fatalf("one-item batch: %d forwards and %d failovers, want 2 and 1", snap.Forwarded, snap.Failovers)
+	}
+}
+
 func TestRouterReadyReflectsNodeHealth(t *testing.T) {
-	defer leakcheck.Check(t)
+	t.Cleanup(leakcheck.Check(t))
 	n1 := newFakeNode(t, "n1")
 	rt := newTestRouter(t, -1, n1)
 
@@ -513,7 +543,7 @@ func TestRouterReadyReflectsNodeHealth(t *testing.T) {
 }
 
 func TestRouterProberEjectsAndReadmits(t *testing.T) {
-	defer leakcheck.Check(t)
+	t.Cleanup(leakcheck.Check(t))
 	n1, n2 := newFakeNode(t, "n1"), newFakeNode(t, "n2")
 	rt := newTestRouter(t, 20*time.Millisecond, n1, n2)
 	n1.ready.Store(false) // draining: alive but must leave rotation
@@ -540,7 +570,7 @@ func TestRouterProberEjectsAndReadmits(t *testing.T) {
 }
 
 func TestRouterRejectsOversizeBatch(t *testing.T) {
-	defer leakcheck.Check(t)
+	t.Cleanup(leakcheck.Check(t))
 	n1 := newFakeNode(t, "n1")
 	urls := []string{n1.srv.URL}
 	rt, err := NewRouter(RouterConfig{Nodes: urls, ProbeInterval: -1, MaxBatchItems: 2})
@@ -558,7 +588,7 @@ func TestRouterRejectsOversizeBatch(t *testing.T) {
 }
 
 func TestRouterCloseIdempotent(t *testing.T) {
-	defer leakcheck.Check(t)
+	t.Cleanup(leakcheck.Check(t))
 	n1 := newFakeNode(t, "n1")
 	rt := newTestRouter(t, 10*time.Millisecond, n1)
 	rt.Close()

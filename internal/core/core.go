@@ -26,10 +26,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"mbasolver/internal/expr"
 	"mbasolver/internal/metrics"
+	"mbasolver/internal/poly"
 	"mbasolver/internal/truthtable"
 )
 
@@ -102,7 +102,8 @@ type Stats struct {
 // to repopulate).
 type Simplifier struct {
 	opts  Options
-	table map[string]*expr.Expr // signature key -> normalized expr over placeholder vars
+	table map[tableKey]tableRow
+	bases map[string][]poly.Monomial // basis and variables -> basis monomials
 	stats Stats
 }
 
@@ -124,7 +125,7 @@ func New(opts Options) *Simplifier {
 	if opts.MaxIterations == 0 {
 		opts.MaxIterations = 4
 	}
-	return &Simplifier{opts: opts, table: map[string]*expr.Expr{}}
+	return &Simplifier{opts: opts, table: map[tableKey]tableRow{}, bases: map[string][]poly.Monomial{}}
 }
 
 // Default returns a Simplifier with default options (width 64,
@@ -304,7 +305,7 @@ func (s *Simplifier) bind(n *expr.Expr, binds *[]binding, byKey map[string]strin
 			return expr.Var(name)
 		}
 	}
-	name := tempNames.at(len(*binds))
+	name := tempName(len(*binds))
 	*binds = append(*binds, binding{name: name, sub: sub})
 	byKey[key] = name
 	return expr.Var(name)
@@ -324,14 +325,6 @@ func hasTempVars(e *expr.Expr) bool {
 		}
 	})
 	return found
-}
-
-// sortedVarsOf returns the sorted variables of e, the order signature
-// computations use.
-func sortedVarsOf(e *expr.Expr) []string {
-	v := expr.Vars(e)
-	sort.Strings(v)
-	return v
 }
 
 // better reports whether candidate a improves on b: strictly lower MBA

@@ -21,7 +21,7 @@ func (s *Simplifier) finalOptimize(e *expr.Expr) *expr.Expr {
 	if s.opts.DisableFinalOpt {
 		return e
 	}
-	vars := sortedVarsOf(e)
+	vars := expr.Vars(e) // sorted, the order signatures use
 	if len(vars) == 0 || len(vars) > 4 {
 		// Constants need no folding; >4 variables exceed the boolean
 		// synthesis budget.

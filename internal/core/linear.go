@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
 
 	"mbasolver/internal/eval"
@@ -20,171 +20,162 @@ import (
 // atoms, which keeps the transformation semantics-preserving at the
 // cost of less simplification.
 func (s *Simplifier) polyOf(e *expr.Expr) *poly.Poly {
-	return poly.FromExpr(e, s.opts.Width, s.leafPoly)
+	return poly.FromExpr(e, s.opts.Width, s.leaf)
 }
 
-// leafPoly is polyOf's polynomial for a variable or bitwise-rooted
-// subtree.
-func (s *Simplifier) leafPoly(e *expr.Expr) *poly.Poly {
+// leaf is polyOf's poly.Leaf for a variable or bitwise-rooted subtree.
+func (s *Simplifier) leaf(e *expr.Expr, p *poly.Poly, k uint64) {
 	if expr.IsBitwisePure(e) {
-		vars := sortedVarsOf(e)
-		if len(vars) <= s.opts.MaxVars {
-			return s.normalizeBitwise(e, vars)
+		var buf [truthtable.MaxVars]string
+		if vars, ok := appendVars(buf[:0], e, s.opts.MaxVars); ok {
+			s.addNormalized(e, vars, p, k)
+			return
 		}
 		s.stats.Bailouts++
 	}
-	return poly.FromAtom(poly.CanonAtom(e), s.opts.Width)
+	p.AddAtom(poly.CanonAtom(e), k)
 }
 
-// normalizeBitwise returns the normalized linear polynomial of a
-// bitwise-pure expression: coefficients over the conjunction (or
-// disjunction) basis obtained from the signature vector.
-func (s *Simplifier) normalizeBitwise(e *expr.Expr, vars []string) *poly.Poly {
-	sig := truthtable.Compute(e, vars, s.opts.Width)
-	s.stats.Signatures++
+// appendVars inserts e's variables into the sorted, distinct vars, or
+// reports false once there would be more than max.
+func appendVars(vars []string, e *expr.Expr, max int) ([]string, bool) {
+	if e == nil {
+		return vars, true
+	}
+	if e.Op == expr.OpVar {
+		if i, found := slices.BinarySearch(vars, e.Name); !found {
+			vars = slices.Insert(vars, i, e.Name)
+		}
+		return vars, len(vars) <= max
+	}
+	vars, ok := appendVars(vars, e.X, max)
+	if ok {
+		vars, ok = appendVars(vars, e.Y, max)
+	}
+	return vars, ok
+}
 
-	if !s.opts.DisableTable {
-		if cached, ok := s.table[sig.Key()]; ok {
-			s.stats.TableHits++
-			return s.polyFromNormalized(cached, vars)
+// tableKey identifies a look-up table row: the number of variables and
+// the signature vector, which for a bitwise-pure expression is its 0/1
+// truth column.
+type tableKey struct {
+	vars int
+	tt   uint64
+}
+
+// tableRow is a look-up table row: a signature's basis coefficients
+// (c[S] multiplies the base of subset S, c[∅] the constant −1) and the
+// basis they are over.
+type tableRow struct {
+	c     []uint64
+	basis Basis
+}
+
+// addNormalized adds k times the normalized linear polynomial of a
+// bitwise-pure expression to p: Σ c_S·base(vars, S) − c_∅, with the
+// coefficients solved from the signature vector or taken from the
+// look-up table, which is keyed by signature alone.
+func (s *Simplifier) addNormalized(e *expr.Expr, vars []string, p *poly.Poly, k uint64) {
+	key := tableKey{len(vars), truthtable.TruthColumn(e, vars)}
+	s.stats.Signatures++
+	row, ok := s.table[key]
+	if ok {
+		s.stats.TableHits++
+	} else {
+		s.stats.TableMisses++
+		sig := make([]uint64, 1<<len(vars))
+		for i := range sig {
+			sig[i] = key.tt >> i & 1
+		}
+		row = s.coefficients(sig)
+		if !s.opts.DisableTable {
+			s.table[key] = row
 		}
 	}
-	s.stats.TableMisses++
-
-	normalized := s.generate(sig, placeholderVars(len(vars)))
-	if !s.opts.DisableTable {
-		s.table[sig.Key()] = normalized
+	monos := s.basisMonomials(vars, row.basis)
+	for sub := 1; sub < len(row.c); sub++ {
+		if c := k * row.c[sub]; c&eval.Mask(s.opts.Width) != 0 {
+			if monos[sub].Key() == "" {
+				monos[sub] = poly.AtomMonomial(poly.CanonAtom(row.basis.join(vars, sub)))
+			}
+			p.AddMonomial(monos[sub], c)
+		}
 	}
-	return s.polyFromNormalized(normalized, vars)
+	p.AddConst(-k * row.c[0])
 }
 
-// placeholderVars returns the canonical placeholder names _v0.._vn-1
-// used to store look-up table entries independently of the caller's
-// variable names.
-func placeholderVars(n int) []string {
-	v := make([]string, n)
-	for i := range v {
-		v[i] = placeholderNames.at(i)
+// basisMonomials returns the cached monomials of the bases over vars,
+// indexed by subset, each built on first use.
+func (s *Simplifier) basisMonomials(vars []string, b Basis) []poly.Monomial {
+	var buf [64]byte
+	key := append(buf[:0], byte(b))
+	for _, v := range vars {
+		key = append(append(key, v...), 0)
 	}
-	return v
-}
-
-// polyFromNormalized converts a normalized expression over placeholder
-// variables into a polynomial over the caller's variables. The
-// normalized form is a linear combination of conjunction (or
-// disjunction) atoms plus a constant, so plain expansion suffices.
-func (s *Simplifier) polyFromNormalized(normalized *expr.Expr, vars []string) *poly.Poly {
-	env := make(map[string]*expr.Expr, len(vars))
-	for i, v := range vars {
-		env[placeholderNames.at(i)] = expr.Var(v)
+	monos, ok := s.bases[string(key)]
+	if !ok {
+		monos = make([]poly.Monomial, 1<<len(vars))
+		s.bases[string(key)] = monos
 	}
-	renamed := expr.SubstituteVars(normalized, env)
-	return poly.FromExpr(renamed, s.opts.Width, poly.Atoms(s.opts.Width, poly.CanonAtom))
+	return monos
 }
 
-// indexedNames is a family of generated variable names, prefix
-// followed by a decimal index, with the first few built once up front.
-type indexedNames struct {
-	prefix string
-	first  []string
-}
-
-func newIndexedNames(prefix string, n int) indexedNames {
-	first := make([]string, n)
-	for i := range first {
-		first[i] = prefix + strconv.Itoa(i)
+// tempNames are the first abstraction temporaries _t0, _t1, ...,
+// built once; tempName formats the later ones.
+var tempNames = func() (names [32]string) {
+	for i := range names {
+		names[i] = tempPrefix + strconv.Itoa(i)
 	}
-	return indexedNames{prefix: prefix, first: first}
-}
+	return names
+}()
 
-// at returns the i-th name of the family.
-func (f indexedNames) at(i int) string {
-	if i < len(f.first) {
-		return f.first[i]
+// tempName returns the i-th abstraction temporary.
+func tempName(i int) string {
+	if i < len(tempNames) {
+		return tempNames[i]
 	}
-	return f.prefix + strconv.Itoa(i)
+	return tempPrefix + strconv.Itoa(i)
 }
-
-// placeholderNames are the look-up table's placeholders _v0, _v1, ...;
-// tempNames the abstraction temporaries _t0, _t1, ....
-var (
-	placeholderNames = newIndexedNames("_v", 32)
-	tempNames        = newIndexedNames(tempPrefix, 32)
-)
 
 // generate builds the normalized expression for a signature vector
 // over the given variable names (paper §4.2–§4.3, GenerateMBA).
 func (s *Simplifier) generate(sig truthtable.Signature, vars []string) *expr.Expr {
-	switch s.opts.Basis {
-	case BasisDisjunction:
-		if e, err := s.generateDisjunction(sig, vars); err == nil {
-			return e
-		}
-		// The disjunction system can be singular only through misuse;
-		// fall back to the always-solvable conjunction basis.
-		fallthrough
-	default:
-		return s.generateConjunction(sig, vars)
-	}
+	row := s.coefficients(sig.S)
+	return s.basisCombination(row.c, vars, row.basis)
 }
 
-// generateConjunction solves the conjunction-basis system with a
-// Möbius transform: coefficient c_S for the conjunction of subset S,
-// with c_∅ multiplying the all-ones constant −1.
-func (s *Simplifier) generateConjunction(sig truthtable.Signature, vars []string) *expr.Expr {
-	c := append([]uint64(nil), sig.S...)
-	linalg.Moebius(c, sig.Width)
-	return s.basisCombination(c, vars, conjunctionOf)
-}
-
-// generateDisjunction solves the disjunction-basis system (Table 9)
-// with Gaussian elimination over Z/2^n: column S is the indicator of
-// assignments intersecting S (for |S| >= 1) and the all-ones column for
-// S = ∅.
-func (s *Simplifier) generateDisjunction(sig truthtable.Signature, vars []string) (*expr.Expr, error) {
-	n := len(sig.S)
-	m := linalg.NewMatrix(n, n, sig.Width)
-	for a := 0; a < n; a++ {
-		for sub := 0; sub < n; sub++ {
-			switch {
-			case sub == 0: // the -1 column
-				m.Set(a, sub, 1)
-			case a&sub != 0: // assignment a intersects subset sub
-				m.Set(a, sub, 1)
+// coefficients solves a signature vector over the simplifier's basis.
+// The conjunction basis is solved with a Möbius transform. The
+// disjunction basis (Table 9) is solved with Gaussian elimination over
+// Z/2^n: column S is the indicator of assignments intersecting S (for
+// |S| >= 1) and the all-ones column for S = ∅; it can be singular only
+// through misuse, and then the always-solvable conjunction basis is
+// used instead.
+func (s *Simplifier) coefficients(sig []uint64) tableRow {
+	n := len(sig)
+	if s.opts.Basis == BasisDisjunction {
+		m := linalg.NewMatrix(n, n, s.opts.Width)
+		for a := 0; a < n; a++ {
+			for sub := 0; sub < n; sub++ {
+				if sub == 0 || a&sub != 0 {
+					m.Set(a, sub, 1)
+				}
 			}
 		}
+		if c, err := m.Solve(sig); err == nil {
+			return tableRow{c, BasisDisjunction}
+		}
 	}
-	c, err := m.Solve(sig.S)
-	if err != nil {
-		return nil, err
-	}
-	return s.basisCombination(c, vars, disjunctionOf), nil
+	c := append([]uint64(nil), sig...)
+	linalg.Moebius(c, s.opts.Width)
+	return tableRow{c, BasisConjunction}
 }
 
 // basisCombination renders Σ c_S · base(S) + c_∅·(−1) as an expression
-// with signed coefficients, subsets ordered by size then index.
-func (s *Simplifier) basisCombination(c []uint64, vars []string, base func([]string, int) *expr.Expr) *expr.Expr {
+// with signed coefficients, subsets ordered by size (variables first,
+// then pairs, ...) then index, for a stable, readable normalized form.
+func (s *Simplifier) basisCombination(c []uint64, vars []string, basis Basis) *expr.Expr {
 	mask := eval.Mask(s.opts.Width)
-	type entry struct {
-		subset int
-		coeff  uint64
-	}
-	var entries []entry
-	for sub := 1; sub < len(c); sub++ {
-		if c[sub]&mask != 0 {
-			entries = append(entries, entry{sub, c[sub] & mask})
-		}
-	}
-	// Order by popcount (variables first, then pairs, ...), then by
-	// subset index, for a stable, readable normalized form.
-	sort.Slice(entries, func(i, j int) bool {
-		pi, pj := bits.OnesCount(uint(entries[i].subset)), bits.OnesCount(uint(entries[j].subset))
-		if pi != pj {
-			return pi < pj
-		}
-		return entries[i].subset < entries[j].subset
-	})
-
 	var acc *expr.Expr
 	add := func(coeff uint64, body *expr.Expr) {
 		neg := coeff>>(s.opts.Width-1)&1 == 1
@@ -208,8 +199,12 @@ func (s *Simplifier) basisCombination(c []uint64, vars []string, base func([]str
 			acc = expr.Add(acc, body)
 		}
 	}
-	for _, en := range entries {
-		add(en.coeff, base(vars, en.subset))
+	for size := 1; size <= len(vars); size++ {
+		for sub := 1; sub < len(c); sub++ {
+			if bits.OnesCount(uint(sub)) == size && c[sub]&mask != 0 {
+				add(c[sub]&mask, basis.join(vars, sub))
+			}
+		}
 	}
 	// c_∅ multiplies the constant −1: contribute the constant −c_∅.
 	if k := -c[0] & mask; k != 0 {
@@ -221,18 +216,14 @@ func (s *Simplifier) basisCombination(c []uint64, vars []string, base func([]str
 	return acc
 }
 
-// conjunctionOf renders the conjunction of the variables selected by
-// the subset bitmask, e.g. subset 0b101 over [x,y,z] -> x&z.
-func conjunctionOf(vars []string, subset int) *expr.Expr {
-	return joinVars(vars, subset, expr.OpAnd)
-}
-
-// disjunctionOf renders the disjunction of the selected variables.
-func disjunctionOf(vars []string, subset int) *expr.Expr {
-	return joinVars(vars, subset, expr.OpOr)
-}
-
-func joinVars(vars []string, subset int, op expr.Op) *expr.Expr {
+// join renders the base of the basis for the variables selected by
+// the subset bitmask: their conjunction, e.g. subset 0b101 over
+// [x,y,z] -> x&z, or their disjunction.
+func (b Basis) join(vars []string, subset int) *expr.Expr {
+	op := expr.OpAnd
+	if b == BasisDisjunction {
+		op = expr.OpOr
+	}
 	var acc *expr.Expr
 	for i, v := range vars {
 		if subset&(1<<i) == 0 {

@@ -38,7 +38,7 @@ func LookupTable(vars []string, width uint) []TableEntry {
 		for i := 0; i < n; i++ {
 			sig[i] = uint64(bits >> i & 1)
 		}
-		e := s.generateConjunction(truthtable.Signature{
+		e := s.generate(truthtable.Signature{
 			Vars:  vars,
 			Width: width,
 			S:     sig,

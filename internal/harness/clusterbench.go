@@ -81,6 +81,10 @@ type ClusterBenchRun struct {
 	CacheHits  int     `json:"cache_hits"`
 	Degraded   int     `json:"degraded"` // reasoned Unknowns (should be 0 — no faults here)
 	ShardsUsed int     `json:"shards_used"`
+	// RingOwners counts the distinct ring owners of the batch's route
+	// keys: the nodes the batch lands on when no forward fails, which
+	// ShardsUsed must then equal.
+	RingOwners int `json:"ring_owners"`
 	// StoreHits counts queries answered from the persistent verdict
 	// store (second-level lookups behind the LRU); non-zero only in the
 	// store phases.
@@ -257,6 +261,28 @@ func (bc *benchCluster) storeHits() int {
 	return total
 }
 
+// ringOwners counts the distinct owners of req's route keys on a ring
+// over the cluster's node URLs, the ring its router routes by.
+func (bc *benchCluster) ringOwners(req service.BatchRequest) (int, error) {
+	urls := make([]string, len(bc.fronts))
+	for i, f := range bc.fronts {
+		urls[i] = f.URL
+	}
+	ring, err := cluster.NewRing(urls)
+	if err != nil {
+		return 0, err
+	}
+	owners := map[string]bool{}
+	for _, it := range req.Items {
+		key, err := it.RouteKey()
+		if err != nil {
+			return 0, err
+		}
+		owners[ring.Lookup(key)] = true
+	}
+	return len(owners), nil
+}
+
 // runClusterPhase drives `batches` identical copies of req through the
 // cluster and checks every definitive verdict against the corpus
 // ground truth. It returns the measured run plus the number of verdict
@@ -294,6 +320,11 @@ func runClusterPhase(ctx context.Context, bc *benchCluster, req service.BatchReq
 		run.Throughput = float64(run.Queries) / wall.Seconds()
 	}
 	run.ShardsUsed = len(shards)
+	owners, err := bc.ringOwners(req)
+	if err != nil {
+		return run, mismatches, err
+	}
+	run.RingOwners = owners
 	run.StoreHits = bc.storeHits() - hitsBefore
 	return run, mismatches, nil
 }

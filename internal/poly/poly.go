@@ -12,8 +12,9 @@
 package poly
 
 import (
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"mbasolver/internal/eval"
 	"mbasolver/internal/expr"
@@ -37,137 +38,107 @@ func CanonAtom(e *expr.Expr) Atom {
 	return Atom{Key: key, E: c}
 }
 
-// Monomial is a product of atom powers. The factor keys are kept
-// sorted; Pow holds the exponent per key. A monomial is immutable once
-// built, so its key is computed once, when it is built.
+// factor is one atom raised to a positive power.
+type factor struct {
+	atom Atom
+	pow  int
+}
+
+// Monomial is a product of atom powers: its factors sorted by atom key
+// and its key, the factors as key^power joined by '.'. A monomial is
+// immutable once built, so copies share its factor slice. The zero
+// Monomial is the constant monomial, shared by every constant term.
 type Monomial struct {
-	keys []string
-	pow  map[string]int
-	key  string
+	factors []factor
+	key     string
 }
 
-// one is the empty monomial (the constant-term monomial).
-func one() *Monomial { return &Monomial{pow: map[string]int{}} }
-
-// mulAtom returns the monomial multiplied by atom^k.
-func (m *Monomial) mulAtom(key string, k int) *Monomial {
-	out := m.clone(1)
-	out.addFactor(key, k)
-	out.seal()
-	return out
-}
-
-func (m *Monomial) mul(o *Monomial) *Monomial {
-	if len(o.keys) == 0 {
-		return m
-	}
-	out := m.clone(len(o.keys))
-	for _, k := range o.keys {
-		out.addFactor(k, o.pow[k])
-	}
-	out.seal()
-	return out
-}
-
-// clone copies m's factors with room for extra more.
-func (m *Monomial) clone(extra int) *Monomial {
-	out := &Monomial{
-		keys: make([]string, len(m.keys), len(m.keys)+extra),
-		pow:  make(map[string]int, len(m.keys)+extra),
-	}
-	copy(out.keys, m.keys)
-	for _, k := range m.keys {
-		out.pow[k] = m.pow[k]
-	}
-	return out
-}
-
-// addFactor multiplies a monomial under construction by atom^k,
-// keeping keys sorted.
-func (m *Monomial) addFactor(key string, k int) {
-	if _, ok := m.pow[key]; !ok {
-		i := sort.SearchStrings(m.keys, key)
-		m.keys = append(m.keys, "")
-		copy(m.keys[i+1:], m.keys[i:])
-		m.keys[i] = key
-	}
-	m.pow[key] += k
-}
-
-// seal computes the key of a finished monomial: its factors as
-// key^power, joined by '.'.
-func (m *Monomial) seal() {
-	n := 0
-	for _, k := range m.keys {
-		n += len(k) + 4
-	}
-	b := make([]byte, 0, n)
-	for i, k := range m.keys {
+// appendMonoKey appends the key of the monomial with the given factors.
+func appendMonoKey(b []byte, fs []factor) []byte {
+	for i, f := range fs {
 		if i > 0 {
 			b = append(b, '.')
 		}
-		b = strconv.AppendInt(append(append(b, k...), '^'), int64(m.pow[k]), 10)
+		b = strconv.AppendInt(append(append(b, f.atom.Key...), '^'), int64(f.pow), 10)
 	}
-	m.key = string(b)
+	return b
+}
+
+// mergeFactors appends the factors of the product of a and b to dst.
+func mergeFactors(dst, a, b []factor) []factor {
+	for len(a) > 0 && len(b) > 0 {
+		switch c := strings.Compare(a[0].atom.Key, b[0].atom.Key); {
+		case c < 0:
+			dst, a = append(dst, a[0]), a[1:]
+		case c > 0:
+			dst, b = append(dst, b[0]), b[1:]
+		default:
+			dst = append(dst, factor{a[0].atom, a[0].pow + b[0].pow})
+			a, b = a[1:], b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
 }
 
 // Key is the canonical string of the monomial, used for collection.
-func (m *Monomial) Key() string { return m.key }
+func (m Monomial) Key() string { return m.key }
 
-// Degree is the total degree of the monomial.
-func (m *Monomial) Degree() int {
+// degree is the total degree of the monomial.
+func (m Monomial) degree() int {
 	d := 0
-	for _, k := range m.keys {
-		d += m.pow[k]
+	for _, f := range m.factors {
+		d += f.pow
 	}
 	return d
 }
 
-// Poly is a polynomial: a sum of coefficient·monomial entries, kept
-// collected (no duplicate monomials, no zero coefficients).
+// Poly is a polynomial: a sum of coefficient·monomial terms, kept
+// collected (no duplicate monomials; a term whose coefficient cancels
+// to zero stays in place as a dead slot that a later term of the same
+// monomial revives, and is skipped by every reader). Small polynomials
+// find a monomial's slot by scanning; from indexAt terms on, an index
+// map keeps the slots.
 type Poly struct {
 	Width uint
-	terms map[string]*term // monomial key -> term
-	atoms map[string]Atom  // atom key -> atom (for rendering)
+	terms []term
+	index map[string]int32 // monomial key -> slot in terms
+	live  int              // terms with a nonzero coefficient
 }
+
+const indexAt = 8
 
 type term struct {
 	coeff uint64
-	mono  *Monomial
+	mono  Monomial
 }
 
 // New returns the zero polynomial at the given width.
-func New(width uint) *Poly {
-	return &Poly{Width: width, terms: map[string]*term{}, atoms: map[string]Atom{}}
-}
+func New(width uint) *Poly { return &Poly{Width: width} }
 
-// FromConst returns the constant polynomial c.
-func FromConst(c uint64, width uint) *Poly {
-	p := New(width)
-	p.addTerm(c, one())
-	return p
-}
-
-// FromAtom returns the polynomial consisting of the single atom a.
-func FromAtom(a Atom, width uint) *Poly {
-	p := New(width)
-	p.atoms[a.Key] = a
-	p.addTerm(1, one().mulAtom(a.Key, 1))
-	return p
+// find returns the slot of the monomial with the given key.
+func find[K string | []byte](p *Poly, key K) (int32, bool) {
+	if p.index != nil {
+		i, ok := p.index[string(key)]
+		return i, ok
+	}
+	for i := range p.terms {
+		if p.terms[i].mono.key == string(key) {
+			return int32(i), true
+		}
+	}
+	return 0, false
 }
 
 // IsZero reports whether the polynomial has no terms.
-func (p *Poly) IsZero() bool { return len(p.terms) == 0 }
+func (p *Poly) IsZero() bool { return p.live == 0 }
 
 // IsConst reports whether the polynomial is a constant, returning it.
 func (p *Poly) IsConst() (uint64, bool) {
-	if len(p.terms) == 0 {
+	if p.live == 0 {
 		return 0, true
 	}
-	if len(p.terms) == 1 {
-		if t, ok := p.terms[""]; ok {
-			return t.coeff, true
-		}
+	if i, ok := find(p, ""); ok && p.live == 1 && p.terms[i].coeff != 0 {
+		return p.terms[i].coeff, true
 	}
 	return 0, false
 }
@@ -177,12 +148,14 @@ func (p *Poly) IsConst() (uint64, bool) {
 // are kept collected, structural equality coincides with equality as
 // formal polynomials over the atom set.
 func (p *Poly) Equal(o *Poly) bool {
-	if len(p.terms) != len(o.terms) {
+	if p.live != o.live {
 		return false
 	}
-	for k, t := range p.terms {
-		ot, ok := o.terms[k]
-		if !ok || ot.coeff != t.coeff {
+	for _, t := range p.terms {
+		if t.coeff == 0 {
+			continue
+		}
+		if i, ok := find(o, t.mono.key); !ok || o.terms[i].coeff != t.coeff {
 			return false
 		}
 	}
@@ -190,116 +163,126 @@ func (p *Poly) Equal(o *Poly) bool {
 }
 
 // NumTerms returns the number of collected terms.
-func (p *Poly) NumTerms() int { return len(p.terms) }
+func (p *Poly) NumTerms() int { return p.live }
 
 // MaxDegree returns the maximum monomial degree (0 for constants and
 // the zero polynomial).
 func (p *Poly) MaxDegree() int {
 	d := 0
 	for _, t := range p.terms {
-		if td := t.mono.Degree(); td > d {
-			d = td
+		if t.coeff != 0 {
+			d = max(d, t.mono.degree())
 		}
 	}
 	return d
 }
 
-func (p *Poly) addTerm(c uint64, m *Monomial) {
-	c &= eval.Mask(p.Width)
-	if c == 0 {
+// addTerm adds c·m to p.
+func (p *Poly) addTerm(c uint64, m Monomial) {
+	if c&eval.Mask(p.Width) == 0 {
 		return
 	}
-	k := m.Key()
-	if t, ok := p.terms[k]; ok {
-		t.coeff = (t.coeff + c) & eval.Mask(p.Width)
-		if t.coeff == 0 {
-			delete(p.terms, k)
-		}
-		return
-	}
-	p.terms[k] = &term{coeff: c, mono: m}
-}
-
-func (p *Poly) mergeAtoms(o *Poly) {
-	for k, a := range o.atoms {
-		p.atoms[k] = a
+	if i, ok := find(p, m.key); ok {
+		p.bump(i, c)
+	} else {
+		p.insert(c, m)
 	}
 }
 
-// Add returns p + o.
-func (p *Poly) Add(o *Poly) *Poly { return p.clone().Accumulate(o, false) }
+// addFactors adds c times the monomial with the given key and factors,
+// copying them only when p does not hold the monomial yet.
+func (p *Poly) addFactors(c uint64, key []byte, fs []factor) {
+	if c&eval.Mask(p.Width) == 0 {
+		return
+	}
+	if i, ok := find(p, key); ok {
+		p.bump(i, c)
+	} else {
+		p.insert(c, Monomial{factors: slices.Clone(fs), key: string(key)})
+	}
+}
 
-// Sub returns p - o.
-func (p *Poly) Sub(o *Poly) *Poly { return p.clone().Accumulate(o, true) }
+// bump adds c to the coefficient in slot i.
+func (p *Poly) bump(i int32, c uint64) {
+	t := &p.terms[i]
+	was := t.coeff != 0
+	t.coeff = (t.coeff + c) & eval.Mask(p.Width)
+	switch {
+	case was && t.coeff == 0:
+		p.live--
+	case !was && t.coeff != 0:
+		p.live++
+	}
+}
 
-// Neg returns -p.
-func (p *Poly) Neg() *Poly { return New(p.Width).Accumulate(p, true) }
-
-// Accumulate adds o to p in place, or subtracts it when neg, and
-// returns p. Unlike Add and Sub it mutates p, which must therefore be
-// owned by the caller (fresh from New, FromConst, FromAtom or an
-// arithmetic method, and held nowhere else) and must not be o.
-// Folding a chain of k terms this way copies each term once instead of
-// the O(k²) term copies of folding it with Add.
-func (p *Poly) Accumulate(o *Poly, neg bool) *Poly {
-	p.mergeAtoms(o)
-	mask := eval.Mask(p.Width)
-	for _, t := range o.terms {
-		c := t.coeff
-		if neg {
-			c = -c & mask
+// insert appends a term for a monomial p does not hold yet.
+func (p *Poly) insert(c uint64, m Monomial) {
+	p.terms = append(p.terms, term{coeff: c & eval.Mask(p.Width), mono: m})
+	p.live++
+	switch n := len(p.terms); {
+	case n == indexAt:
+		p.index = make(map[string]int32, 2*indexAt)
+		for i, t := range p.terms {
+			p.index[t.mono.key] = int32(i)
 		}
-		p.addTerm(c, t.mono)
+	case n > indexAt:
+		p.index[m.key] = int32(n - 1)
+	}
+}
+
+// AddConst adds the constant c to p in place.
+func (p *Poly) AddConst(c uint64) { p.addTerm(c, Monomial{}) }
+
+// AddAtom adds c·a to p in place.
+func (p *Poly) AddAtom(a Atom, c uint64) {
+	var buf [64]byte
+	p.addFactors(c, append(append(buf[:0], a.Key...), "^1"...), []factor{{a, 1}})
+}
+
+// AtomMonomial returns the monomial a^1, for a caller that adds the
+// same atom to many polynomials with AddMonomial.
+func AtomMonomial(a Atom) Monomial { return Monomial{factors: []factor{{a, 1}}, key: a.Key + "^1"} }
+
+// AddMonomial adds c·m to p in place.
+func (p *Poly) AddMonomial(m Monomial, c uint64) { p.addTerm(c, m) }
+
+// AddMul adds k·a·b, fully expanded and collected, to p in place and
+// returns p, which must be neither a nor b.
+func (p *Poly) AddMul(a, b *Poly, k uint64) *Poly {
+	var fbuf [8]factor
+	var kbuf [128]byte
+	for _, ta := range a.terms {
+		for _, tb := range b.terms {
+			switch c := ta.coeff * tb.coeff * k; {
+			case c&eval.Mask(p.Width) == 0: // also skips dead slots
+			case len(tb.mono.factors) == 0:
+				p.addTerm(c, ta.mono)
+			case len(ta.mono.factors) == 0:
+				p.addTerm(c, tb.mono)
+			default:
+				fs := mergeFactors(fbuf[:0], ta.mono.factors, tb.mono.factors)
+				p.addFactors(c, appendMonoKey(kbuf[:0], fs), fs)
+			}
+		}
 	}
 	return p
 }
 
-// Mul returns p · o, fully expanded and collected.
-func (p *Poly) Mul(o *Poly) *Poly {
-	out := New(p.Width)
-	out.mergeAtoms(p)
-	out.mergeAtoms(o)
-	for _, a := range p.terms {
-		for _, b := range o.terms {
-			out.addTerm(a.coeff*b.coeff, a.mono.mul(b.mono))
+// sortedTerms returns the live terms in deterministic order: by degree,
+// then by monomial key, constant term last — producing readable
+// renderings like x*y + 2*(x&y) - 5.
+func (p *Poly) sortedTerms() []term {
+	ts := make([]term, 0, p.live)
+	for _, t := range p.terms {
+		if t.coeff != 0 {
+			ts = append(ts, t)
 		}
 	}
-	return out
-}
-
-// MulConst returns c · p.
-func (p *Poly) MulConst(c uint64) *Poly {
-	out := New(p.Width)
-	out.mergeAtoms(p)
-	for _, t := range p.terms {
-		out.addTerm(t.coeff*c, t.mono)
-	}
-	return out
-}
-
-func (p *Poly) clone() *Poly {
-	out := New(p.Width)
-	out.mergeAtoms(p)
-	for k, t := range p.terms {
-		out.terms[k] = &term{coeff: t.coeff, mono: t.mono}
-	}
-	return out
-}
-
-// sortedTerms returns the terms in deterministic order: by degree, then
-// by monomial key, constant term last — producing readable renderings
-// like x*y + 2*(x&y) - 5.
-func (p *Poly) sortedTerms() []*term {
-	ts := make([]*term, 0, len(p.terms))
-	for _, t := range p.terms {
-		ts = append(ts, t)
-	}
-	sort.Slice(ts, func(i, j int) bool {
-		di, dj := ts[i].mono.Degree(), ts[j].mono.Degree()
-		if di != dj {
-			return di > dj
+	slices.SortFunc(ts, func(a, b term) int {
+		if da, db := a.mono.degree(), b.mono.degree(); da != db {
+			return db - da
 		}
-		return ts[i].mono.Key() < ts[j].mono.Key()
+		return strings.Compare(a.mono.key, b.mono.key)
 	})
 	return ts
 }
@@ -307,21 +290,19 @@ func (p *Poly) sortedTerms() []*term {
 // Atoms returns the atoms referenced by p's terms in deterministic
 // order.
 func (p *Poly) Atoms() []Atom {
-	used := map[string]bool{}
+	used := map[string]Atom{}
 	for _, t := range p.terms {
-		for _, k := range t.mono.keys {
-			used[k] = true
+		if t.coeff != 0 {
+			for _, f := range t.mono.factors {
+				used[f.atom.Key] = f.atom
+			}
 		}
 	}
-	keys := make([]string, 0, len(used))
-	for k := range used {
-		keys = append(keys, k)
+	out := make([]Atom, 0, len(used))
+	for _, a := range used {
+		out = append(out, a)
 	}
-	sort.Strings(keys)
-	out := make([]Atom, len(keys))
-	for i, k := range keys {
-		out[i] = p.atoms[k]
-	}
+	slices.SortFunc(out, func(a, b Atom) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
@@ -329,18 +310,17 @@ func (p *Poly) Atoms() []Atom {
 // coefficients rendered as subtractions when the two's-complement value
 // is a small negative.
 func (p *Poly) ToExpr() *expr.Expr {
-	if len(p.terms) == 0 {
+	if p.live == 0 {
 		return expr.Const(0)
 	}
 	var acc *expr.Expr
 	for _, t := range p.sortedTerms() {
-		c := t.coeff
-		neg := isNegCoeff(c, p.Width)
-		mag := c
+		neg := t.coeff>>(p.Width-1)&1 == 1
+		mag := t.coeff
 		if neg {
-			mag = -c & eval.Mask(p.Width)
+			mag = -mag & eval.Mask(p.Width)
 		}
-		body := p.monoExpr(t.mono, mag)
+		body := monoExpr(t.mono, mag)
 		switch {
 		case acc == nil && !neg:
 			acc = body
@@ -355,69 +335,96 @@ func (p *Poly) ToExpr() *expr.Expr {
 	return acc
 }
 
-// isNegCoeff decides whether to render a coefficient as negative: its
-// signed interpretation at the polynomial's width is negative.
-func isNegCoeff(c uint64, width uint) bool {
-	return c>>(width-1)&1 == 1
-}
-
 // monoExpr renders coefficient·monomial with magnitude mag >= 0.
-func (p *Poly) monoExpr(m *Monomial, mag uint64) *expr.Expr {
-	var factors []*expr.Expr
-	if mag != 1 || len(m.keys) == 0 {
-		factors = append(factors, expr.Const(mag))
+func monoExpr(m Monomial, mag uint64) *expr.Expr {
+	var out *expr.Expr
+	if mag != 1 || len(m.factors) == 0 {
+		out = expr.Const(mag)
 	}
-	for _, k := range m.keys {
-		a := p.atoms[k]
-		for i := 0; i < m.pow[k]; i++ {
-			factors = append(factors, a.E)
+	for _, f := range m.factors {
+		for i := 0; i < f.pow; i++ {
+			if out == nil {
+				out = f.atom.E
+			} else {
+				out = expr.Mul(out, f.atom.E)
+			}
 		}
-	}
-	out := factors[0]
-	for _, f := range factors[1:] {
-		out = expr.Mul(out, f)
 	}
 	return out
 }
 
+// Leaf adds k·poly(e) to p in place, for a variable or bitwise-rooted
+// subtree e, with AddAtom, AddMonomial and AddConst. It must not keep
+// p, which may be scratch that FromExpr reuses.
+type Leaf func(e *expr.Expr, p *Poly, k uint64)
+
 // FromExpr expands an expression into a polynomial: constants fold,
 // +, -, * and unary - expand, and every other subtree (a variable or a
-// bitwise operation) is handed to leaf, whose polynomial stands for it
-// — letting the caller atomize, canonicalize or normalize it first.
-// Sums, differences and negations accumulate into one owned polynomial
-// (see Accumulate); leaf's results are only read.
-func FromExpr(e *expr.Expr, width uint, leaf func(*expr.Expr) *Poly) *Poly {
+// bitwise operation) is handed to leaf, which adds its polynomial —
+// letting the caller atomize, canonicalize or normalize it first.
+// Sums, differences, negations and constant factors carry a multiplier
+// down to the leaves, which add straight into the result; only a
+// product of two non-constant factors expands them into scratch
+// polynomials first.
+func FromExpr(e *expr.Expr, width uint, leaf Leaf) *Poly {
 	p := New(width)
-	p.expand(e, false, leaf)
+	x := expander{leaf: leaf}
+	x.expand(p, e, 1)
 	return p
 }
 
 // Atoms is the FromExpr leaf that makes every non-arithmetic subtree
 // one atom, built by atom (NewAtom, CanonAtom, or the caller's own).
-func Atoms(width uint, atom func(*expr.Expr) Atom) func(*expr.Expr) *Poly {
-	return func(e *expr.Expr) *Poly { return FromAtom(atom(e), width) }
+func Atoms(width uint, atom func(*expr.Expr) Atom) Leaf {
+	return func(e *expr.Expr, p *Poly, k uint64) { p.AddAtom(atom(e), k) }
 }
 
-// expand adds e to p in place, or subtracts it when neg.
-func (p *Poly) expand(e *expr.Expr, neg bool, leaf func(*expr.Expr) *Poly) {
+// expander is one FromExpr walk: the leaf and the scratch polynomials
+// that product factors are expanded into and then reused.
+type expander struct {
+	leaf  Leaf
+	spare []*Poly
+}
+
+// expand adds k·e to p in place.
+func (x *expander) expand(p *Poly, e *expr.Expr, k uint64) {
 	switch e.Op {
 	case expr.OpConst:
-		c := e.Val
-		if neg {
-			c = -c
-		}
-		p.addTerm(c, one())
+		p.AddConst(k * e.Val)
 	case expr.OpAdd:
-		p.expand(e.X, neg, leaf)
-		p.expand(e.Y, neg, leaf)
+		x.expand(p, e.X, k)
+		x.expand(p, e.Y, k)
 	case expr.OpSub:
-		p.expand(e.X, neg, leaf)
-		p.expand(e.Y, !neg, leaf)
+		x.expand(p, e.X, k)
+		x.expand(p, e.Y, -k)
 	case expr.OpNeg:
-		p.expand(e.X, !neg, leaf)
+		x.expand(p, e.X, -k)
 	case expr.OpMul:
-		p.Accumulate(FromExpr(e.X, p.Width, leaf).Mul(FromExpr(e.Y, p.Width, leaf)), neg)
+		switch {
+		case e.X.Op == expr.OpConst:
+			x.expand(p, e.Y, k*e.X.Val)
+		case e.Y.Op == expr.OpConst:
+			x.expand(p, e.X, k*e.Y.Val)
+		default:
+			a, b := x.scratch(p.Width), x.scratch(p.Width)
+			x.expand(a, e.X, 1)
+			x.expand(b, e.Y, 1)
+			p.AddMul(a, b, k)
+			x.spare = append(x.spare, a, b)
+		}
 	default:
-		p.Accumulate(leaf(e), neg)
+		x.leaf(e, p, k)
 	}
+}
+
+// scratch returns an empty polynomial, reusing a spare one if any.
+func (x *expander) scratch(width uint) *Poly {
+	n := len(x.spare)
+	if n == 0 {
+		return New(width)
+	}
+	p := x.spare[n-1]
+	x.spare = x.spare[:n-1]
+	p.terms, p.index, p.live = p.terms[:0], nil, 0
+	return p
 }

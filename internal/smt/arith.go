@@ -31,27 +31,27 @@ func arithEqual(a, b *bv.Term, rw *bv.Rewriter, width uint) bool {
 // unified them).
 func termPoly(t *bv.Term, rw *bv.Rewriter, width uint) *poly.Poly {
 	p := poly.New(width)
-	addTermPoly(p, t, false, rw)
+	addTermPoly(p, t, 1, rw)
 	return p
 }
 
-// addTermPoly adds t to p in place, or subtracts it when neg, so a
-// chain of sums accumulates into one polynomial (poly.Accumulate).
-func addTermPoly(p *poly.Poly, t *bv.Term, neg bool, rw *bv.Rewriter) {
+// addTermPoly adds k·t to p in place, so a chain of sums accumulates
+// into one polynomial.
+func addTermPoly(p *poly.Poly, t *bv.Term, k uint64, rw *bv.Rewriter) {
 	switch t.Op {
 	case bv.Add:
-		addTermPoly(p, t.Args[0], neg, rw)
-		addTermPoly(p, t.Args[1], neg, rw)
+		addTermPoly(p, t.Args[0], k, rw)
+		addTermPoly(p, t.Args[1], k, rw)
 	case bv.Sub:
-		addTermPoly(p, t.Args[0], neg, rw)
-		addTermPoly(p, t.Args[1], !neg, rw)
+		addTermPoly(p, t.Args[0], k, rw)
+		addTermPoly(p, t.Args[1], -k, rw)
 	case bv.Neg:
-		addTermPoly(p, t.Args[0], !neg, rw)
+		addTermPoly(p, t.Args[0], -k, rw)
 	case bv.Mul:
-		p.Accumulate(termPoly(t.Args[0], rw, p.Width).Mul(termPoly(t.Args[1], rw, p.Width)), neg)
+		p.AddMul(termPoly(t.Args[0], rw, p.Width), termPoly(t.Args[1], rw, p.Width), k)
 	case bv.Const:
-		p.Accumulate(poly.FromConst(t.Val, p.Width), neg)
+		p.AddConst(k * t.Val)
 	default:
-		p.Accumulate(poly.FromAtom(poly.Atom{Key: rw.Key(t)}, p.Width), neg)
+		p.AddAtom(poly.Atom{Key: rw.Key(t)}, k)
 	}
 }

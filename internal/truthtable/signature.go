@@ -118,7 +118,9 @@ func (s Signature) IsZero() bool {
 
 // TruthColumn returns the truth table of a bitwise-pure expression as a
 // bitmask: bit a is the value of the expression on assignment a (in the
-// order of vars). It panics if e is not bitwise-pure.
+// order of vars). It evaluates e once over all assignments together:
+// variable j is the word whose bit a is bit j of a. It panics if e is
+// not bitwise-pure.
 func TruthColumn(e *expr.Expr, vars []string) uint64 {
 	if !expr.IsBitwisePure(e) {
 		panic("truthtable: TruthColumn requires a bitwise-pure expression")
@@ -126,16 +128,33 @@ func TruthColumn(e *expr.Expr, vars []string) uint64 {
 	if len(vars) > MaxVars {
 		panic("truthtable: too many variables")
 	}
-	var col uint64
-	env := make(eval.Env, len(vars))
-	n := 1 << len(vars)
-	for a := 0; a < n; a++ {
+	return column(e, vars) & ttMask(len(vars))
+}
+
+// varColumns[j] is variable j's truth column: bit a is bit j of a.
+var varColumns = [MaxVars]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
+// column evaluates a bitwise-pure e on the variables' truth columns; a
+// variable missing from vars is 0 on every assignment.
+func column(e *expr.Expr, vars []string) uint64 {
+	switch e.Op {
+	case expr.OpVar:
 		for j, v := range vars {
-			env[v] = uint64(a>>j) & 1
+			if v == e.Name {
+				return varColumns[j]
+			}
 		}
-		if eval.Eval(e, env, 1) != 0 {
-			col |= 1 << a
-		}
+		return 0
+	case expr.OpNot:
+		return ^column(e.X, vars)
+	case expr.OpAnd:
+		return column(e.X, vars) & column(e.Y, vars)
+	case expr.OpOr:
+		return column(e.X, vars) | column(e.Y, vars)
+	default: // expr.OpXor
+		return column(e.X, vars) ^ column(e.Y, vars)
 	}
-	return col
 }

@@ -112,6 +112,46 @@ func TestTruthColumn(t *testing.T) {
 	}
 }
 
+// TestTruthColumnMatchesSignature checks the one-pass truth column
+// against the row-by-row signature: for a bitwise-pure expression over
+// up to MaxVars variables, signature entry a is bit a of the column.
+func TestTruthColumnMatchesSignature(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	f := func(seed uint64, nvars uint8) bool {
+		vars := names[:1+int(nvars)%MaxVars]
+		var build func(depth int) *expr.Expr
+		build = func(depth int) *expr.Expr {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			pick := seed >> 60
+			if depth == 0 || pick < 4 {
+				return expr.Var(vars[int(seed>>32)%len(vars)])
+			}
+			switch pick % 4 {
+			case 0:
+				return expr.Not(build(depth - 1))
+			case 1:
+				return expr.And(build(depth-1), build(depth-1))
+			case 2:
+				return expr.Or(build(depth-1), build(depth-1))
+			default:
+				return expr.Xor(build(depth-1), build(depth-1))
+			}
+		}
+		e := build(6)
+		col := TruthColumn(e, vars)
+		for a, v := range Compute(e, vars, 64).S {
+			if v != col>>a&1 {
+				t.Logf("%v over %v: column %b, signature %v", e, vars, col, Compute(e, vars, 64).S)
+				return false
+			}
+		}
+		return col>>(1<<len(vars)) == 0 || len(vars) == MaxVars
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestTruthColumnRejectsNonPure(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -57,6 +57,8 @@ go test ./internal/smt/ -run '^$' -bench CheckTermEquiv -benchtime 1x
 go test ./internal/sat/ -run '^$' -bench Solve -benchtime 1x
 go test ./internal/expr/ -run '^$' -bench Hash -benchtime 1x
 go test ./internal/bv/ -run '^$' -bench Rewrite -benchtime 1x
+go test ./internal/core/ -run '^$' -bench Simplify -benchtime 1x
+go test ./internal/poly/ -run '^$' -bench FromExpr -benchtime 1x
 
 # Canonical-key fuzz: the single-pass expr.Canon/Key/Hash must agree
 # with the test-only quadratic reference (trees, key bytes, digests) on
@@ -76,6 +78,7 @@ trap 'rm -rf "$bin"' EXIT
 go build -o "$bin/mbaserved" ./cmd/mbaserved
 
 logf="$bin/mbaserved.log"
+: >"$logf" # the poll below reads it before the server may have opened it
 "$bin/mbaserved" -addr 127.0.0.1:0 >"$logf" 2>&1 &
 srv=$!
 trap 'kill "$srv" 2>/dev/null || true; rm -rf "$bin"' EXIT
@@ -125,6 +128,7 @@ nodes=""
 node_pids=()
 for i in 1 2 3; do
     nlog="$bin/node$i.log"
+    : >"$nlog"
     "$bin/mbaserved" -addr 127.0.0.1:0 >"$nlog" 2>&1 &
     node_pids+=($!)
 done
@@ -146,6 +150,7 @@ for i in 1 2 3; do
 done
 
 rlog="$bin/mbarouter.log"
+: >"$rlog"
 "$bin/mbarouter" -addr 127.0.0.1:0 -nodes "$nodes" >"$rlog" 2>&1 &
 router=$!
 trap 'kill "$router" "${node_pids[@]}" 2>/dev/null || true; rm -rf "$bin"' EXIT
@@ -211,6 +216,7 @@ storedir="$bin/store"
 mkdir -p "$storedir"
 
 slog="$bin/store-boot1.log"
+: >"$slog"
 "$bin/mbaserved" -addr 127.0.0.1:0 -store "$storedir" >"$slog" 2>&1 &
 srv=$!
 trap 'kill -9 "$srv" 2>/dev/null || true; rm -rf "$bin"' EXIT
@@ -240,6 +246,7 @@ kill -9 "$srv"
 wait "$srv" 2>/dev/null || true
 
 slog2="$bin/store-boot2.log"
+: >"$slog2"
 "$bin/mbaserved" -addr 127.0.0.1:0 -store "$storedir" >"$slog2" 2>&1 &
 srv=$!
 trap 'kill -9 "$srv" 2>/dev/null || true; rm -rf "$bin"' EXIT
