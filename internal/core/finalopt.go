@@ -21,8 +21,9 @@ func (s *Simplifier) finalOptimize(e *expr.Expr) *expr.Expr {
 	if s.opts.DisableFinalOpt {
 		return e
 	}
-	vars := expr.Vars(e) // sorted, the order signatures use
-	if len(vars) == 0 || len(vars) > 4 {
+	var buf [truthtable.MaxVars]string
+	vars, ok := appendVars(buf[:0], e, 4) // sorted, the order signatures use
+	if !ok || len(vars) == 0 {
 		// Constants need no folding; >4 variables exceed the boolean
 		// synthesis budget.
 		return e

@@ -139,8 +139,8 @@ func tempName(i int) string {
 
 // generate builds the normalized expression for a signature vector
 // over the given variable names (paper §4.2–§4.3, GenerateMBA).
-func (s *Simplifier) generate(sig truthtable.Signature, vars []string) *expr.Expr {
-	row := s.coefficients(sig.S)
+func (s *Simplifier) generate(sig []uint64, vars []string) *expr.Expr {
+	row := s.coefficients(sig)
 	return s.basisCombination(row.c, vars, row.basis)
 }
 

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mbasolver/internal/eval"
 	"mbasolver/internal/expr"
-	"mbasolver/internal/truthtable"
 )
 
 // TableEntry is one row of the pre-computed simplification table
@@ -38,52 +38,23 @@ func LookupTable(vars []string, width uint) []TableEntry {
 		for i := 0; i < n; i++ {
 			sig[i] = uint64(bits >> i & 1)
 		}
-		e := s.generate(truthtable.Signature{
-			Vars:  vars,
-			Width: width,
-			S:     sig,
-		}, vars)
-		rows = append(rows, TableEntry{
-			Signature: sig,
-			Expr:      e,
-			Base:      isBasisColumn(sig),
-		})
+		rows = append(rows, TableEntry{Signature: sig, Expr: s.generate(sig, vars), Base: isBasisColumn(sig)})
 	}
 	return rows
 }
 
 // isBasisColumn reports whether the 0/1 signature is one of the
 // conjunction-basis columns: the all-ones vector or the indicator of a
-// nonempty subset's superset rows.
+// nonempty subset's superset rows. A subset-S column has 1 exactly at
+// the indices containing S, the smallest of which is S itself; the
+// all-ones vector is the same pattern for S = ∅.
 func isBasisColumn(sig []uint64) bool {
-	allOnes := true
-	for _, v := range sig {
-		if v != 1 {
-			allOnes = false
-			break
-		}
-	}
-	if allOnes {
-		return true
-	}
-	// A subset-S column has 1 exactly at indices containing S: find
-	// the smallest index with a 1 and check the pattern.
-	first := -1
-	for i, v := range sig {
-		if v == 1 {
-			first = i
-			break
-		}
-	}
-	if first <= 0 {
+	first := slices.Index(sig, 1)
+	if first < 0 {
 		return false
 	}
 	for i, v := range sig {
-		want := uint64(0)
-		if i&first == first {
-			want = 1
-		}
-		if v != want {
+		if (v == 1) != (i&first == first) {
 			return false
 		}
 	}
@@ -129,5 +100,5 @@ func GenerateFromSignature(sig []uint64, vars []string, width uint, basis Basis)
 	for i, v := range sig {
 		masked[i] = v & eval.Mask(width)
 	}
-	return s.generate(truthtable.Signature{Vars: vars, Width: width, S: masked}, vars)
+	return s.generate(masked, vars)
 }

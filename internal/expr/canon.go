@@ -19,12 +19,13 @@ func Canon(e *Expr) *Expr {
 	return c.canon(e)
 }
 
-// CanonKey returns Canon(e) together with its Key, both from one pass.
-func CanonKey(e *Expr) (*Expr, string) {
+// CanonKey returns Canon(e) together with its Key and its node count,
+// a shared subtree counted once per path, all from one pass.
+func CanonKey(e *Expr) (*Expr, string, int) {
 	c := getCanonizer()
 	defer c.release()
 	n := c.canon(e)
-	return n, string(c.key)
+	return n, string(c.key), c.nodes
 }
 
 // canonizer holds the scratch of one Canon pass. The pass is a single
@@ -34,8 +35,9 @@ func CanonKey(e *Expr) (*Expr, string) {
 // out of order, their runs are swapped; no key is ever serialized
 // twice.
 type canonizer struct {
-	key []byte // keys of the canonical nodes finished so far
-	tmp []byte // swap scratch, and Hash's serialization after the pass
+	key   []byte // keys of the canonical nodes finished so far
+	tmp   []byte // swap scratch, and Hash's serialization after the pass
+	nodes int    // canonical nodes finished so far
 }
 
 // canonizers recycles pass scratch. It holds byte buffers only, never
@@ -53,7 +55,7 @@ func (c *canonizer) release() {
 	if cap(c.key) > maxPooledScratch || cap(c.tmp) > maxPooledScratch {
 		return
 	}
-	c.key, c.tmp = c.key[:0], c.tmp[:0]
+	c.key, c.tmp, c.nodes = c.key[:0], c.tmp[:0], 0
 	canonizers.Put(c)
 }
 
@@ -65,9 +67,11 @@ func (c *canonizer) canon(e *Expr) *Expr {
 	}
 	switch e.Op {
 	case OpVar:
+		c.nodes++
 		c.key = append(c.key, e.Name...)
 		return e
 	case OpConst:
+		c.nodes++
 		c.key = appendConstKey(c.key, e.Val)
 		return e
 	case OpNot, OpNeg:
@@ -80,6 +84,7 @@ func (c *canonizer) canon(e *Expr) *Expr {
 			// inside x's own opening and closing bracket.
 			body := c.key[inner+(inner-start) : len(c.key)-1]
 			c.key = c.key[:start+copy(c.key[start:], body)]
+			c.nodes--
 			return x.X
 		}
 		if x != nil && x.Op == OpConst {
@@ -91,6 +96,7 @@ func (c *canonizer) canon(e *Expr) *Expr {
 			return Const(v)
 		}
 		c.key = append(c.key, ')')
+		c.nodes++
 		if x == e.X {
 			return e
 		}
@@ -108,6 +114,7 @@ func (c *canonizer) canon(e *Expr) *Expr {
 		y := c.canon(e.Y)
 		ye := len(c.key)
 		c.key = append(c.key, ')')
+		c.nodes++
 		if e.Op.isCommutative() && bytes.Compare(c.key[ys:ye], c.key[xs:xe]) < 0 {
 			c.tmp = append(c.tmp[:0], c.key[xs:xe]...)
 			at := xs + copy(c.key[xs:], c.key[ys:ye])

@@ -13,12 +13,13 @@ import (
 
 // checkCanonMatchesRef asserts that the single-pass Canon, CanonKey,
 // Key and Hash agree with the test-only quadratic reference on e:
-// identical canonical trees, key bytes and digests, and e untouched.
+// identical canonical trees, key bytes, node counts and digests, and e
+// untouched.
 func checkCanonMatchesRef(t *testing.T, e *expr.Expr) {
 	t.Helper()
 	before := expr.RefKey(e)
 	want := expr.RefCanon(e)
-	got, key := expr.CanonKey(e)
+	got, key, nodes := expr.CanonKey(e)
 	if !expr.Equal(got, want) {
 		t.Fatalf("CanonKey tree = %s, reference %s (input %s)", got.Key(), expr.RefKey(want), before)
 	}
@@ -27,6 +28,9 @@ func checkCanonMatchesRef(t *testing.T, e *expr.Expr) {
 	}
 	if wantKey := expr.RefKey(want); key != wantKey {
 		t.Fatalf("CanonKey key = %q, reference %q", key, wantKey)
+	}
+	if wantNodes := pathNodes(want); nodes != wantNodes {
+		t.Fatalf("CanonKey node count = %d, reference %d", nodes, wantNodes)
 	}
 	if k := e.Key(); k != before {
 		t.Fatalf("Key = %q, reference %q", k, before)
@@ -121,7 +125,7 @@ func TestHashConcurrent(t *testing.T) {
 					t.Errorf("concurrent Hash of input %d = %s, want %s", k, got, want[k])
 					return
 				}
-				if _, key := expr.CanonKey(es[k]); key != keys[k] {
+				if _, key, _ := expr.CanonKey(es[k]); key != keys[k] {
 					t.Errorf("concurrent CanonKey of input %d = %q, want %q", k, key, keys[k])
 					return
 				}
@@ -207,4 +211,12 @@ func parserSeeds(tb testing.TB) []string {
 		tb.Fatal(err)
 	}
 	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+}
+
+// pathNodes counts e's nodes, a shared subtree once per path.
+func pathNodes(e *expr.Expr) int {
+	if e == nil {
+		return 0
+	}
+	return 1 + pathNodes(e.X) + pathNodes(e.Y)
 }

@@ -91,20 +91,6 @@ func (s Signature) Equal(o Signature) bool {
 	return true
 }
 
-// Key returns a compact string form usable as a lookup-table key
-// (paper §4.5, "Look-up table").
-func (s Signature) Key() string {
-	b := make([]byte, 0, 8+16*len(s.S))
-	b = append(b, fmt.Sprintf("%d/%d:", len(s.Vars), s.Width)...)
-	for i, v := range s.S {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, fmt.Sprintf("%x", v)...)
-	}
-	return string(b)
-}
-
 // IsZero reports whether every signature entry is zero, i.e. whether a
 // linear MBA with this signature is identically 0 over Z/2^n.
 func (s Signature) IsZero() bool {

@@ -83,8 +83,8 @@ func TestSignatureKeyAndZero(t *testing.T) {
 		t.Error("x-x signature not zero")
 	}
 	s2 := Compute(parser.MustParse("x"), []string{"x"}, 64)
-	if s1.Key() == s2.Key() {
-		t.Error("distinct signatures share a key")
+	if s1.Equal(s2) {
+		t.Error("distinct signatures compare equal")
 	}
 	if !s1.Equal(Compute(parser.MustParse("y-y"), []string{"y"}, 64)) {
 		// Different variable NAME but same order/width/values: Equal
