@@ -210,6 +210,39 @@ func TestSimplifyConstants(t *testing.T) {
 	checkSimplify(t, s, "x + 3 - 3", "x")
 }
 
+func TestSimplifyComplementAtoms(t *testing.T) {
+	// -(x*y)-1 = ~(x*y): abstraction binds both to one temporary u, and
+	// (u&y) + (~u&y) = y collapses the sum, in either order.
+	for _, in := range []string{
+		"x*y-2*(x*y&y)-2*(-(x*y)-1&y)+y",
+		"x*y-2*(-(x*y)-1&y)-2*(x*y&y)+y",
+	} {
+		s := Default()
+		checkSimplify(t, s, in, "x*y-y")
+		if s.Stats().CSEHits == 0 {
+			t.Errorf("Simplify(%q): complement link not counted in CSEHits", in)
+		}
+	}
+}
+
+func TestSimplifyComplementConstants(t *testing.T) {
+	// Constants under a bitwise operator are bound too, and -2 = ~1.
+	s := Default()
+	checkSimplify(t, s, "(1&x)+(-2&x)", "x")
+	checkSimplify(t, s, "(-2&x*y)+(1&x*y)", "x*y")
+}
+
+func TestDisableCSEUnlinksComplements(t *testing.T) {
+	// DisableCSE turns off complement sharing with the rest of CSE: the
+	// two temporaries stay unrelated and the sum stays unsimplified.
+	s := New(Options{DisableCSE: true})
+	const in = "x*y-2*(x*y&y)-2*(-(x*y)-1&y)+y"
+	checkSimplify(t, s, in, in)
+	if s.Stats().CSEHits != 0 {
+		t.Errorf("DisableCSE: CSEHits = %d, want 0", s.Stats().CSEHits)
+	}
+}
+
 func TestStatsAccumulate(t *testing.T) {
 	s := Default()
 	s.Simplify(parser.MustParse("2*(x|y) - (~x&y) - (x&~y)"))

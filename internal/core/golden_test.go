@@ -10,10 +10,9 @@ import (
 	"mbasolver/internal/gen"
 )
 
-// goldenPath holds the Simplify output of goldenText. It was written by
-// the map-based polynomial layer that preceded the flat-monomial one
-// and pins its output: a change that moves any line changes what
-// Simplify returns (or how much work it reports), not just how fast.
+// goldenPath holds the Simplify output of goldenText and pins it: a
+// change that moves any line changes what Simplify returns (or how much
+// work it reports), not just how fast.
 const goldenPath = "testdata/simplify.golden"
 
 // goldenText simplifies a fixed gen corpus (every class) under both

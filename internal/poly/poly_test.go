@@ -182,3 +182,41 @@ func TestLeftDeepSumAllocsLinear(t *testing.T) {
 		t.Errorf("expanding a %d-term sum made %.0f allocations (%.1f per term); want at most 3 per term", k, allocs, perTerm)
 	}
 }
+
+func TestAppendKeyIdentifiesPolynomial(t *testing.T) {
+	same := [][2]string{
+		{"x*y + (x&y) - 3", "(y&x) - 3 + y*x"},
+		{"(x+1)*(x-1)", "x*x - 1"},
+		{"x - x", "0"},
+	}
+	for _, c := range same {
+		if a, b := string(fromSrc(t, c[0], 64).AppendKey(nil)), string(fromSrc(t, c[1], 64).AppendKey(nil)); a != b {
+			t.Errorf("AppendKey(%s) = %q, AppendKey(%s) = %q: equal polynomials, different keys", c[0], a, c[1], b)
+		}
+	}
+	diff := [][2]string{
+		{"x*y", "2*x*y"},
+		{"x*y", "x*y + 1"},
+		{"x", "y"},
+		{"x*x", "x"},
+		{"x&y", "x|y"},
+	}
+	for _, c := range diff {
+		if a, b := string(fromSrc(t, c[0], 64).AppendKey(nil)), string(fromSrc(t, c[1], 64).AppendKey(nil)); a == b {
+			t.Errorf("AppendKey(%s) = AppendKey(%s) = %q: distinct polynomials share a key", c[0], c[1], a)
+		}
+	}
+}
+
+func TestScale(t *testing.T) {
+	p := fromSrc(t, "x*y - 2*(x&y) + 5", 64)
+	p.Scale(^uint64(0))
+	if want := fromSrc(t, "-(x*y) + 2*(x&y) - 5", 64); !p.Equal(want) {
+		t.Fatalf("Scale(-1) = %v, want %v", p.ToExpr(), want.ToExpr())
+	}
+	q := fromSrc(t, "3*x + 2*y + 4", 3)
+	q.Scale(4)
+	if want := fromSrc(t, "4*x", 3); !q.Equal(want) || q.NumTerms() != 1 {
+		t.Fatalf("Scale(4) at width 3 = %v (%d terms), want 4*x", q.ToExpr(), q.NumTerms())
+	}
+}

@@ -65,6 +65,11 @@ go test ./internal/poly/ -run '^$' -bench FromExpr -benchtime 1x
 # every expression the parser accepts.
 go test ./internal/expr/ -run '^$' -fuzz '^FuzzCanon$' -fuzztime 10s
 
+# Simplifier fuzz: Simplify's output must equal its input exhaustively
+# at width 4 (inputs of at most 3 variables) and on random bitsliced
+# blocks at width 64, for every expression the parser accepts.
+go test ./internal/core/ -run '^$' -fuzz '^FuzzSimplify$' -fuzztime 10s
+
 # Benchmark gate: the end-to-end benchmark's known-answer and
 # determinism tests (raw, simplified, and the service path client →
 # router → node → store) at smoke size on the default and held-out
