@@ -16,11 +16,12 @@ import (
 // order, and degrade items whose every replica failed to reasoned
 // Unknowns instead of failing the batch.
 
-// SendFunc posts one sub-batch to one node. Implementations: the
-// router's HTTP forward and test doubles. A non-nil error (or a
-// malformed response) counts as a node failure and triggers failover
-// for every item in the sub-batch.
-type SendFunc func(ctx context.Context, node string, req *service.BatchRequest) (*service.BatchResponse, error)
+// SendFunc posts one sub-batch to one node and returns the node's
+// reply body. Implementations: the router's HTTP forward and test
+// doubles. A non-nil error, or a body that is not a spliceable reply
+// with one item per sub-batch item, counts as a node failure and
+// triggers failover for every item in the sub-batch.
+type SendFunc func(ctx context.Context, node string, req *service.BatchRequest) ([]byte, error)
 
 // ExecuteOptions tunes one batch execution.
 type ExecuteOptions struct {
@@ -78,27 +79,23 @@ type batchItemState struct {
 	walk replicaWalk
 }
 
-// ExecuteBatch runs req across the ring. The returned response has one
-// result per request item, in input order; Groups/Deduped/CacheHits
-// are summed over the per-node sub-batches (dedup itself happens
-// node-side, and the ring guarantees structurally identical items
-// share a node, so cross-node duplicates cannot split a group).
-// degraded counts the items no replica could answer; failovers counts
-// the sub-batches that retried items on another replica after a failed
-// forward.
-func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, send SendFunc, opts ExecuteOptions) (resp *service.BatchResponse, degraded, failovers int) {
-	resp = &service.BatchResponse{
-		Items: make([]service.BatchItemResult, len(req.Items)),
-	}
+// ExecuteBatch runs req across the ring. The returned reply has one
+// item per request item, in input order; Groups/Deduped/CacheHits are
+// summed over the per-node sub-batches (dedup itself happens node-side,
+// and the ring guarantees structurally identical items share a node,
+// so cross-node duplicates cannot split a group). degraded counts the
+// items no replica could answer; failovers counts the sub-batches that
+// retried items on another replica after a failed forward.
+func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, send SendFunc, opts ExecuteOptions) (reply *BatchReply, degraded, failovers int) {
+	reply = &BatchReply{items: make([]replyItem, len(req.Items))}
 
 	var pending []*batchItemState
 	for idx, it := range req.Items {
-		resp.Items[idx].Index = idx
 		key, err := it.RouteKey()
 		if err != nil {
 			// Malformed items never reach a node; the router answers them
 			// with the same per-item error a node would produce.
-			resp.Items[idx].Error = err.Error()
+			reply.items[idx] = localItem(service.BatchItemResult{Error: err.Error()})
 			continue
 		}
 		pending = append(pending, &batchItemState{idx: idx, item: it, walk: newReplicaWalk(ring, key)})
@@ -114,7 +111,7 @@ func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, se
 		for _, st := range pending {
 			node := st.walk.next(opts.Allow)
 			if node == "" {
-				degradeItem(&resp.Items[st.idx], st.item)
+				reply.items[st.idx] = localItem(degradeItem(st.item))
 				degraded++
 				continue
 			}
@@ -139,8 +136,9 @@ func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, se
 				for i, st := range items {
 					sub.Items[i] = st.item
 				}
-				nodeResp, err := send(ctx, node, sub)
-				ok := err == nil && len(nodeResp.Items) == len(items)
+				data, err := send(ctx, node, sub)
+				var nr nodeReply
+				ok := err == nil && nr.parse(data, len(items))
 				if opts.Report != nil {
 					opts.Report(node, ok)
 				}
@@ -152,34 +150,31 @@ func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, se
 					pending = append(pending, items...)
 					return
 				}
-				resp.Groups += nodeResp.Groups
-				resp.Deduped += nodeResp.Deduped
-				resp.CacheHits += nodeResp.CacheHits
+				reply.Groups += nr.groups
+				reply.Deduped += nr.deduped
+				reply.CacheHits += nr.cacheHits
+				quoted := appendJSON(nil, node)
 				for i, st := range items {
-					r := nodeResp.Items[i]
-					r.Index = st.idx // restore original position
-					r.Node = node
-					resp.Items[st.idx] = r
+					reply.items[st.idx] = replyItem{members: nr.items[i], node: quoted}
 				}
 			}()
 		}
 		wg.Wait()
 	}
-	return resp, degraded, failovers
+	return reply, degraded, failovers
 }
 
-// degradeItem fills the reasoned-Unknown answer for an item no node
+// degradeItem returns the reasoned-Unknown answer for an item no node
 // could take: solve items keep the solver's degradation shape (an
 // Unknown verdict with a reason on the wire), simplify items report a
 // reasoned error because simplification has no indefinite verdict.
-func degradeItem(out *service.BatchItemResult, it service.BatchItem) {
+func degradeItem(it service.BatchItem) service.BatchItemResult {
 	if it.Solve != nil {
-		out.Solve = &service.SolveResponse{
+		return service.BatchItemResult{Solve: &service.SolveResponse{
 			Status: smt.Unknown.String(),
 			Reason: service.ReasonUnavailable,
 			Width:  it.Solve.Width,
-		}
-		return
+		}}
 	}
-	out.Error = fmt.Sprintf("%s: no cluster node could run the item", service.ReasonUnavailable)
+	return service.BatchItemResult{Error: fmt.Sprintf("%s: no cluster node could run the item", service.ReasonUnavailable)}
 }

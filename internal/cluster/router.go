@@ -254,21 +254,22 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	id := r.Header.Get(service.HeaderRequestID)
-	resp, degraded, failovers := ExecuteBatch(r.Context(), rt.ring, &req, rt.sendSubBatch(id), ExecuteOptions{
+	reply, degraded, failovers := ExecuteBatch(r.Context(), rt.ring, &req, rt.sendSubBatch(id), ExecuteOptions{
 		Allow:  rt.health.Routable,
 		Report: rt.reportSend,
 	})
 	rt.met.degraded.Add(int64(degraded))
 	rt.met.failovers.Add(int64(failovers))
-	resp.RequestID = id
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	service.WriteJSON(w, http.StatusOK, resp)
+	body := reply.AppendJSON(nil, float64(time.Since(start))/float64(time.Millisecond), id)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // sendSubBatch returns the SendFunc forwarding one sub-batch to one
 // node with the batch's correlation ID attached.
 func (rt *Router) sendSubBatch(id string) SendFunc {
-	return func(ctx context.Context, node string, req *service.BatchRequest) (*service.BatchResponse, error) {
+	return func(ctx context.Context, node string, req *service.BatchRequest) ([]byte, error) {
 		rt.met.forwarded.Add(1)
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -292,11 +293,7 @@ func (rt *Router) sendSubBatch(id string) SendFunc {
 		if res.StatusCode != http.StatusOK {
 			return nil, fmt.Errorf("node %s answered %d to sub-batch", node, res.StatusCode)
 		}
-		var out service.BatchResponse
-		if err := json.Unmarshal(data, &out); err != nil {
-			return nil, fmt.Errorf("decoding sub-batch response: %w", err)
-		}
-		return &out, nil
+		return data, nil
 	}
 }
 

@@ -268,7 +268,8 @@ type abstraction struct {
 	depth int
 	binds []binding
 	byKey map[string]string              // canonical subtree key -> var name
-	byNot map[string]string              // poly key of -sub-1 -> var name
+	byNot map[string]string              // poly key of -sub-1 -> var name, for binds[:nots]
+	nots  int                            // bindings whose -sub-1 key is in byNot
 	vars  [truthtable.MaxVars + 1]string // distinct input names left in the tree
 	nvars int                            // up to MaxVars+1
 }
@@ -334,22 +335,29 @@ func (a *abstraction) bind(n *expr.Expr) *expr.Expr {
 		sub, key = n, n.Key()
 		size, _ = expandedSize(n, nil)
 	}
-	var not string
+	var not string // the -sub-1 key, when computed
+	probed := false
 	if !a.s.opts.DisableCSE {
 		if name, ok := a.byKey[key]; ok {
 			a.s.stats.CSEHits++
 			return expr.Var(name)
 		}
-		// A subtree whose polynomial is -u-1 for a bound u is ~u.
-		var buf [128]byte
-		p := poly.FromExpr(sub, a.s.opts.Width, poly.Atoms(a.s.opts.Width, poly.CanonAtom))
-		if name, ok := a.byNot[string(p.AppendKey(buf[:0]))]; ok {
-			a.s.stats.CSEHits++
-			return expr.Not(expr.Var(name))
+		// A subtree whose polynomial is -u-1 for a bound u is ~u. With
+		// no u bound yet there is nothing to compare, so the -u-1 keys
+		// are built only once a second binding arrives.
+		if len(a.binds) > 0 {
+			for ; a.nots < len(a.binds); a.nots++ {
+				b := a.binds[a.nots]
+				a.byNot[a.complementKey(a.plainPoly(b.sub))] = b.name
+			}
+			var buf [128]byte
+			p := a.plainPoly(sub)
+			if name, ok := a.byNot[string(p.AppendKey(buf[:0]))]; ok {
+				a.s.stats.CSEHits++
+				return expr.Not(expr.Var(name))
+			}
+			not, probed = a.complementKey(p), true
 		}
-		p.Scale(^uint64(0))
-		p.AddConst(^uint64(0))
-		not = string(p.AppendKey(buf[:0]))
 	}
 	name := tempName(len(a.binds))
 	a.binds = append(a.binds, binding{name: name, sub: sub, size: size})
@@ -357,10 +365,25 @@ func (a *abstraction) bind(n *expr.Expr) *expr.Expr {
 		a.byKey, a.byNot = map[string]string{}, map[string]string{}
 	}
 	a.byKey[key] = name
-	if !a.s.opts.DisableCSE {
+	if probed {
 		a.byNot[not] = name
+		a.nots++
 	}
 	return expr.Var(name)
+}
+
+// plainPoly expands e over plain canonical atoms.
+func (a *abstraction) plainPoly(e *expr.Expr) *poly.Poly {
+	return poly.FromExpr(e, a.s.opts.Width, poly.Atoms(a.s.opts.Width, poly.CanonAtom))
+}
+
+// complementKey turns p, the polynomial of u, into -u-1 and returns its
+// key.
+func (a *abstraction) complementKey(p *poly.Poly) string {
+	var buf [128]byte
+	p.Scale(^uint64(0))
+	p.AddConst(^uint64(0))
+	return string(p.AppendKey(buf[:0]))
 }
 
 // tempPrefix marks abstraction temporaries. The prefix is reserved:

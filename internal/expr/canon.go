@@ -36,7 +36,8 @@ func CanonKey(e *Expr) (*Expr, string, int) {
 // twice.
 type canonizer struct {
 	key   []byte // keys of the canonical nodes finished so far
-	tmp   []byte // swap scratch, and Hash's serialization after the pass
+	ser   []byte // Hash's serialization of the same nodes (digest only)
+	tmp   []byte // swap scratch
 	nodes int    // canonical nodes finished so far
 }
 
@@ -52,10 +53,10 @@ const maxPooledScratch = 64 << 10
 func getCanonizer() *canonizer { return canonizers.Get().(*canonizer) }
 
 func (c *canonizer) release() {
-	if cap(c.key) > maxPooledScratch || cap(c.tmp) > maxPooledScratch {
+	if cap(c.key) > maxPooledScratch || cap(c.ser) > maxPooledScratch || cap(c.tmp) > maxPooledScratch {
 		return
 	}
-	c.key, c.tmp, c.nodes = c.key[:0], c.tmp[:0], 0
+	c.key, c.ser, c.tmp, c.nodes = c.key[:0], c.ser[:0], c.tmp[:0], 0
 	canonizers.Put(c)
 }
 
@@ -116,10 +117,7 @@ func (c *canonizer) canon(e *Expr) *Expr {
 		c.key = append(c.key, ')')
 		c.nodes++
 		if e.Op.isCommutative() && bytes.Compare(c.key[ys:ye], c.key[xs:xe]) < 0 {
-			c.tmp = append(c.tmp[:0], c.key[xs:xe]...)
-			at := xs + copy(c.key[xs:], c.key[ys:ye])
-			at += copy(c.key[at:], op)
-			copy(c.key[at:], c.tmp)
+			c.swapRuns(c.key[xs:ye], xe-xs, op)
 			return &Expr{Op: e.Op, X: y, Y: x}
 		}
 		if x == e.X && y == e.Y {
@@ -129,6 +127,15 @@ func (c *canonizer) canon(e *Expr) *Expr {
 		n.X, n.Y = x, y
 		return &n
 	}
+}
+
+// swapRuns rewrites b, which holds an operand run of xn bytes, then
+// sep, then the other operand's run, as the other run, sep, the first.
+func (c *canonizer) swapRuns(b []byte, xn int, sep string) {
+	c.tmp = append(c.tmp[:0], b[:xn]...)
+	at := copy(b, b[xn+len(sep):])
+	at += copy(b[at:], sep)
+	copy(b[at:], c.tmp)
 }
 
 // isCommutative reports whether Canon orders the operator's operands.

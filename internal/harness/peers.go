@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync"
 	"time"
@@ -35,10 +36,13 @@ func DefaultTools(width uint) []Tool {
 		{
 			Name: "Syntia",
 			New: func() func(*expr.Expr) *expr.Expr {
-				n := 0
 				return func(e *expr.Expr) *expr.Expr {
-					n++
-					s := syntia.New(syntia.Config{Seed: int64(n), Width: width})
+					// Seed from the sample's canonical digest, so a
+					// sample's synthesis does not depend on which
+					// worker runs it or in what order.
+					d := expr.Hash(e)
+					seed := int64(binary.LittleEndian.Uint64(d[:8]))
+					s := syntia.New(syntia.Config{Seed: seed, Width: width})
 					return s.Synthesize(e).Expr
 				}
 			},

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -8,10 +9,11 @@ import (
 	"mbasolver/internal/expr"
 )
 
-// FuzzParse exercises the lexer/parser for panics and checks the
-// print-reparse fixpoint on every accepted input. Its seeds, one per
-// line of testdata/seeds.txt, are shared with internal/expr's
-// canonical-key fuzz target.
+// FuzzParse exercises the lexer/parser for panics, checks that it
+// agrees with the reference parser (trees and error strings) on every
+// ASCII input, and checks the print-reparse fixpoint on every accepted
+// input. Its seeds, one per line of testdata/seeds.txt, are shared with
+// internal/expr's canonical-key fuzz target.
 func FuzzParse(f *testing.F) {
 	data, err := os.ReadFile("testdata/seeds.txt")
 	if err != nil {
@@ -21,6 +23,13 @@ func FuzzParse(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if isASCII(src) {
+			got, gerr := Parse(src)
+			want, werr := RefParse(src)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) || gerr == nil && !expr.Equal(got, want) {
+				t.Fatalf("Parse(%q) = %v, %v; reference %v, %v", src, got, gerr, want, werr)
+			}
+		}
 		e, err := Parse(src)
 		if err != nil {
 			return // rejection is fine; panics are not
@@ -34,4 +43,13 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("print/reparse changed structure: %q -> %q -> %q", src, printed, e2.String())
 		}
 	})
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }

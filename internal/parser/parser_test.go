@@ -174,3 +174,21 @@ func TestRoundTripPreservesSemantics(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestParseNonASCII: identifiers are ASCII only. A non-ASCII character,
+// valid UTF-8 or not, is an unexpected character named by its decoded
+// rune at its first byte's offset.
+func TestParseNonASCII(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"µ", `parse error at offset 0: unexpected character 'µ'`},
+		{"x\xe9", `parse error at offset 1: unexpected character '�'`},
+		{"é+1", `parse error at offset 0: unexpected character 'é'`},
+	} {
+		e, err := Parse(c.in)
+		if err == nil {
+			t.Errorf("Parse(%q) = %v, want error", c.in, e)
+		} else if err.Error() != c.want {
+			t.Errorf("Parse(%q) error %q, want %q", c.in, err, c.want)
+		}
+	}
+}

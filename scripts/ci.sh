@@ -59,11 +59,21 @@ go test ./internal/expr/ -run '^$' -bench Hash -benchtime 1x
 go test ./internal/bv/ -run '^$' -bench Rewrite -benchtime 1x
 go test ./internal/core/ -run '^$' -bench Simplify -benchtime 1x
 go test ./internal/poly/ -run '^$' -bench FromExpr -benchtime 1x
+go test ./internal/parser/ -run '^$' -bench Parse -benchtime 1x
 
 # Canonical-key fuzz: the single-pass expr.Canon/Key/Hash must agree
 # with the test-only quadratic reference (trees, key bytes, digests) on
 # every expression the parser accepts.
 go test ./internal/expr/ -run '^$' -fuzz '^FuzzCanon$' -fuzztime 10s
+
+# Parser fuzz: the precedence-climbing, slab-allocating Parse must
+# agree with the test-only recursive-descent reference (trees and error
+# strings) on every ASCII input, and print/reparse must be a fixpoint.
+go test ./internal/parser/ -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s
+
+# Router splice fuzz: no node reply may panic the router, and every
+# reply it accepts must splice into a valid JSON response.
+go test ./internal/cluster/ -run '^$' -fuzz '^FuzzNodeReply$' -fuzztime 10s
 
 # Simplifier fuzz: Simplify's output must equal its input exhaustively
 # at width 4 (inputs of at most 3 variables) and on random bitsliced
