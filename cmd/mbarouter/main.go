@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"mbasolver/internal/cluster"
+	"mbasolver/internal/portfolio"
 	"mbasolver/internal/service"
 	"mbasolver/internal/service/client"
 	"mbasolver/internal/smt"
@@ -80,7 +81,7 @@ func main() {
 		Nodes:         nodeList,
 		ProbeInterval: *probeInterval,
 		ProbeTimeout:  *probeTimeout,
-		Health: cluster.HealthOptions{
+		Health: portfolio.BreakerOptions{
 			Threshold: *ejectThreshold,
 			Cooldown:  *ejectCooldown,
 		},

@@ -14,6 +14,7 @@ import (
 	"mbasolver/internal/fault"
 	"mbasolver/internal/leakcheck"
 	"mbasolver/internal/parser"
+	"mbasolver/internal/portfolio"
 	"mbasolver/internal/service"
 	"mbasolver/internal/service/client"
 	"mbasolver/internal/smt"
@@ -181,7 +182,7 @@ func TestClusterChaos(t *testing.T) {
 		Nodes:         urls,
 		ProbeInterval: 25 * time.Millisecond,
 		ProbeTimeout:  2 * time.Second,
-		Health:        cluster.HealthOptions{Threshold: 2, Cooldown: 50 * time.Millisecond},
+		Health:        portfolio.BreakerOptions{Threshold: 2, Cooldown: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

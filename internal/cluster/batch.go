@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"mbasolver/internal/portfolio"
 	"mbasolver/internal/service"
 	"mbasolver/internal/smt"
 )
@@ -23,22 +24,12 @@ import (
 // triggers failover for every item in the sub-batch.
 type SendFunc func(ctx context.Context, node string, req *service.BatchRequest) ([]byte, error)
 
-// ExecuteOptions tunes one batch execution.
-type ExecuteOptions struct {
-	// Allow filters routable nodes (the router wires its health
-	// tracker here). When every untried replica of an item is
-	// disallowed, the engine tries them anyway — answering beats
-	// refusing, exactly as the portfolio breakers force-admit when all
-	// engines are open. Nil allows every node.
-	Allow func(node string) bool
-	// Report observes each send outcome (passive health marking).
-	Report func(node string, ok bool)
-}
-
 // replicaWalk is the one failover order of the cluster, for single
 // requests and batch items alike: a key's untried replicas in ring
-// order, routable ones first, then the untried ones allow refuses
-// (force-admitted — answering beats refusing), never a node twice.
+// order, routable ones first, then the untried ones whose breakers are
+// open (force-admitted — answering beats refusing, exactly as the
+// portfolio force-admits when every engine's breaker is open), never a
+// node twice.
 type replicaWalk struct {
 	seq  []string // replica preference order (ring sequence)
 	used []bool   // seq[i] already tried
@@ -50,14 +41,17 @@ func newReplicaWalk(ring *Ring, key string) replicaWalk {
 }
 
 // next marks and returns the next node to try, or "" once every
-// replica has been tried. A nil allow admits every node.
-func (w *replicaWalk) next(allow func(string) bool) string {
+// replica has been tried. A node is routable unless its breaker is
+// open: a half-open node takes traffic, and the walk never calls
+// Allow, whose one probe slot belongs to the router's prober. A node
+// without a breaker is always routable.
+func (w *replicaWalk) next(breakers map[string]*portfolio.Breaker) string {
 	pick := -1
 	for i, n := range w.seq {
 		if w.used[i] {
 			continue
 		}
-		if allow == nil || allow(n) {
+		if b := breakers[n]; b == nil || !b.Open() {
 			pick = i
 			break
 		}
@@ -86,7 +80,10 @@ type batchItemState struct {
 // so cross-node duplicates cannot split a group). degraded counts the
 // items no replica could answer; failovers counts the sub-batches that
 // retried items on another replica after a failed forward.
-func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, send SendFunc, opts ExecuteOptions) (reply *BatchReply, degraded, failovers int) {
+//
+// breakers holds each node's circuit breaker (nil means every node is
+// routable); every send outcome is reported to the node's breaker.
+func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, send SendFunc, breakers map[string]*portfolio.Breaker) (reply *BatchReply, degraded, failovers int) {
 	reply = &BatchReply{items: make([]replyItem, len(req.Items))}
 
 	var pending []*batchItemState
@@ -109,7 +106,7 @@ func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, se
 	for round := 0; len(pending) > 0; round++ {
 		byNode := make(map[string][]*batchItemState)
 		for _, st := range pending {
-			node := st.walk.next(opts.Allow)
+			node := st.walk.next(breakers)
 			if node == "" {
 				reply.items[st.idx] = localItem(degradeItem(st.item))
 				degraded++
@@ -139,8 +136,12 @@ func ExecuteBatch(ctx context.Context, ring *Ring, req *service.BatchRequest, se
 				data, err := send(ctx, node, sub)
 				var nr nodeReply
 				ok := err == nil && nr.parse(data, len(items))
-				if opts.Report != nil {
-					opts.Report(node, ok)
+				if b := breakers[node]; b != nil {
+					if ok {
+						b.ReportSuccess()
+					} else {
+						b.ReportFailure()
+					}
 				}
 				mu.Lock()
 				defer mu.Unlock()

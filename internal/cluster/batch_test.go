@@ -9,7 +9,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"mbasolver/internal/portfolio"
 	"mbasolver/internal/service"
 	"mbasolver/internal/smt"
 )
@@ -21,6 +23,16 @@ func testRing(t *testing.T, nodes ...string) *Ring {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// testBreakers returns one breaker per node that opens on the node's
+// first failure and stays open for the test's length.
+func testBreakers(nodes ...string) map[string]*portfolio.Breaker {
+	m := make(map[string]*portfolio.Breaker, len(nodes))
+	for _, n := range nodes {
+		m[n] = portfolio.NewBreaker(n, portfolio.BreakerOptions{Threshold: 1, Cooldown: time.Hour})
+	}
+	return m
 }
 
 func solveItem(a, b string) service.BatchItem {
@@ -47,9 +59,9 @@ func echoSend(calls *sync.Map) SendFunc {
 }
 
 // execute runs ExecuteBatch and decodes the reply's wire form.
-func execute(t *testing.T, ring *Ring, req *service.BatchRequest, send SendFunc, opts ExecuteOptions) *service.BatchResponse {
+func execute(t *testing.T, ring *Ring, req *service.BatchRequest, send SendFunc, breakers map[string]*portfolio.Breaker) *service.BatchResponse {
 	t.Helper()
-	reply, _, _ := ExecuteBatch(context.Background(), ring, req, send, opts)
+	reply, _, _ := ExecuteBatch(context.Background(), ring, req, send, breakers)
 	var resp service.BatchResponse
 	if err := json.Unmarshal(reply.AppendJSON(nil, 0, ""), &resp); err != nil {
 		t.Fatalf("decoding reply: %v", err)
@@ -63,7 +75,7 @@ func TestExecuteBatchOrderAndSharding(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		req.Items = append(req.Items, solveItem(fmt.Sprintf("x+%d", i), "x"))
 	}
-	resp := execute(t, ring, req, echoSend(nil), ExecuteOptions{})
+	resp := execute(t, ring, req, echoSend(nil), nil)
 	if len(resp.Items) != 12 {
 		t.Fatalf("got %d items, want 12", len(resp.Items))
 	}
@@ -101,7 +113,7 @@ func TestExecuteBatchIdenticalItemsShareNode(t *testing.T) {
 		solveItem("x+y", "(x|y)+(x&y)"),
 		solveItem("(x|y)+(x&y)", "x+y"), // order-normalized: same key
 	}}
-	resp := execute(t, ring, req, echoSend(nil), ExecuteOptions{})
+	resp := execute(t, ring, req, echoSend(nil), nil)
 	for i := 1; i < len(resp.Items); i++ {
 		if resp.Items[i].Node != resp.Items[0].Node {
 			t.Fatalf("identical items split across nodes %q and %q", resp.Items[0].Node, resp.Items[i].Node)
@@ -129,14 +141,8 @@ func TestExecuteBatchFailover(t *testing.T) {
 		}
 		return echoSend(nil)(ctx, node, sub)
 	}
-	var reports []string
-	resp := execute(t, ring, req, send, ExecuteOptions{
-		Report: func(node string, ok bool) {
-			mu.Lock()
-			reports = append(reports, fmt.Sprintf("%s=%t", node, ok))
-			mu.Unlock()
-		},
-	})
+	breakers := testBreakers("n1", "n2", "n3")
+	resp := execute(t, ring, req, send, breakers)
 	for i, it := range resp.Items {
 		if it.Solve == nil || it.Solve.Status != smt.Equivalent.String() {
 			t.Fatalf("item %d not answered despite live replicas: %+v", i, it)
@@ -157,14 +163,12 @@ func TestExecuteBatchFailover(t *testing.T) {
 	if sends[down] > keyOwned {
 		t.Fatalf("dead node received %d item-sends, only owns %d items", sends[down], keyOwned)
 	}
-	foundFailure := false
-	for _, r := range reports {
-		if strings.HasPrefix(r, down+"=false") {
-			foundFailure = true
+	// Each send outcome reaches the node's breaker: the dead node's
+	// failure opens it, the live nodes' successes keep theirs closed.
+	for node, b := range breakers {
+		if want := node == down && keyOwned > 0; b.Open() != want {
+			t.Fatalf("node %s breaker %s, want open=%v", node, b.State(), want)
 		}
-	}
-	if keyOwned > 0 && !foundFailure {
-		t.Fatalf("no failure reported for dead node; reports: %v", reports)
 	}
 }
 
@@ -177,7 +181,7 @@ func TestExecuteBatchAllNodesDownDegrades(t *testing.T) {
 	send := func(ctx context.Context, node string, sub *service.BatchRequest) ([]byte, error) {
 		return nil, fmt.Errorf("refused")
 	}
-	resp := execute(t, ring, req, send, ExecuteOptions{})
+	resp := execute(t, ring, req, send, nil)
 	s := resp.Items[0]
 	if s.Solve == nil || s.Solve.Status != smt.Unknown.String() || s.Solve.Reason != service.ReasonUnavailable {
 		t.Fatalf("solve item not degraded to reasoned Unknown: %+v", s.Solve)
@@ -188,13 +192,15 @@ func TestExecuteBatchAllNodesDownDegrades(t *testing.T) {
 }
 
 func TestExecuteBatchAllowFallback(t *testing.T) {
-	// Health disallows every node; the engine must still try them
+	// Every node's breaker is open; the engine must still try them
 	// (answering beats refusing) and succeed.
 	ring := testRing(t, "n1", "n2")
 	req := &service.BatchRequest{Items: []service.BatchItem{solveItem("x^y", "(x|y)-(x&y)")}}
-	resp := execute(t, ring, req, echoSend(nil), ExecuteOptions{
-		Allow: func(string) bool { return false },
-	})
+	breakers := testBreakers("n1", "n2")
+	for _, b := range breakers {
+		b.ReportFailure()
+	}
+	resp := execute(t, ring, req, echoSend(nil), breakers)
 	if resp.Items[0].Solve == nil || resp.Items[0].Solve.Status != smt.Equivalent.String() {
 		t.Fatalf("item refused although a node could answer: %+v", resp.Items[0])
 	}
@@ -212,7 +218,7 @@ func TestExecuteBatchMalformedItemLocalError(t *testing.T) {
 		{},                  // neither solve nor simplify
 		solveItem("x", "x"), // fine
 	}}
-	resp := execute(t, ring, req, send, ExecuteOptions{})
+	resp := execute(t, ring, req, send, nil)
 	if resp.Items[0].Error == "" || resp.Items[1].Error == "" {
 		t.Fatalf("malformed items not answered locally: %+v", resp.Items[:2])
 	}
@@ -239,7 +245,7 @@ func TestExecuteBatchShortResponseIsNodeFailure(t *testing.T) {
 		return echoSend(nil)(ctx, node, sub)
 	}
 	req := &service.BatchRequest{Items: []service.BatchItem{solveItem("x|y", "y|x")}}
-	resp := execute(t, ring, req, send, ExecuteOptions{})
+	resp := execute(t, ring, req, send, nil)
 	it := resp.Items[0]
 	if it.Solve == nil || it.Solve.Status != smt.Equivalent.String() {
 		t.Fatalf("item lost to a malformed node response: %+v", it)
@@ -275,7 +281,7 @@ func TestExecuteBatchUnspliceableReplyIsNodeFailure(t *testing.T) {
 			return echoSend(nil)(ctx, node, sub)
 		}
 		req := &service.BatchRequest{Items: []service.BatchItem{solveItem("x|y", "y|x")}}
-		it := execute(t, ring, req, send, ExecuteOptions{}).Items[0]
+		it := execute(t, ring, req, send, nil).Items[0]
 		if it.Solve == nil || it.Solve.Status != smt.Equivalent.String() || it.Node == bad {
 			t.Errorf("reply %s: item not failed over: %+v", body, it)
 		}
@@ -292,7 +298,7 @@ func TestBatchReplySplicesNodeBytes(t *testing.T) {
 		return []byte(body), nil
 	}
 	req := &service.BatchRequest{Items: []service.BatchItem{solveItem("x", "y"), solveItem("x", "y")}}
-	reply, _, _ := ExecuteBatch(context.Background(), ring, req, send, ExecuteOptions{})
+	reply, _, _ := ExecuteBatch(context.Background(), ring, req, send, nil)
 	got := reply.AppendJSON(nil, 1.25, "id<1>")
 
 	var resp service.BatchResponse

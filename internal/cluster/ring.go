@@ -1,8 +1,9 @@
 // Package cluster is the horizontal scale-out layer over mbaserved: a
 // consistent-hash ring that shards work across nodes by canonical
-// expression digest, a node-health tracker with eject/readmit
-// semantics, a batch split/failover/reassemble engine, and an HTTP
-// router (cmd/mbarouter) built from those pieces.
+// expression digest, per-node circuit breakers (portfolio.Breaker,
+// the engines' own) with eject/readmit semantics, a batch
+// split/failover/reassemble engine, and an HTTP router (cmd/mbarouter)
+// built from those pieces.
 //
 // The sharding argument is locality, not just load: a single mbaserved
 // node is fast because its state is warm — the semantic LRU verdict

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mbasolver/internal/portfolio"
 	"mbasolver/internal/service"
 )
 
@@ -26,8 +27,11 @@ type RouterConfig struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe request (default 2s).
 	ProbeTimeout time.Duration
-	// Health tunes ejection/readmission.
-	Health HealthOptions
+	// Health tunes each node's circuit breaker: Threshold consecutive
+	// failed forwards or probes eject a node, and after Cooldown
+	// (default 500ms here, doubling per failed readmission probe up to
+	// MaxCooldown) one probe may readmit it.
+	Health portfolio.BreakerOptions
 	// MaxBatchItems caps routed batches (default 1024 — the router cap
 	// is looser than the node cap because the router splits before
 	// forwarding).
@@ -46,21 +50,32 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 1024
 	}
+	if c.Health.Cooldown <= 0 {
+		c.Health.Cooldown = 500 * time.Millisecond
+	}
 	return c
 }
 
 // Router is the stateless scale-out tier: it owns no solver state,
-// only the ring, the health view and open connections, so N routers
+// only the ring, the node breakers and open connections, so N routers
 // can run behind a TCP balancer without coordination. Create with
 // NewRouter, mount via Handler, stop with Close (stops the prober and
 // releases idle connections; in-flight requests finish).
+//
+// Node health runs on portfolio.Breaker, the engines' circuit breaker,
+// one per node and named by its URL: closed, open and half-open read
+// healthy, ejected and probing. Evidence arrives on two paths.
+// Passively, every forward reports its outcome (a transport error or
+// 5xx is a failure; a spliceable reply is a success). Actively, the
+// prober polls each node's /readyz, which also covers nodes receiving
+// no traffic and is the single probe that readmits an ejected node.
 type Router struct {
-	cfg    RouterConfig
-	ring   *Ring
-	health *Tracker
-	hc     *http.Client
-	mux    *http.ServeMux
-	met    routerMetrics
+	cfg      RouterConfig
+	ring     *Ring
+	breakers map[string]*portfolio.Breaker // by node URL; fixed after NewRouter
+	hc       *http.Client
+	mux      *http.ServeMux
+	met      routerMetrics
 
 	done    chan struct{}
 	wg      sync.WaitGroup
@@ -102,13 +117,16 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("router ring: %w", err)
 	}
 	rt := &Router{
-		cfg:    cfg,
-		ring:   ring,
-		health: NewTracker(cfg.Nodes, cfg.Health),
-		hc:     &http.Client{Transport: cfg.Transport},
-		mux:    http.NewServeMux(),
-		met:    routerMetrics{start: time.Now()},
-		done:   make(chan struct{}),
+		cfg:      cfg,
+		ring:     ring,
+		breakers: make(map[string]*portfolio.Breaker, len(cfg.Nodes)),
+		hc:       &http.Client{Transport: cfg.Transport},
+		mux:      http.NewServeMux(),
+		met:      routerMetrics{start: time.Now()},
+		done:     make(chan struct{}),
+	}
+	for _, node := range cfg.Nodes {
+		rt.breakers[node] = portfolio.NewBreaker(node, cfg.Health)
 	}
 	rt.mux.HandleFunc(service.PathBatch, rt.handleBatch)
 	rt.mux.HandleFunc(service.PathSolve, rt.handleSingle)
@@ -143,23 +161,28 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // assignment).
 func (rt *Router) Ring() *Ring { return rt.ring }
 
-// Health exposes the router's health tracker.
-func (rt *Router) Health() *Tracker { return rt.health }
+// nodeStates maps breaker states to the node words /debug/metrics
+// shows.
+var nodeStates = map[string]string{"closed": "healthy", "open": "ejected", "half-open": "probing"}
 
 // Snapshot returns the router metrics (the /debug/metrics body).
 func (rt *Router) Snapshot() RouterSnapshot {
-	return RouterSnapshot{
+	snap := RouterSnapshot{
 		UptimeMS:   float64(time.Since(rt.met.start)) / float64(time.Millisecond),
 		Goroutines: runtime.NumGoroutine(),
-		Nodes:      rt.health.States(),
+		Nodes:      make(map[string]string, len(rt.breakers)),
 		Batches:    rt.met.batches.Load(),
 		Singles:    rt.met.singles.Load(),
 		Forwarded:  rt.met.forwarded.Load(),
 		Failovers:  rt.met.failovers.Load(),
 		Degraded:   rt.met.degraded.Load(),
 		Probes:     rt.met.probes.Load(),
-		Ejects:     rt.health.Ejects(),
 	}
+	for node, b := range rt.breakers {
+		snap.Nodes[node] = nodeStates[b.State()]
+		snap.Ejects += b.Trips()
+	}
+	return snap
 }
 
 // Close stops the prober loop and closes idle backend connections. It
@@ -173,11 +196,12 @@ func (rt *Router) Close() {
 	rt.hc.CloseIdleConnections()
 }
 
-// probeLoop actively polls every node's /readyz. Tracker.ShouldProbe
-// gates which nodes get a probe each tick (ejected nodes only after
-// their cooldown, as the single readmission probe). Probes run
-// concurrently so one hung node cannot stall the loop past its own
-// timeout.
+// probeLoop actively polls every node's /readyz. The node's breaker's
+// Allow gates which nodes get a probe each tick: healthy nodes always
+// (that is how silent death is noticed on an idle shard), ejected
+// nodes only after their cooldown, as the single readmission probe.
+// Probes run concurrently so one hung node cannot stall the loop past
+// its own timeout.
 func (rt *Router) probeLoop() {
 	defer rt.wg.Done()
 	ticker := time.NewTicker(rt.cfg.ProbeInterval)
@@ -189,19 +213,19 @@ func (rt *Router) probeLoop() {
 		case <-ticker.C:
 		}
 		var wg sync.WaitGroup
-		for _, node := range rt.ring.Nodes() {
-			if !rt.health.ShouldProbe(node) {
+		for node, b := range rt.breakers {
+			if !b.Allow() {
 				continue
 			}
-			node := node
+			node, b := node, b
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				rt.met.probes.Add(1)
 				if rt.probe(node) {
-					rt.health.ReportSuccess(node)
+					b.ReportSuccess()
 				} else {
-					rt.health.ReportFailure(node)
+					b.ReportFailure()
 				}
 			}()
 		}
@@ -254,10 +278,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	id := r.Header.Get(service.HeaderRequestID)
-	reply, degraded, failovers := ExecuteBatch(r.Context(), rt.ring, &req, rt.sendSubBatch(id), ExecuteOptions{
-		Allow:  rt.health.Routable,
-		Report: rt.reportSend,
-	})
+	reply, degraded, failovers := ExecuteBatch(r.Context(), rt.ring, &req, rt.sendSubBatch(id), rt.breakers)
 	rt.met.degraded.Add(int64(degraded))
 	rt.met.failovers.Add(int64(failovers))
 	body := reply.AppendJSON(nil, float64(time.Since(start))/float64(time.Millisecond), id)
@@ -297,15 +318,6 @@ func (rt *Router) sendSubBatch(id string) SendFunc {
 	}
 }
 
-// reportSend feeds passive health from forwarding outcomes.
-func (rt *Router) reportSend(node string, ok bool) {
-	if ok {
-		rt.health.ReportSuccess(node)
-		return
-	}
-	rt.health.ReportFailure(node)
-}
-
 // ---- single-item routing --------------------------------------------
 
 // handleSingle forwards one solve/simplify/classify request to its
@@ -332,7 +344,7 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 
 	walk := newReplicaWalk(rt.ring, key)
 	var lastErr error
-	for node := walk.next(rt.health.Routable); node != ""; node = walk.next(rt.health.Routable) {
+	for node := walk.next(rt.breakers); node != ""; node = walk.next(rt.breakers) {
 		if lastErr != nil {
 			rt.met.failovers.Add(1) // the previous replica failed
 		}
@@ -354,6 +366,7 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 // should fail over.
 func (rt *Router) forwardSingle(w http.ResponseWriter, r *http.Request, node string, body []byte) (bool, error) {
 	rt.met.forwarded.Add(1)
+	b := rt.breakers[node]
 	hr, err := http.NewRequestWithContext(r.Context(), http.MethodPost, node+r.URL.Path, bytes.NewReader(body))
 	if err != nil {
 		return false, err
@@ -362,21 +375,21 @@ func (rt *Router) forwardSingle(w http.ResponseWriter, r *http.Request, node str
 	hr.Header.Set(service.HeaderRequestID, r.Header.Get(service.HeaderRequestID))
 	res, err := rt.hc.Do(hr)
 	if err != nil {
-		rt.health.ReportFailure(node)
+		b.ReportFailure()
 		return false, err
 	}
 	defer res.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(res.Body, maxBodyBytes))
 	if err != nil {
-		rt.health.ReportFailure(node)
+		b.ReportFailure()
 		return false, fmt.Errorf("reading node response: %w", err)
 	}
 	switch res.StatusCode {
 	case http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		rt.health.ReportFailure(node)
+		b.ReportFailure()
 		return false, fmt.Errorf("node %s answered %d", node, res.StatusCode)
 	}
-	rt.health.ReportSuccess(node)
+	b.ReportSuccess()
 	if ct := res.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
@@ -425,8 +438,8 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 // handleReady reports 200 while at least one backend is routable: a
 // router with zero live nodes cannot serve and should leave rotation.
 func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
-	for _, node := range rt.ring.Nodes() {
-		if rt.health.Routable(node) {
+	for _, b := range rt.breakers {
+		if !b.Open() {
 			service.WriteJSON(w, http.StatusOK, service.HealthResponse{Status: "ok"})
 			return
 		}

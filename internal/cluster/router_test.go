@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mbasolver/internal/leakcheck"
+	"mbasolver/internal/portfolio"
 	"mbasolver/internal/service"
 	"mbasolver/internal/smt"
 )
@@ -105,7 +106,7 @@ func newTestRouter(t *testing.T, probe time.Duration, nodes ...*fakeNode) *Route
 		Nodes:         urls,
 		ProbeInterval: probe,
 		ProbeTimeout:  time.Second,
-		Health:        HealthOptions{Threshold: testThreshold, Cooldown: 50 * time.Millisecond},
+		Health:        portfolio.BreakerOptions{Threshold: testThreshold, Cooldown: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,13 +331,13 @@ func TestRouterSingleWalkTriesEveryReplicaOnce(t *testing.T) {
 	}
 	seq := rt.Ring().Sequence(key)
 	for _, node := range seq[:2] {
-		rt.Health().ReportFailure(node)
+		rt.breakers[node].ReportFailure()
 		owners[node].down.Store(true)
 	}
 	for i := 0; i < testThreshold; i++ {
-		rt.Health().ReportFailure(seq[2])
+		rt.breakers[seq[2]].ReportFailure()
 	}
-	if rt.Health().Routable(seq[2]) {
+	if !rt.breakers[seq[2]].Open() {
 		t.Fatal("third replica not ejected")
 	}
 
@@ -527,8 +528,8 @@ func TestRouterReadyReflectsNodeHealth(t *testing.T) {
 		t.Fatalf("readyz = %d with healthy nodes", rec.Code)
 	}
 	// Eject the only node via passive failures.
-	rt.Health().ReportFailure(n1.srv.URL)
-	rt.Health().ReportFailure(n1.srv.URL)
+	rt.breakers[n1.srv.URL].ReportFailure()
+	rt.breakers[n1.srv.URL].ReportFailure()
 	rec = httptest.NewRecorder()
 	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, service.PathReady, nil))
 	if rec.Code != http.StatusServiceUnavailable {
@@ -539,6 +540,65 @@ func TestRouterReadyReflectsNodeHealth(t *testing.T) {
 	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, service.PathHealth, nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthz = %d, want 200 always", rec.Code)
+	}
+}
+
+// TestRouterNodeBreakers: a node's breaker ejects it at the threshold,
+// not before, and leaves the other nodes alone; /debug/metrics names
+// the states healthy, ejected and probing and sums the ejects; a
+// probing node still takes traffic.
+func TestRouterNodeBreakers(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	if got := (RouterConfig{}).withDefaults().Health.Cooldown; got != 500*time.Millisecond {
+		t.Fatalf("default node cooldown %v, want 500ms", got)
+	}
+	n1, n2 := newFakeNode(t, "n1"), newFakeNode(t, "n2")
+	rt := newTestRouter(t, -1, n1, n2)
+	a, b := n1.srv.URL, n2.srv.URL
+	metrics := func() RouterSnapshot {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, service.PathMetrics, nil))
+		var snap RouterSnapshot
+		if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+			t.Fatalf("decoding /debug/metrics: %v", err)
+		}
+		return snap
+	}
+
+	for i := 0; i < testThreshold-1; i++ {
+		rt.breakers[a].ReportFailure()
+	}
+	if snap := metrics(); snap.Nodes[a] != "healthy" || snap.Ejects != 0 {
+		t.Fatalf("below threshold: nodes %v ejects %d, want %s healthy and no ejects", snap.Nodes, snap.Ejects, a)
+	}
+	rt.breakers[a].ReportFailure()
+	if snap := metrics(); snap.Nodes[a] != "ejected" || snap.Nodes[b] != "healthy" || snap.Ejects != 1 {
+		t.Fatalf("at threshold: nodes %v ejects %d, want %s ejected, %s healthy, 1 eject", snap.Nodes, snap.Ejects, a, b)
+	}
+
+	time.Sleep(60 * time.Millisecond) // the test routers' cooldown is 50ms
+	if !rt.breakers[a].Allow() {
+		t.Fatal("cooldown elapsed: readmission probe refused")
+	}
+	if got := metrics().Nodes[a]; got != "probing" {
+		t.Fatalf("state %q during the readmission probe, want probing", got)
+	}
+	key := "k"
+	for rt.Ring().Lookup(key) != a {
+		key += "k"
+	}
+	walk := newReplicaWalk(rt.Ring(), key)
+	if got := walk.next(rt.breakers); got != a {
+		t.Fatalf("walk from %s's key went to %s, want the probing owner", a, got)
+	}
+	if rt.breakers[a].Allow() {
+		t.Fatal("second probe admitted: the walk must not take the probe slot")
+	}
+	for i := 0; i < 3; i++ {
+		if !rt.breakers[b].Allow() {
+			t.Fatal("healthy node not probed")
+		}
 	}
 }
 

@@ -164,9 +164,6 @@ func Unary(op Op, x *Expr) *Expr {
 // (compared mod 2^64).
 func (e *Expr) IsConst(v uint64) bool { return e.Op == OpConst && e.Val == v }
 
-// IsVar reports whether e is a variable leaf.
-func (e *Expr) IsVar() bool { return e.Op == OpVar }
-
 // Equal reports structural equality of two expression trees.
 func Equal(a, b *Expr) bool {
 	if a == b {

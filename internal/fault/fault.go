@@ -276,13 +276,6 @@ func Disable() {
 	}
 }
 
-// Sites returns the registered site names, sorted.
-func Sites() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	return siteNamesLocked()
-}
-
 func siteNamesLocked() []string {
 	out := make([]string, 0, len(registry))
 	for name := range registry {

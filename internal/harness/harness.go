@@ -186,39 +186,30 @@ func runQueries(samples []gen.Sample, solvers []*smt.Solver, cfg Config,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns one portfolio set for portfolio jobs and,
-			// in incremental mode, one warm context per personality
-			// (contexts are single-goroutine), reused across its jobs.
+			// Each worker owns one portfolio set for portfolio jobs and
+			// one one-engine set per personality for solo jobs, as the
+			// service's workers do; in incremental mode each holds warm
+			// contexts (single-goroutine), reused across its jobs.
 			set := portfolio.New(solvers, popts)
-			var ctxs map[*smt.Solver]*smt.Context
-			if cfg.Incremental {
-				ctxs = make(map[*smt.Solver]*smt.Context, len(solvers))
-				for _, sv := range solvers {
-					ctxs[sv] = sv.NewContext(smt.ContextOptions{})
-				}
+			solo := make(map[*smt.Solver]*portfolio.Set, len(solvers))
+			for _, sv := range solvers {
+				solo[sv] = portfolio.New([]*smt.Solver{sv}, portfolio.Options{Incremental: cfg.Incremental})
 			}
 			for j := range jobs {
 				lhs, rhs := sides(j.sample)
 				o := Outcome{
 					Sample:  j.sample,
 					Metrics: metrics.Measure(lhs),
+					Solver:  portfolio.Name,
 				}
-				if j.portfolio {
-					res := set.CheckEquiv(lhs, rhs, cfg.Width, cfg.Budget)
-					o.Solver = portfolio.Name
-					o.Status = res.Status
-					o.Elapsed = res.Elapsed
-				} else {
-					var res smt.Result
-					if ctxs != nil {
-						res = ctxs[j.solver].CheckEquiv(lhs, rhs, cfg.Width, cfg.Budget)
-					} else {
-						res = j.solver.CheckEquiv(lhs, rhs, cfg.Width, cfg.Budget)
-					}
+				run := set
+				if !j.portfolio {
+					run = solo[j.solver]
 					o.Solver = j.solver.Name()
-					o.Status = res.Status
-					o.Elapsed = res.Elapsed
 				}
+				res := run.CheckEquiv(lhs, rhs, cfg.Width, cfg.Budget)
+				o.Status = res.Status
+				o.Elapsed = res.Elapsed
 				results[j.slot] = o
 			}
 		}()

@@ -7,7 +7,8 @@ import (
 	"mbasolver/internal/smt"
 )
 
-// Breaker is a per-personality circuit breaker. An engine that keeps
+// Breaker is a circuit breaker guarding one peer: a solver personality
+// in a Set, or a node behind the cluster router. An engine that keeps
 // failing for structural reasons — contained panics, blown memory caps
 // — is not going to win races, but it still costs a goroutine, a warm
 // context and cache pressure per query. After Threshold consecutive
@@ -65,13 +66,13 @@ const (
 	breakerHalfOpen
 )
 
-// NewBreaker builds a closed breaker for the named personality.
+// NewBreaker builds a closed breaker for the named peer.
 func NewBreaker(name string, opts BreakerOptions) *Breaker {
 	o := opts.withDefaults()
 	return &Breaker{name: name, opts: o, cooldown: o.Cooldown, now: time.Now}
 }
 
-// Name returns the personality the breaker guards.
+// Name returns the peer the breaker guards.
 func (b *Breaker) Name() string { return b.name }
 
 // Allow reports whether the engine may run a query now. An open
@@ -94,6 +95,15 @@ func (b *Breaker) Allow() bool {
 	default: // half-open: probe already in flight
 		return false
 	}
+}
+
+// Open reports whether the breaker is open. A half-open breaker is not:
+// its probe is in flight and its traffic doubles as evidence. Unlike
+// Allow it changes no state, so asking it never takes the probe slot.
+func (b *Breaker) Open() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state == breakerOpen
 }
 
 // Report feeds one run's outcome to the breaker: a structural
@@ -119,9 +129,10 @@ func (b *Breaker) ReportSuccess() {
 	b.cooldown = b.opts.Cooldown
 }
 
-// ReportFailure records a structural failure (ReasonPanic or
-// ReasonResource). Threshold consecutive failures open the breaker; a
-// failed half-open probe re-opens it with the cooldown doubled.
+// ReportFailure records a failure: for an engine a structural one
+// (ReasonPanic or ReasonResource), for a node a failed forward or
+// probe. Threshold consecutive failures open the breaker; a failed
+// half-open probe re-opens it with the cooldown doubled.
 func (b *Breaker) ReportFailure() {
 	now := b.now() // read the clock outside the lock
 	b.mu.Lock()
@@ -133,14 +144,14 @@ func (b *Breaker) ReportFailure() {
 		if b.cooldown > b.opts.MaxCooldown {
 			b.cooldown = b.opts.MaxCooldown
 		}
-		b.open(now)
+		b.trip(now)
 	case b.state == breakerClosed && b.failures >= b.opts.Threshold:
-		b.open(now)
+		b.trip(now)
 	}
 }
 
-// open transitions to the open state (callers hold b.mu).
-func (b *Breaker) open(now time.Time) {
+// trip transitions to the open state (callers hold b.mu).
+func (b *Breaker) trip(now time.Time) {
 	b.state = breakerOpen
 	b.until = now.Add(b.cooldown)
 	b.trips++

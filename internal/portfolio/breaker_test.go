@@ -10,20 +10,41 @@ import (
 )
 
 // TestBreakerStateMachine drives the closed → open → half-open cycle
-// with an injected clock.
+// with an injected clock. The cluster router runs one breaker per node
+// on the same rules: Open is its routability check and Allow its
+// prober's gate.
 func TestBreakerStateMachine(t *testing.T) {
 	now := time.Unix(0, 0)
 	b := NewBreaker("x", BreakerOptions{Threshold: 3, Cooldown: time.Second})
 	b.now = func() time.Time { return now }
 
+	// A closed breaker always allows: a healthy node is probed every
+	// tick.
+	for i := 0; i < 5; i++ {
+		if !b.Allow() {
+			t.Fatal("closed breaker refused")
+		}
+	}
+
+	// A success resets the failure streak.
+	b.ReportFailure()
+	b.ReportFailure()
+	b.ReportSuccess()
+	b.ReportFailure()
+	b.ReportFailure()
+	if b.Open() || b.State() != "closed" {
+		t.Fatalf("streak not reset by a success: state=%s", b.State())
+	}
+	b.ReportSuccess()
+
 	for i := 0; i < 2; i++ {
 		b.ReportFailure()
 	}
-	if !b.Allow() || b.State() != "closed" {
+	if !b.Allow() || b.Open() || b.State() != "closed" {
 		t.Fatalf("below threshold: state=%s, want closed and allowing", b.State())
 	}
 	b.ReportFailure()
-	if b.Allow() || b.State() != "open" || b.Trips() != 1 {
+	if b.Allow() || !b.Open() || b.State() != "open" || b.Trips() != 1 {
 		t.Fatalf("at threshold: state=%s trips=%d, want open after 3 failures", b.State(), b.Trips())
 	}
 
@@ -36,6 +57,9 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	if b.Allow() {
 		t.Fatal("second probe admitted while first in flight")
+	}
+	if b.Open() {
+		t.Fatal("half-open breaker reads open: a probing node must take traffic")
 	}
 
 	// Failed probe: re-open with doubled cooldown.
@@ -52,10 +76,18 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("doubled cooldown elapsed: probe refused")
 	}
 
-	// Successful probe closes and resets the backoff.
+	// Successful probe closes and resets the backoff: the next trip
+	// waits the base cooldown again, not the doubled one.
 	b.ReportSuccess()
 	if b.State() != "closed" || !b.Allow() {
 		t.Fatalf("successful probe: state=%s, want closed", b.State())
+	}
+	for i := 0; i < 3; i++ {
+		b.ReportFailure()
+	}
+	now = now.Add(time.Second)
+	if !b.Allow() {
+		t.Fatal("cooldown not reset to its base after a successful probe")
 	}
 
 	// Report classifies by reason: only structural degradations count

@@ -1123,10 +1123,6 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 // NumLearnts returns the current learnt-clause count.
 func (s *Solver) NumLearnts() int { return len(s.learnts) }
 
-// NumLits returns the live literal count across problem and learnt
-// clauses — the quantity Budget.MaxLits caps.
-func (s *Solver) NumLits() int64 { return s.litsLive }
-
 // UnknownReason explains the most recent Unknown verdict (ReasonNone
 // after a definitive verdict or before any Solve call).
 func (s *Solver) UnknownReason() Reason { return s.whyUnk }

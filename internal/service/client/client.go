@@ -22,9 +22,8 @@ import (
 
 // Client talks to one mbaserved instance.
 type Client struct {
-	base  string
-	hc    *http.Client
-	retry *RetryPolicy // nil = single attempt
+	base string
+	hc   *http.Client
 }
 
 // Option customizes a Client.
@@ -141,30 +140,22 @@ func (c *Client) post(ctx context.Context, path string, req, resp any) error {
 	if err != nil {
 		return fmt.Errorf("encoding request: %w", err)
 	}
-	// One correlation ID per logical call, stable across retries, so
-	// server logs show N attempts of one request rather than N requests.
-	id := requestID(ctx)
-	return c.doRetry(func() (*http.Request, error) {
-		hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		hr.Header.Set("Content-Type", "application/json")
-		hr.Header.Set(service.HeaderRequestID, id)
-		return hr, nil
-	}, resp)
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	hr.Header.Set("Content-Type", "application/json")
+	hr.Header.Set(service.HeaderRequestID, requestID(ctx))
+	return c.do(hr, resp)
 }
 
 func (c *Client) get(ctx context.Context, path string, resp any) error {
-	id := requestID(ctx)
-	return c.doRetry(func() (*http.Request, error) {
-		hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-		if err != nil {
-			return nil, err
-		}
-		hr.Header.Set(service.HeaderRequestID, id)
-		return hr, nil
-	}, resp)
+	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	if err != nil {
+		return err
+	}
+	hr.Header.Set(service.HeaderRequestID, requestID(ctx))
+	return c.do(hr, resp)
 }
 
 // requestIDKey carries a caller-chosen correlation ID in a context.

@@ -12,6 +12,7 @@ import (
 
 	"mbasolver/internal/cluster"
 	"mbasolver/internal/leakcheck"
+	"mbasolver/internal/portfolio"
 	"mbasolver/internal/service"
 	"mbasolver/internal/smt"
 )
@@ -80,7 +81,7 @@ func newClusterClient(t *testing.T, probe time.Duration, nodes ...*clusterNode) 
 		Nodes:         urls,
 		ProbeInterval: probe,
 		ProbeTimeout:  time.Second,
-		Health:        cluster.HealthOptions{Threshold: 1, Cooldown: time.Minute},
+		Health:        portfolio.BreakerOptions{Threshold: 1, Cooldown: time.Minute},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,24 +6,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"mbasolver/internal/leakcheck"
 	"mbasolver/internal/service"
 )
-
-// fastRetry is a policy tuned for tests: tiny deterministic backoffs.
-func fastRetry(attempts int) RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: attempts,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  4 * time.Millisecond,
-		rand:        func() float64 { return 0.5 },
-	}
-}
 
 // overloadThenOK answers n overload statuses, then a fixed solve
 // verdict, counting every attempt.
@@ -43,118 +31,6 @@ func overloadThenOK(t *testing.T, n int, code int, retryAfter string) (*httptest
 	}))
 	t.Cleanup(srv.Close)
 	return srv, &attempts
-}
-
-func TestRetrySucceedsAfterOverload(t *testing.T) {
-	for _, code := range []int{http.StatusTooManyRequests, http.StatusServiceUnavailable} {
-		srv, attempts := overloadThenOK(t, 2, code, "")
-		cl := New(srv.URL, WithRetry(fastRetry(4)))
-		resp, err := cl.Solve(context.Background(), service.SolveRequest{A: "x", B: "x", Width: 8})
-		if err != nil {
-			t.Fatalf("code %d: %v", code, err)
-		}
-		if resp.Status != "equivalent" {
-			t.Fatalf("code %d: status %q", code, resp.Status)
-		}
-		if got := attempts.Load(); got != 3 {
-			t.Fatalf("code %d: %d attempts, want 3", code, got)
-		}
-	}
-}
-
-func TestRetryExhaustsAndReturnsLastError(t *testing.T) {
-	srv, attempts := overloadThenOK(t, 1<<30, http.StatusTooManyRequests, "")
-	cl := New(srv.URL, WithRetry(fastRetry(3)))
-	_, err := cl.Solve(context.Background(), service.SolveRequest{A: "x", B: "x", Width: 8})
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
-		t.Fatalf("err = %v, want 429 StatusError", err)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("%d attempts, want exactly MaxAttempts=3", got)
-	}
-}
-
-func TestRetrySkipsNonTransientStatuses(t *testing.T) {
-	for _, code := range []int{http.StatusBadRequest, http.StatusInternalServerError} {
-		srv, attempts := overloadThenOK(t, 1<<30, code, "")
-		cl := New(srv.URL, WithRetry(fastRetry(4)))
-		_, err := cl.Solve(context.Background(), service.SolveRequest{A: "x", B: "x", Width: 8})
-		var se *StatusError
-		if !errors.As(err, &se) || se.Code != code {
-			t.Fatalf("code %d: err = %v", code, err)
-		}
-		if got := attempts.Load(); got != 1 {
-			t.Fatalf("code %d retried: %d attempts, want 1", code, got)
-		}
-	}
-}
-
-func TestRetryHonorsRetryAfterFloor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("waits out a 1s Retry-After hint")
-	}
-	// The server's hint (1s, the header's finest granularity) dwarfs the
-	// policy's millisecond backoff, so the single retry must wait it out.
-	srv, attempts := overloadThenOK(t, 1, http.StatusTooManyRequests, "1")
-	cl := New(srv.URL, WithRetry(fastRetry(2)))
-	start := time.Now()
-	resp, err := cl.Solve(context.Background(), service.SolveRequest{A: "x", B: "x", Width: 8})
-	if err != nil || resp.Status != "equivalent" {
-		t.Fatalf("resp=%+v err=%v", resp, err)
-	}
-	if got := attempts.Load(); got != 2 {
-		t.Fatalf("%d attempts, want 2", got)
-	}
-	if elapsed := time.Since(start); elapsed < time.Second {
-		t.Fatalf("retried after %v, want >= 1s Retry-After floor", elapsed)
-	}
-}
-
-// TestRetryAbandonedPromptly: cancelling the request context mid-backoff
-// must return at once with the transient error — not sleep out the
-// server's hint — and leave no goroutine behind.
-func TestRetryAbandonedPromptly(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	srv, _ := overloadThenOK(t, 1<<30, http.StatusTooManyRequests, "30")
-	cl := New(srv.URL, WithRetry(RetryPolicy{MaxAttempts: 10, BaseBackoff: 10 * time.Millisecond}))
-
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := cl.Solve(ctx, service.SolveRequest{A: "x", B: "x", Width: 8})
-	elapsed := time.Since(start)
-
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
-		t.Fatalf("err = %v, want the last 429 StatusError", err)
-	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("abandonment took %v, want prompt return after ctx deadline", elapsed)
-	}
-}
-
-// countingFailTransport fails every round trip at the transport layer.
-type countingFailTransport struct{ n atomic.Int64 }
-
-func (f *countingFailTransport) RoundTrip(*http.Request) (*http.Response, error) {
-	f.n.Add(1)
-	return nil, errors.New("connection refused")
-}
-
-func TestRetryOnTransportError(t *testing.T) {
-	ft := &countingFailTransport{}
-	cl := New("http://mbaserved.invalid",
-		WithHTTPClient(&http.Client{Transport: ft}),
-		WithRetry(fastRetry(3)))
-	_, err := cl.Solve(context.Background(), service.SolveRequest{A: "x", B: "x", Width: 8})
-	var ue *url.Error
-	if !errors.As(err, &ue) {
-		t.Fatalf("err = %v, want transport *url.Error", err)
-	}
-	if got := ft.n.Load(); got != 3 {
-		t.Fatalf("%d attempts, want 3", got)
-	}
 }
 
 // TestParseRetryAfter pins RFC 9110 §10.2.3: the header carries either
@@ -187,39 +63,21 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
-// TestRetryHonorsRetryAfterDate: end to end, a Retry-After given as an
-// HTTP-date must floor the backoff exactly like the delta form.
-func TestRetryHonorsRetryAfterDate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("waits out a ~1s Retry-After date hint")
-	}
-	// http.TimeFormat has second granularity, so aim 2s out to survive
-	// truncation and still dwarf the millisecond policy backoff.
-	date := time.Now().Add(2 * time.Second).UTC().Format(http.TimeFormat)
-	srv, attempts := overloadThenOK(t, 1, http.StatusTooManyRequests, date)
-	cl := New(srv.URL, WithRetry(fastRetry(2)))
-	start := time.Now()
-	resp, err := cl.Solve(context.Background(), service.SolveRequest{A: "x", B: "x", Width: 8})
-	if err != nil || resp.Status != "equivalent" {
-		t.Fatalf("resp=%+v err=%v", resp, err)
-	}
-	if got := attempts.Load(); got != 2 {
-		t.Fatalf("%d attempts, want 2", got)
-	}
-	if elapsed := time.Since(start); elapsed < time.Second {
-		t.Fatalf("retried after %v, want the date hint to floor the backoff", elapsed)
-	}
-}
-
+// TestNoRetryWithoutPolicy: an overload answer comes back after one
+// attempt as a StatusError carrying the server's Retry-After hint;
+// backing off is the caller's call.
 func TestNoRetryWithoutPolicy(t *testing.T) {
-	srv, attempts := overloadThenOK(t, 1<<30, http.StatusTooManyRequests, "")
+	srv, attempts := overloadThenOK(t, 1<<30, http.StatusTooManyRequests, "7")
 	cl := New(srv.URL)
 	_, err := cl.Solve(context.Background(), service.SolveRequest{A: "x", B: "x", Width: 8})
 	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
+	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || !se.Overloaded() {
 		t.Fatalf("err = %v", err)
 	}
+	if se.RetryAfter != 7*time.Second {
+		t.Fatalf("RetryAfter = %v, want the header's 7s", se.RetryAfter)
+	}
 	if got := attempts.Load(); got != 1 {
-		t.Fatalf("%d attempts without WithRetry, want 1", got)
+		t.Fatalf("%d attempts, want 1: the client does not retry", got)
 	}
 }

@@ -48,6 +48,14 @@ func diffCorpus(t *testing.T) [][2]*expr.Expr {
 	return pairs
 }
 
+// diffBudget is the conflict-only budget of the differential corpus
+// runs (TestContextDifferentialEquivalence, TestScreenNeverFlipsVerdicts).
+// The hardest query either asks, fresh or warm, takes 30,063
+// conflicts, and the personalities' speeds only scale a conflict
+// budget up, so 100,000 leaves a 3.3× margin. Without a wall clock,
+// verdicts do not depend on host load or the race detector's slowdown.
+var diffBudget = Budget{Conflicts: 100_000}
+
 // TestContextDifferentialEquivalence is the acceptance-criterion test:
 // across a mixed corpus and all three personalities, the incremental
 // context returns verdicts identical to a fresh solver per query, and
@@ -55,7 +63,7 @@ func diffCorpus(t *testing.T) [][2]*expr.Expr {
 func TestContextDifferentialEquivalence(t *testing.T) {
 	const width = 8
 	pairs := diffCorpus(t)
-	budget := Budget{Timeout: 30 * time.Second}
+	budget := diffBudget
 	for _, s := range All() {
 		ctx := s.NewContext(ContextOptions{})
 		freshStatus := make([]Status, len(pairs))
@@ -135,7 +143,8 @@ func TestContextSolveAssertionsDifferential(t *testing.T) {
 		{bv.Predicate(bv.Eq, mk("x"), mk("y+1")), bv.Predicate(bv.Ult, mk("y"), mk("x"))},
 		{bv.Predicate(bv.Ne, mk("x"), mk("x"))}, // trivially unsat
 	}
-	budget := Budget{Timeout: 30 * time.Second}
+	// The hardest set takes 721 conflicts: a 13.9× margin.
+	budget := Budget{Conflicts: 10_000}
 	for _, s := range All() {
 		ctx := s.NewContext(ContextOptions{})
 		for round := 0; round < 2; round++ {
@@ -255,7 +264,8 @@ func TestContextRecycleWatermarks(t *testing.T) {
 // instead of panicking in VarBits.
 func TestContextWidthIsolation(t *testing.T) {
 	ctx := NewBoolectorSim().NewContext(ContextOptions{})
-	budget := Budget{Timeout: 30 * time.Second}
+	// The hardest query takes 874 conflicts: an 11.4× margin.
+	budget := Budget{Conflicts: 10_000}
 	a, b := parser.MustParse("x+y"), parser.MustParse("(x^y)+2*(x&y)")
 	for _, width := range []uint{8, 16, 8, 32, 16} {
 		if res := ctx.CheckEquiv(a, b, width, budget); res.Status != Equivalent {
@@ -280,7 +290,9 @@ func TestContextWidthIsolation(t *testing.T) {
 // work (the activation literal and circuit are reused wholesale).
 func TestContextRepeatQueriesGetCheaper(t *testing.T) {
 	ctx := NewZ3Sim().NewContext(ContextOptions{})
-	budget := Budget{Timeout: 30 * time.Second}
+	// The costliest of the four solves takes 338 conflicts: a 29.6×
+	// margin.
+	budget := Budget{Conflicts: 10_000}
 	a := bv.FromExpr(parser.MustParse("(x|y)+y-(~x&y)"), 8)
 	b := bv.FromExpr(parser.MustParse("x+y"), 8)
 

@@ -133,7 +133,7 @@ func TestScreenHonorsBudget(t *testing.T) {
 // one.
 func TestScreenNeverFlipsVerdicts(t *testing.T) {
 	pairs := diffCorpus(t)
-	budget := Budget{Timeout: 30 * time.Second}
+	budget := diffBudget
 	off := budget
 	off.NoScreen = true
 	const width = 8

@@ -66,12 +66,6 @@ func Compute(e *expr.Expr, vars []string, width uint) Signature {
 	return Signature{Vars: append([]string(nil), vars...), Width: width, S: s}
 }
 
-// ComputeAuto computes the signature over e's own (sorted) variable
-// set.
-func ComputeAuto(e *expr.Expr, width uint) Signature {
-	return Compute(e, expr.Vars(e), width)
-}
-
 // Equal reports whether two signatures are identical (same variable
 // order, width and entries).
 func (s Signature) Equal(o Signature) bool {

@@ -199,6 +199,29 @@ kill -KILL "${node_pids[0]}"
 wait "${node_pids[0]}" 2>/dev/null || true
 go run ./cmd/mbarouter -selfcheck -target "$router_url"
 
+# Node 1's circuit breaker must have tripped on real processes: within
+# 5 s the router's /debug/metrics reports ejects >= 1 and node 1 in a
+# state other than healthy (ejected, or probing for readmission).
+node1_url=${nodes%%,*}
+deadline=$((SECONDS + 5))
+tripped=""
+metrics=""
+while [ "$SECONDS" -lt "$deadline" ]; do
+    metrics=$(curl -fsS --max-time 1 "$router_url/debug/metrics" || true)
+    ejects=$(printf '%s' "$metrics" | sed -n 's/.*"ejects":\([0-9]*\).*/\1/p')
+    state=$(printf '%s' "$metrics" | sed -n "s|.*\"$node1_url\":\"\([a-z]*\)\".*|\1|p")
+    if [ "${ejects:-0}" -ge 1 ] && [ -n "$state" ] && [ "$state" != healthy ]; then
+        tripped=1
+        break
+    fi
+    sleep 0.1
+done
+if [ -z "$tripped" ]; then
+    echo "ci: router never ejected the killed node 1 ($node1_url)" >&2
+    echo "$metrics" >&2
+    exit 1
+fi
+
 # Graceful shutdown: router first, then the surviving nodes; every
 # SIGTERM must drain and exit 0.
 kill -TERM "$router"
