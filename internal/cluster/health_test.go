@@ -3,129 +3,156 @@ package cluster
 import (
 	"testing"
 	"time"
+
+	"mbasolver/internal/leakcheck"
+	"mbasolver/internal/portfolio"
 )
 
-// fakeClock drives the tracker deterministically.
-type fakeClock struct{ t time.Time }
+// Node health on the router: each node's portfolio.Breaker decides
+// whether the replica walk routes to it and whether the prober probes
+// it. These tests drive the breakers the router built and read the
+// result back through the walk and the router's snapshot.
 
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+// healthCooldown is long enough that a check made right after an eject
+// lands well inside the cooldown on a loaded host.
+const healthCooldown = 250 * time.Millisecond
 
-func newTestTracker(nodes ...string) (*Tracker, *fakeClock) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	tr := NewTracker(nodes, HealthOptions{Threshold: 3, Cooldown: time.Second})
-	tr.now = clk.now
-	return tr, clk
+// newHealthRouter builds a prober-less router over fresh fake nodes,
+// ejecting at testThreshold with a healthCooldown first cooldown.
+func newHealthRouter(t *testing.T, names ...string) (*Router, []string) {
+	t.Helper()
+	urls := make([]string, len(names))
+	for i, name := range names {
+		urls[i] = newFakeNode(t, name).srv.URL
+	}
+	rt, err := NewRouter(RouterConfig{
+		Nodes:         urls,
+		ProbeInterval: -1,
+		Health:        portfolio.BreakerOptions{Threshold: testThreshold, Cooldown: healthCooldown},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	return rt, urls
 }
 
-func TestTrackerEjectAfterThreshold(t *testing.T) {
-	tr, _ := newTestTracker("a", "b")
-	tr.ReportFailure("a")
-	tr.ReportFailure("a")
-	if !tr.Routable("a") {
-		t.Fatal("node ejected before threshold")
+// walkFromOwner returns the first node the replica walk picks for a key
+// that node owns.
+func walkFromOwner(rt *Router, node string) string {
+	key := "k"
+	for rt.Ring().Lookup(key) != node {
+		key += "k"
 	}
-	tr.ReportFailure("a")
-	if tr.Routable("a") {
-		t.Fatal("node still routable after threshold failures")
-	}
-	if tr.Routable("b") != true {
-		t.Fatal("unrelated node affected")
-	}
-	if got := tr.States()["a"]; got != "ejected" {
-		t.Fatalf("state = %q, want ejected", got)
-	}
-	if tr.Ejects() != 1 {
-		t.Fatalf("ejects = %d, want 1", tr.Ejects())
+	walk := newReplicaWalk(rt.Ring(), key)
+	return walk.next(rt.breakers)
+}
+
+func ejectNode(rt *Router, node string) {
+	for i := 0; i < testThreshold; i++ {
+		rt.breakers[node].ReportFailure()
 	}
 }
 
 func TestTrackerSuccessResetsStreak(t *testing.T) {
-	tr, _ := newTestTracker("a")
-	tr.ReportFailure("a")
-	tr.ReportFailure("a")
-	tr.ReportSuccess("a")
-	tr.ReportFailure("a")
-	tr.ReportFailure("a")
-	if !tr.Routable("a") {
-		t.Fatal("streak did not reset on success")
+	t.Cleanup(leakcheck.Check(t))
+	rt, urls := newHealthRouter(t, "n1", "n2")
+	a := urls[0]
+	for round := 0; round < 2; round++ {
+		for i := 0; i < testThreshold-1; i++ {
+			rt.breakers[a].ReportFailure()
+		}
+		rt.breakers[a].ReportSuccess()
+	}
+	for i := 0; i < testThreshold-1; i++ {
+		rt.breakers[a].ReportFailure()
+	}
+	if snap := rt.Snapshot(); snap.Nodes[a] != "healthy" || snap.Ejects != 0 {
+		t.Fatalf("streak did not reset on success: nodes %v ejects %d", snap.Nodes, snap.Ejects)
+	}
+	if got := walkFromOwner(rt, a); got != a {
+		t.Fatalf("walk from %s's key went to %s, want the healthy owner", a, got)
 	}
 }
 
 func TestTrackerHalfOpenProbe(t *testing.T) {
-	tr, clk := newTestTracker("a")
-	for i := 0; i < 3; i++ {
-		tr.ReportFailure("a")
-	}
-	if tr.ShouldProbe("a") {
+	t.Cleanup(leakcheck.Check(t))
+	rt, urls := newHealthRouter(t, "n1", "n2")
+	a, b := urls[0], urls[1]
+	ejectNode(rt, a)
+	if rt.breakers[a].Allow() {
 		t.Fatal("ejected node probed before cooldown")
 	}
-	clk.advance(1100 * time.Millisecond)
-	if !tr.ShouldProbe("a") {
+	if got := walkFromOwner(rt, a); got != b {
+		t.Fatalf("walk from ejected %s's key went to %s, want %s", a, got, b)
+	}
+	time.Sleep(healthCooldown + 50*time.Millisecond)
+	if !rt.breakers[a].Allow() {
 		t.Fatal("ejected node not probed after cooldown")
 	}
 	// Exactly one probe is admitted while the outcome is pending.
-	if tr.ShouldProbe("a") {
+	if rt.breakers[a].Allow() {
 		t.Fatal("second probe admitted while first is pending")
 	}
-	if !tr.Routable("a") {
-		t.Fatal("probing node should accept the probe's traffic")
+	if got := rt.Snapshot().Nodes[a]; got != "probing" {
+		t.Fatalf("state %q during the probe, want probing", got)
 	}
-	tr.ReportSuccess("a")
-	if !tr.Routable("a") || tr.States()["a"] != "healthy" {
-		t.Fatal("successful probe did not readmit")
+	if got := walkFromOwner(rt, a); got != a {
+		t.Fatalf("walk from probing %s's key went to %s: a probing node should accept traffic", a, got)
+	}
+	rt.breakers[a].ReportSuccess()
+	if got := rt.Snapshot().Nodes[a]; got != "healthy" {
+		t.Fatalf("successful probe did not readmit: state %q", got)
+	}
+	if !rt.breakers[a].Allow() {
+		t.Fatal("readmitted node not probed")
 	}
 }
 
 func TestTrackerFailedProbeDoublesCooldown(t *testing.T) {
-	tr, clk := newTestTracker("a")
-	for i := 0; i < 3; i++ {
-		tr.ReportFailure("a")
-	}
-	clk.advance(1100 * time.Millisecond)
-	if !tr.ShouldProbe("a") {
+	t.Cleanup(leakcheck.Check(t))
+	rt, urls := newHealthRouter(t, "n1", "n2")
+	a := urls[0]
+	ejectNode(rt, a)
+	time.Sleep(healthCooldown + 50*time.Millisecond)
+	if !rt.breakers[a].Allow() {
 		t.Fatal("no probe after first cooldown")
 	}
-	tr.ReportFailure("a") // failed readmission probe: cooldown doubles to 2s
-	if tr.Routable("a") {
-		t.Fatal("failed probe did not re-eject")
+	rt.breakers[a].ReportFailure() // failed readmission probe: the cooldown doubles
+	if got := rt.Snapshot().Nodes[a]; got != "ejected" {
+		t.Fatalf("failed probe did not re-eject: state %q", got)
 	}
-	clk.advance(1100 * time.Millisecond)
-	if tr.ShouldProbe("a") {
+	if got := rt.Snapshot().Ejects; got != 2 {
+		t.Fatalf("ejects = %d, want 2", got)
+	}
+	time.Sleep(healthCooldown + 50*time.Millisecond)
+	if rt.breakers[a].Allow() {
 		t.Fatal("probe admitted before the doubled cooldown elapsed")
 	}
-	clk.advance(1000 * time.Millisecond)
-	if !tr.ShouldProbe("a") {
+	time.Sleep(healthCooldown)
+	if !rt.breakers[a].Allow() {
 		t.Fatal("no probe after the doubled cooldown")
 	}
-	tr.ReportSuccess("a")
+	rt.breakers[a].ReportSuccess()
 	// Readmission resets the cooldown to its base value.
-	for i := 0; i < 3; i++ {
-		tr.ReportFailure("a")
-	}
-	clk.advance(1100 * time.Millisecond)
-	if !tr.ShouldProbe("a") {
+	ejectNode(rt, a)
+	time.Sleep(healthCooldown + 50*time.Millisecond)
+	if !rt.breakers[a].Allow() {
 		t.Fatal("cooldown did not reset after readmission")
 	}
 }
 
-func TestTrackerUnknownNode(t *testing.T) {
-	tr, _ := newTestTracker("a")
-	if tr.Routable("nope") {
-		t.Fatal("unknown node routable")
-	}
-	if tr.ShouldProbe("nope") {
-		t.Fatal("unknown node probed")
-	}
-	tr.ReportSuccess("nope") // must not panic
-	tr.ReportFailure("nope")
-}
-
 func TestTrackerHealthyAlwaysProbed(t *testing.T) {
-	tr, _ := newTestTracker("a")
-	for i := 0; i < 5; i++ {
-		if !tr.ShouldProbe("a") {
-			t.Fatal("healthy node must always be probed")
+	t.Cleanup(leakcheck.Check(t))
+	rt, urls := newHealthRouter(t, "n1", "n2")
+	for _, node := range urls {
+		for i := 0; i < 5; i++ {
+			if !rt.breakers[node].Allow() {
+				t.Fatalf("healthy node %s must always be probed", node)
+			}
+		}
+		if got := rt.Snapshot().Nodes[node]; got != "healthy" {
+			t.Fatalf("probing a healthy node changed its state to %q", got)
 		}
 	}
 }
