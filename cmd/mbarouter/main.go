@@ -5,7 +5,7 @@
 //
 //	mbarouter -nodes http://h1:8391,http://h2:8391 [-addr 127.0.0.1:8390]
 //	          [-probe-interval 500ms] [-probe-timeout 2s]
-//	          [-eject-threshold 3] [-eject-cooldown 500ms] [-max-batch 1024]
+//	          [-eject-threshold 3] [-eject-cooldown 500ms]
 //	mbarouter -selfcheck -target http://host:port
 //
 // The router owns no solver state — only the consistent-hash ring, the
@@ -20,13 +20,17 @@
 // rather than failing requests.
 //
 // With -selfcheck -target it smokes a running router: readiness, a
-// single solve, and a mixed batch with duplicate items (asserting
-// input order and dedup server-side). scripts/ci.sh uses this in the
-// cluster smoke stage.
+// single solve, a mixed batch with duplicate items (asserting input
+// order and dedup server-side), a batch of exactly the batch cap
+// (answered whole, its nodes still healthy) and one item more
+// (refused with 400). scripts/ci.sh uses this in the cluster smoke
+// stage.
 package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -51,7 +55,6 @@ func main() {
 	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe timeout (0 = 2s)")
 	ejectThreshold := flag.Int("eject-threshold", 0, "consecutive failures ejecting a node (0 = 3)")
 	ejectCooldown := flag.Duration("eject-cooldown", 0, "initial ejection cooldown before a readmission probe (0 = 500ms)")
-	maxBatch := flag.Int("max-batch", 0, "max items per routed batch (0 = 1024)")
 	selfcheck := flag.Bool("selfcheck", false, "smoke a running router instead of serving")
 	target := flag.String("target", "", "with -selfcheck: the router base URL to smoke")
 	flag.Parse()
@@ -85,7 +88,6 @@ func main() {
 			Threshold: *ejectThreshold,
 			Cooldown:  *ejectCooldown,
 		},
-		MaxBatchItems: *maxBatch,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mbarouter:", err)
@@ -138,8 +140,9 @@ func splitNodes(s string) []string {
 }
 
 // smoke drives a running router end-to-end through the typed client:
-// readiness, one routed solve, and a batch mixing solves, a duplicate
-// pair and a simplify, asserting order, dedup and correct verdicts.
+// readiness, one routed solve, a batch mixing solves, a duplicate pair
+// and a simplify, asserting order, dedup and correct verdicts, and
+// then the batch cap from both sides.
 // The caller's context bounds the whole run, so an operator's Ctrl-C
 // (or a test's cancel) stops it mid-flight.
 func smoke(ctx context.Context, base string) error {
@@ -194,6 +197,58 @@ func smoke(ctx context.Context, base string) error {
 	}
 	if resp.RequestID == "" {
 		return fmt.Errorf("routed batch: missing request ID")
+	}
+	return smokeBatchCap(ctx, cl, &http.Client{Transport: tr})
+}
+
+// smokeBatchCap checks that the router and its nodes admit the same
+// batches. A batch of exactly service.MaxBatchItems cheap simplify
+// items must come back with no item unavailable and every node that
+// answered still healthy in the router's /debug/metrics (a node killed
+// before the run answers nothing and is not asked about); one item
+// more must be refused with 400.
+func smokeBatchCap(ctx context.Context, cl *client.Client, hc *http.Client) error {
+	batch := service.BatchRequest{}
+	for i := 0; i <= service.MaxBatchItems; i++ {
+		batch.Items = append(batch.Items, service.BatchItem{Simplify: &service.SimplifyRequest{Expr: fmt.Sprintf("(x|y)+%d", i), Width: 8}})
+	}
+	var se *client.StatusError
+	if _, err := cl.Batch(ctx, batch); err == nil {
+		return errors.New("cap+1 batch answered 200, want 400")
+	} else if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+		return fmt.Errorf("cap+1 batch: %w, want a 400", err)
+	}
+
+	batch.Items = batch.Items[:service.MaxBatchItems]
+	resp, err := cl.Batch(ctx, batch)
+	if err != nil {
+		return fmt.Errorf("full-cap batch: %w", err)
+	}
+	answered := map[string]bool{}
+	for i, it := range resp.Items {
+		if it.Simplify == nil || it.Error != "" {
+			return fmt.Errorf("full-cap batch: item %d = %+v, want a simplification", i, it)
+		}
+		answered[it.Node] = true
+	}
+
+	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.Base()+service.PathMetrics, nil)
+	if err != nil {
+		return err
+	}
+	res, err := hc.Do(hr)
+	if err != nil {
+		return fmt.Errorf("router metrics: %w", err)
+	}
+	defer res.Body.Close()
+	var snap cluster.RouterSnapshot
+	if err := json.NewDecoder(res.Body).Decode(&snap); err != nil {
+		return fmt.Errorf("router metrics: %w", err)
+	}
+	for node := range answered {
+		if state := snap.Nodes[node]; state != "healthy" {
+			return fmt.Errorf("full-cap batch: node %s is %q after answering, want healthy", node, state)
+		}
 	}
 	return nil
 }

@@ -7,8 +7,8 @@
 // about the query itself, not about one encoding, and can be replayed
 // in any other personality by looking the bits up in its own variable
 // map. Clauses mentioning Tseitin gate literals are local artifacts
-// and are dropped at export time; the short-clause caps in
-// sat.ShareOptions make the surviving stream cheap to translate.
+// and are dropped at export time; the sat package's short-clause caps
+// make the surviving stream cheap to translate.
 package bitblast
 
 import (
@@ -64,16 +64,16 @@ type PoolStats struct {
 	Stale     int64
 }
 
-// NewPool returns a pool for n members with the given per-member
-// channel capacity (clauses, not literals). Capacity trades sharing
-// completeness against memory; 256 is plenty for three personalities.
-func NewPool(n, capacity int) *Pool {
-	if capacity <= 0 {
-		capacity = 256
-	}
+// poolCapacity is each member's channel capacity in clauses, not
+// literals. It trades sharing completeness against memory; 256 is
+// plenty for three personalities.
+const poolCapacity = 256
+
+// NewPool returns a pool for n members.
+func NewPool(n int) *Pool {
 	p := &Pool{chans: make([]chan SharedClause, n)}
 	for i := range p.chans {
-		p.chans[i] = make(chan SharedClause, capacity)
+		p.chans[i] = make(chan SharedClause, poolCapacity)
 	}
 	return p
 }
@@ -159,9 +159,9 @@ type varBit struct {
 // boundaries. Call SetShareAct first when the query is asserted under
 // an activation literal (incremental contexts) so exported clauses
 // carry the guard slot and imported ones are re-guarded locally.
-func (b *Blaster) EnableShare(ep *Endpoint, opts sat.ShareOptions) {
+func (b *Blaster) EnableShare(ep *Endpoint) {
 	b.share = ep
-	b.S.SetShareHooks(opts, b.exportShared, b.importForeign)
+	b.S.SetShareHooks(b.exportShared, b.importForeign)
 }
 
 // DisableShare disconnects the blaster from its pool. Long-lived

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPoolPublishDrain(t *testing.T) {
-	p := NewPool(3, 8)
+	p := NewPool(3)
 	a, b, c := p.Endpoint(0), p.Endpoint(1), p.Endpoint(2)
 	cl := SharedClause{Lits: []SharedLit{{Name: "x", Bit: 0}}}
 	a.publish(cl)
@@ -29,7 +29,7 @@ func TestPoolPublishDrain(t *testing.T) {
 }
 
 func TestPoolGenerationFiltersStale(t *testing.T) {
-	p := NewPool(2, 8)
+	p := NewPool(2)
 	a, b := p.Endpoint(0), p.Endpoint(1)
 	a.publish(SharedClause{Gen: p.gen.Load(), Lits: []SharedLit{{Name: "x", Bit: 0}}})
 	p.NextQuery()
@@ -42,19 +42,21 @@ func TestPoolGenerationFiltersStale(t *testing.T) {
 }
 
 func TestPoolDropsOnFullChannel(t *testing.T) {
-	p := NewPool(2, 1)
+	p := NewPool(2)
 	a := p.Endpoint(0)
 	cl := SharedClause{Lits: []SharedLit{{Name: "x", Bit: 0}}}
-	a.publish(cl)
+	for i := 0; i < poolCapacity; i++ {
+		a.publish(cl)
+	}
 	a.publish(cl) // peer channel is full now
 	st := p.Stats()
-	if st.Published != 1 || st.Dropped != 1 {
-		t.Fatalf("stats = %+v, want 1 published / 1 dropped", st)
+	if st.Published != poolCapacity || st.Dropped != 1 {
+		t.Fatalf("stats = %+v, want %d published / 1 dropped", st, poolCapacity)
 	}
 }
 
 func TestPoolDrainRespectsStop(t *testing.T) {
-	p := NewPool(2, 8)
+	p := NewPool(2)
 	a, b := p.Endpoint(0), p.Endpoint(1)
 	a.publish(SharedClause{Lits: []SharedLit{{Name: "x", Bit: 0}}})
 	var stop atomic.Bool
@@ -69,11 +71,11 @@ func TestPoolDrainRespectsStop(t *testing.T) {
 // independently built (different) encoding; the literals must land on
 // the importer's bits for the same named variable.
 func TestShareTranslationRoundTrip(t *testing.T) {
-	p := NewPool(2, 8)
+	p := NewPool(2)
 	ba := New(sat.DefaultOptions())
 	bb := New(sat.DefaultOptions())
-	ba.EnableShare(p.Endpoint(0), sat.ShareOptions{})
-	bb.EnableShare(p.Endpoint(1), sat.ShareOptions{})
+	ba.EnableShare(p.Endpoint(0))
+	bb.EnableShare(p.Endpoint(1))
 
 	xa := ba.VarBits("x", 4)
 	// Skew the importer's variable numbering so a raw index copy would
@@ -95,9 +97,9 @@ func TestShareTranslationRoundTrip(t *testing.T) {
 // TestShareGateClauseDropped: clauses containing Tseitin gate literals
 // are local artifacts and must not be published.
 func TestShareGateClauseDropped(t *testing.T) {
-	p := NewPool(2, 8)
+	p := NewPool(2)
 	ba := New(sat.DefaultOptions())
-	ba.EnableShare(p.Endpoint(0), sat.ShareOptions{})
+	ba.EnableShare(p.Endpoint(0))
 	xa := ba.VarBits("x", 2)
 	gate := ba.mkAnd(xa[0], xa[1]) // gate literal, not in the owner map
 	ba.exportShared([]sat.Lit{xa[0], gate}, 2)
@@ -110,11 +112,11 @@ func TestShareGateClauseDropped(t *testing.T) {
 // importer's own guard, and unguarded foreign clauses are re-guarded
 // so they cannot outlive the importer's current query.
 func TestShareActGuard(t *testing.T) {
-	p := NewPool(2, 8)
+	p := NewPool(2)
 	ba := New(sat.DefaultOptions())
 	bb := New(sat.DefaultOptions())
-	ba.EnableShare(p.Endpoint(0), sat.ShareOptions{})
-	bb.EnableShare(p.Endpoint(1), sat.ShareOptions{})
+	ba.EnableShare(p.Endpoint(0))
+	bb.EnableShare(p.Endpoint(1))
 
 	xa := ba.VarBits("x", 2)
 	xb := bb.VarBits("x", 2)
@@ -151,11 +153,11 @@ func TestShareActGuard(t *testing.T) {
 // TestShareUnknownVarSkipped: a clause over a variable the importer
 // never blasted is skipped, not mistranslated.
 func TestShareUnknownVarSkipped(t *testing.T) {
-	p := NewPool(2, 8)
+	p := NewPool(2)
 	ba := New(sat.DefaultOptions())
 	bb := New(sat.DefaultOptions())
-	ba.EnableShare(p.Endpoint(0), sat.ShareOptions{})
-	bb.EnableShare(p.Endpoint(1), sat.ShareOptions{})
+	ba.EnableShare(p.Endpoint(0))
+	bb.EnableShare(p.Endpoint(1))
 	ya := ba.VarBits("y", 2)
 	bb.VarBits("x", 2) // importer only knows x
 	ba.exportShared([]sat.Lit{ya[0]}, 1)

@@ -138,7 +138,7 @@ func allRunners() []runner {
 				}
 			}},
 			runner{"context-" + s.Name(), func() func(*testing.T, pair) smt.Result {
-				ctx := s.NewContext(smt.ContextOptions{})
+				ctx := s.NewContext()
 				return func(t *testing.T, p pair) smt.Result {
 					ta, tb := terms(t, p)
 					return ctx.CheckTermEquiv(ta, tb, budget())

@@ -30,12 +30,8 @@ type RouterConfig struct {
 	// Health tunes each node's circuit breaker: Threshold consecutive
 	// failed forwards or probes eject a node, and after Cooldown
 	// (default 500ms here, doubling per failed readmission probe up to
-	// MaxCooldown) one probe may readmit it.
+	// 16×Cooldown) one probe may readmit it.
 	Health portfolio.BreakerOptions
-	// MaxBatchItems caps routed batches (default 1024 — the router cap
-	// is looser than the node cap because the router splits before
-	// forwarding).
-	MaxBatchItems int
 	// Transport overrides the forwarding round-tripper (tests).
 	Transport http.RoundTripper
 }
@@ -46,9 +42,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 1024
 	}
 	if c.Health.Cooldown <= 0 {
 		c.Health.Cooldown = 500 * time.Millisecond
@@ -271,8 +264,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: "batch has no items"})
 		return
 	}
-	if len(req.Items) > rt.cfg.MaxBatchItems {
-		msg := fmt.Sprintf("batch has %d items, router cap is %d", len(req.Items), rt.cfg.MaxBatchItems)
+	// The node's cap: every sub-batch is a subset of this batch, so no
+	// node refuses one for its size.
+	if len(req.Items) > service.MaxBatchItems {
+		msg := fmt.Sprintf("batch has %d items, router cap is %d", len(req.Items), service.MaxBatchItems)
 		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: msg})
 		return
 	}

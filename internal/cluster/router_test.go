@@ -633,17 +633,71 @@ func TestRouterRejectsOversizeBatch(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	n1 := newFakeNode(t, "n1")
 	urls := []string{n1.srv.URL}
-	rt, err := NewRouter(RouterConfig{Nodes: urls, ProbeInterval: -1, MaxBatchItems: 2})
+	rt, err := NewRouter(RouterConfig{Nodes: urls, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	req := service.BatchRequest{Items: []service.BatchItem{
-		solveItem("x", "x"), solveItem("y", "y"), solveItem("z", "z"),
-	}}
+	req := service.BatchRequest{}
+	for i := 0; i <= service.MaxBatchItems; i++ {
+		req.Items = append(req.Items, solveItem(fmt.Sprintf("x+%d", i), "x"))
+	}
 	_, rec := postBatch(t, rt.Handler(), req)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversize batch answered %d, want 400", rec.Code)
+	}
+}
+
+// TestRouterAndNodeShareBatchCap: the router admits exactly the batches
+// a node admits. One item over the cap is refused by the router before
+// anything is forwarded; a full-cap batch through a one-node router
+// reaches a real node whole and is answered, three times over (the
+// default ejection threshold) without ejecting the node. With a router
+// cap looser than the node's, every item of an oversize batch came
+// back unavailable and the node's 400s ejected it.
+func TestRouterAndNodeShareBatchCap(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	svc := service.New(service.Config{Workers: 2})
+	node := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		node.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := svc.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	rt, err := NewRouter(RouterConfig{Nodes: []string{node.URL}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+
+	req := service.BatchRequest{}
+	for i := 0; i <= service.MaxBatchItems; i++ {
+		req.Items = append(req.Items, service.BatchItem{Simplify: &service.SimplifyRequest{Expr: fmt.Sprintf("(x|y)+%d", i), Width: 8}})
+	}
+	if _, rec := postBatch(t, rt.Handler(), req); rec.Code != http.StatusBadRequest {
+		t.Fatalf("cap+1 batch answered %d, want 400", rec.Code)
+	}
+	if got := rt.Snapshot().Forwarded; got != 0 {
+		t.Fatalf("cap+1 batch forwarded %d sub-batches, want 0", got)
+	}
+
+	req.Items = req.Items[:service.MaxBatchItems]
+	for round := 0; round < 3; round++ {
+		resp, rec := postBatch(t, rt.Handler(), req)
+		if resp == nil {
+			t.Fatalf("round %d: full-cap batch answered %d %s", round, rec.Code, rec.Body.String())
+		}
+		for i, it := range resp.Items {
+			if it.Error != "" || it.Simplify == nil {
+				t.Fatalf("round %d item %d: %+v, want a simplification", round, i, it)
+			}
+		}
+	}
+	if snap := rt.Snapshot(); snap.Degraded != 0 || snap.Nodes[node.URL] != "healthy" {
+		t.Fatalf("after full-cap batches: degraded=%d node=%q, want 0 and healthy", snap.Degraded, snap.Nodes[node.URL])
 	}
 }
 

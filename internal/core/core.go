@@ -68,15 +68,6 @@ type Options struct {
 	// width n is sound for every width <= n, so the default of 64
 	// covers all machine widths. Must be in 1..64.
 	Width uint
-	// MaxVars bounds the number of distinct variables (including
-	// abstraction temporaries) a signature vector may range over.
-	// Expressions exceeding the bound are only partially simplified —
-	// this is the budget whose exhaustion produces the paper's
-	// "non-poly MBA that escape the normalization model". Default 6
-	// (the truthtable package limit).
-	MaxVars int
-	// MaxIterations bounds the simplify-to-fixpoint loop. Default 4.
-	MaxIterations int
 	// DisableFinalOpt turns off the final-step optimization (§4.5);
 	// used by the ablation benchmarks.
 	DisableFinalOpt bool
@@ -121,15 +112,6 @@ func New(opts Options) *Simplifier {
 	}
 	if opts.Width > 64 {
 		panic(fmt.Sprintf("core: invalid width %d", opts.Width))
-	}
-	if opts.MaxVars == 0 {
-		opts.MaxVars = truthtable.MaxVars
-	}
-	if opts.MaxVars > truthtable.MaxVars {
-		opts.MaxVars = truthtable.MaxVars
-	}
-	if opts.MaxIterations == 0 {
-		opts.MaxIterations = 4
 	}
 	return &Simplifier{opts: opts, table: map[tableKey]tableRow{}, bases: map[string][]poly.Monomial{}}
 }
@@ -192,7 +174,7 @@ func (s *Simplifier) Simplify(e *expr.Expr) *expr.Expr {
 		return e
 	}
 	prev := expr.Canon(e)
-	for i := 0; i < s.opts.MaxIterations; i++ {
+	for i := 0; i < maxIterations; i++ {
 		s.stats.Iterations++
 		raw, size := s.simplifyOnce(prev, 0)
 		if size > maxExprNodes {
@@ -210,6 +192,9 @@ func (s *Simplifier) Simplify(e *expr.Expr) *expr.Expr {
 	return prev
 }
 
+// maxIterations bounds the simplify-to-fixpoint loop.
+const maxIterations = 4
+
 // maxRecursionDepth bounds recursive abstraction so that adversarial
 // towers of alternating operators terminate.
 const maxRecursionDepth = 64
@@ -225,7 +210,7 @@ func (s *Simplifier) simplifyOnce(e *expr.Expr, depth int) (*expr.Expr, int) {
 	a := abstraction{s: s, depth: depth}
 	abstracted := a.walk(e, false)
 
-	if a.nvars+len(a.binds) > s.opts.MaxVars {
+	if a.nvars+len(a.binds) > truthtable.MaxVars {
 		// Too many atoms to normalize as a whole; keep the recursively
 		// simplified pieces (partial simplification, paper §6.1's
 		// unsolved non-poly cases).
@@ -271,7 +256,7 @@ type abstraction struct {
 	byNot map[string]string              // poly key of -sub-1 -> var name, for binds[:nots]
 	nots  int                            // bindings whose -sub-1 key is in byNot
 	vars  [truthtable.MaxVars + 1]string // distinct input names left in the tree
-	nvars int                            // up to MaxVars+1
+	nvars int                            // up to truthtable.MaxVars+1
 }
 
 // substitute puts the bound subtrees back into e.
@@ -302,7 +287,7 @@ func (a *abstraction) walk(n *expr.Expr, underBitwise bool) *expr.Expr {
 		if underBitwise && n.Op == expr.OpConst {
 			return a.bind(n)
 		}
-		if n.Op == expr.OpVar && a.nvars <= a.s.opts.MaxVars && !slices.Contains(a.vars[:a.nvars], n.Name) {
+		if n.Op == expr.OpVar && a.nvars <= truthtable.MaxVars && !slices.Contains(a.vars[:a.nvars], n.Name) {
 			a.vars[a.nvars] = n.Name
 			a.nvars++
 		}

@@ -27,7 +27,7 @@ func (s *Simplifier) polyOf(e *expr.Expr) *poly.Poly {
 func (s *Simplifier) leaf(e *expr.Expr, p *poly.Poly, k uint64) {
 	if expr.IsBitwisePure(e) {
 		var buf [truthtable.MaxVars]string
-		if vars, ok := appendVars(buf[:0], e, s.opts.MaxVars); ok {
+		if vars, ok := appendVars(buf[:0], e, truthtable.MaxVars); ok {
 			s.addNormalized(e, vars, p, k)
 			return
 		}

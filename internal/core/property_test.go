@@ -110,9 +110,9 @@ func TestPropertyAlternationNeverGrowsOnLinear(t *testing.T) {
 }
 
 func TestMaxVarsBailout(t *testing.T) {
-	// Seven distinct variables exceed the signature budget (MaxVars is
-	// capped at 6): the simplifier must bail out gracefully and
-	// preserve semantics.
+	// Seven distinct variables exceed the signature budget
+	// (truthtable.MaxVars is 6): the simplifier must bail out
+	// gracefully and preserve semantics.
 	in := parserMust("(a&b) + (c&d) + (e&f) + (g&a) + a - a")
 	s := Default()
 	out := s.Simplify(in)

@@ -251,7 +251,7 @@ func RunSolverBench(cfg BenchConfig) BenchReport {
 		freshWall := time.Since(start)
 		fresh.WallMS = durMSf(freshWall)
 
-		ctx := s.NewContext(smt.ContextOptions{})
+		ctx := s.NewContext()
 		inc := BenchRun{Solver: s.Name(), Mode: "incremental", Queries: len(queries)}
 		start = time.Now()
 		for i, q := range queries {

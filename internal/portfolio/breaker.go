@@ -15,7 +15,7 @@ import (
 // failures the breaker opens and the engine is skipped; once Cooldown
 // elapses a single probe query is let through (half-open), and its
 // outcome either closes the breaker or re-opens it with the cooldown
-// doubled, up to MaxCooldown.
+// doubled, up to 16×Cooldown.
 //
 // Ordinary budget exhaustion is deliberately not a failure: timing out
 // on hard MBA queries is the expected behaviour of a correct engine
@@ -39,10 +39,9 @@ type BreakerOptions struct {
 	// Threshold is the consecutive-failure count that opens the
 	// breaker. Default 3.
 	Threshold int
-	// Cooldown is the first open interval. Default 250ms.
+	// Cooldown is the first open interval; the exponential backoff
+	// stops at 16×Cooldown. Default 250ms.
 	Cooldown time.Duration
-	// MaxCooldown caps the exponential backoff. Default 16×Cooldown.
-	MaxCooldown time.Duration
 }
 
 func (o BreakerOptions) withDefaults() BreakerOptions {
@@ -51,9 +50,6 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 	}
 	if o.Cooldown <= 0 {
 		o.Cooldown = 250 * time.Millisecond
-	}
-	if o.MaxCooldown <= 0 {
-		o.MaxCooldown = 16 * o.Cooldown
 	}
 	return o
 }
@@ -140,10 +136,7 @@ func (b *Breaker) ReportFailure() {
 	b.failures++
 	switch {
 	case b.state == breakerHalfOpen:
-		b.cooldown *= 2
-		if b.cooldown > b.opts.MaxCooldown {
-			b.cooldown = b.opts.MaxCooldown
-		}
+		b.cooldown = min(2*b.cooldown, 16*b.opts.Cooldown)
 		b.trip(now)
 	case b.state == breakerClosed && b.failures >= b.opts.Threshold:
 		b.trip(now)

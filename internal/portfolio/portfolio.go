@@ -116,7 +116,7 @@ func New(solvers []*smt.Solver, opts Options) *Set {
 	for i, sv := range solvers {
 		s.engines[i] = sv
 		if opts.Incremental {
-			s.engines[i] = sv.NewContext(smt.ContextOptions{})
+			s.engines[i] = sv.NewContext()
 		}
 	}
 	if opts.Breakers != nil {
@@ -126,7 +126,7 @@ func New(solvers []*smt.Solver, opts Options) *Set {
 		}
 	}
 	if opts.Share {
-		s.pool = bitblast.NewPool(len(solvers), 0)
+		s.pool = bitblast.NewPool(len(solvers))
 	}
 	if opts.Cubes != nil {
 		c := opts.Cubes.WithDefaults()

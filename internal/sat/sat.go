@@ -260,9 +260,8 @@ type Solver struct {
 
 	// Clause sharing (see share.go). exportFn receives learnt clauses
 	// passing the caps; importFn supplies foreign clauses at restarts.
-	shareOpts ShareOptions
-	exportFn  func(lits []Lit, lbd int)
-	importFn  func(max int) [][]Lit
+	exportFn func(lits []Lit, lbd int)
+	importFn func(max int) [][]Lit
 }
 
 // New returns an empty solver with the given options.

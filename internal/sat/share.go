@@ -19,37 +19,15 @@ import "sort"
 // trail, and the cost of the import is amortized against the restart's
 // own backtrack.
 
-// ShareOptions bounds what is exported and imported. Short, low-LBD
-// ("glue") clauses are the ones worth the transport and translation
-// cost; everything else stays local. Zero fields take defaults.
-type ShareOptions struct {
-	// MaxLen caps exported clause length in literals (default 8).
-	MaxLen int
-	// MaxLBD caps the exported clause's LBD/glue (default 3).
-	MaxLBD int
-	// ImportMax caps clauses imported per restart (default 64), so a
-	// noisy pool cannot starve the importer's own search.
-	ImportMax int
-}
-
+// Sharing caps. Short, low-LBD ("glue") clauses are the ones worth the
+// transport and translation cost; everything else stays local. The
+// import cap keeps a noisy pool from starving the importer's own
+// search.
 const (
-	defaultShareMaxLen    = 8
-	defaultShareMaxLBD    = 3
-	defaultShareImportMax = 64
+	shareMaxLen    = 8  // exported clause length in literals
+	shareMaxLBD    = 3  // exported clause LBD/glue
+	shareImportMax = 64 // clauses imported per restart
 )
-
-func (o ShareOptions) withDefaults() ShareOptions {
-	if o.MaxLen <= 0 {
-		o.MaxLen = defaultShareMaxLen
-	}
-	if o.MaxLBD <= 0 {
-		o.MaxLBD = defaultShareMaxLBD
-	}
-	if o.ImportMax <= 0 {
-		o.ImportMax = defaultShareImportMax
-	}
-	return o
-}
 
 // SetShareHooks enables clause sharing. export is called with each
 // learnt clause passing the caps (the slice is owned by the solver:
@@ -60,11 +38,10 @@ func (o ShareOptions) withDefaults() ShareOptions {
 //
 // Sharing is incompatible with DRAT proof logging: imported clauses
 // are not derivable from the local formula, so enabling both panics.
-func (s *Solver) SetShareHooks(opts ShareOptions, export func(lits []Lit, lbd int), imp func(max int) [][]Lit) {
+func (s *Solver) SetShareHooks(export func(lits []Lit, lbd int), imp func(max int) [][]Lit) {
 	if s.proof != nil {
 		panic("sat: clause sharing is not supported with proof logging")
 	}
-	s.shareOpts = opts.withDefaults()
 	s.exportFn = export
 	s.importFn = imp
 }
@@ -78,19 +55,19 @@ func (s *Solver) ClearShareHooks() {
 // exportLearnt offers a freshly learnt clause to the export hook if it
 // passes the sharing caps.
 func (s *Solver) exportLearnt(lits []Lit, lbd int) {
-	if s.exportFn == nil || len(lits) > s.shareOpts.MaxLen || lbd > s.shareOpts.MaxLBD {
+	if s.exportFn == nil || len(lits) > shareMaxLen || lbd > shareMaxLBD {
 		return
 	}
 	s.stats.Exported++
 	s.exportFn(lits, lbd)
 }
 
-// importShared drains up to ImportMax clauses from the import hook and
+// importShared drains up to shareImportMax clauses from the import hook and
 // attaches them. Must be called at decision level 0. The loop consults
 // Budget.Stop between clauses: an import batch runs inside the search
 // hot path and must not outlive a cancellation.
 func (s *Solver) importShared(budget Budget) {
-	batch := s.importFn(s.shareOpts.ImportMax)
+	batch := s.importFn(shareImportMax)
 	for _, lits := range batch {
 		if budget.Stop != nil && budget.Stop.Load() {
 			return

@@ -11,13 +11,12 @@ func TestShareExportCaps(t *testing.T) {
 	s := New(DefaultOptions())
 	pigeonhole(s, 7, 6)
 	var exported [][]Lit
-	opts := ShareOptions{MaxLen: 4, MaxLBD: 3}
-	s.SetShareHooks(opts, func(lits []Lit, lbd int) {
-		if len(lits) > opts.MaxLen {
-			t.Errorf("exported clause of length %d exceeds cap %d", len(lits), opts.MaxLen)
+	s.SetShareHooks(func(lits []Lit, lbd int) {
+		if len(lits) > shareMaxLen {
+			t.Errorf("exported clause of length %d exceeds cap %d", len(lits), shareMaxLen)
 		}
-		if lbd > opts.MaxLBD {
-			t.Errorf("exported clause with lbd %d exceeds cap %d", lbd, opts.MaxLBD)
+		if lbd > shareMaxLBD {
+			t.Errorf("exported clause with lbd %d exceeds cap %d", lbd, shareMaxLBD)
 		}
 		exported = append(exported, append([]Lit(nil), lits...))
 	}, nil)
@@ -52,7 +51,7 @@ func TestShareExportedClausesAreImplied(t *testing.T) {
 		s.AddClause(cl...)
 	}
 	var exported [][]Lit
-	s.SetShareHooks(ShareOptions{MaxLen: 8, MaxLBD: 8}, func(lits []Lit, lbd int) {
+	s.SetShareHooks(func(lits []Lit, lbd int) {
 		exported = append(exported, append([]Lit(nil), lits...))
 	}, nil)
 	s.Solve(Budget{}, lit(0, false), lit(1, false))
@@ -78,7 +77,7 @@ func TestShareImportRoundTrip(t *testing.T) {
 	exporter := New(DefaultOptions())
 	pigeonhole(exporter, 7, 6)
 	var pool [][]Lit
-	exporter.SetShareHooks(ShareOptions{}, func(lits []Lit, lbd int) {
+	exporter.SetShareHooks(func(lits []Lit, lbd int) {
 		pool = append(pool, append([]Lit(nil), lits...))
 	}, nil)
 	if got := exporter.Solve(Budget{}); got != Unsat {
@@ -91,7 +90,7 @@ func TestShareImportRoundTrip(t *testing.T) {
 	importer := New(DefaultOptions())
 	pigeonhole(importer, 7, 6)
 	next := 0
-	importer.SetShareHooks(ShareOptions{ImportMax: 16}, nil, func(max int) [][]Lit {
+	importer.SetShareHooks(nil, func(max int) [][]Lit {
 		if next >= len(pool) {
 			return nil
 		}
@@ -118,7 +117,7 @@ func TestShareImportSatPreserved(t *testing.T) {
 	exporter := New(DefaultOptions())
 	pigeonhole(exporter, 9, 8)
 	var pool [][]Lit
-	exporter.SetShareHooks(ShareOptions{}, func(lits []Lit, lbd int) {
+	exporter.SetShareHooks(func(lits []Lit, lbd int) {
 		pool = append(pool, append([]Lit(nil), lits...))
 	}, nil)
 	exporter.Solve(Budget{Conflicts: 500})
@@ -126,7 +125,7 @@ func TestShareImportSatPreserved(t *testing.T) {
 	importer := New(DefaultOptions())
 	pigeonhole(importer, 8, 8) // same variable space prefix, satisfiable
 	served := false
-	importer.SetShareHooks(ShareOptions{}, nil, func(max int) [][]Lit {
+	importer.SetShareHooks(nil, func(max int) [][]Lit {
 		if served {
 			return nil
 		}
@@ -157,7 +156,6 @@ func TestShareImportRespectsStop(t *testing.T) {
 	s.importFn = func(max int) [][]Lit {
 		return [][]Lit{{lit(2, false)}, {lit(3, false)}}
 	}
-	s.shareOpts = ShareOptions{}.withDefaults()
 	s.importShared(Budget{Stop: &stop})
 	if got := s.Stats().Imported; got != 0 {
 		t.Fatalf("imported %d clauses under a raised stop flag, want 0", got)
@@ -172,7 +170,6 @@ func TestShareImportUnknownVarDropped(t *testing.T) {
 	s.importFn = func(max int) [][]Lit {
 		return [][]Lit{{lit(7, false), lit(0, true)}}
 	}
-	s.shareOpts = ShareOptions{}.withDefaults()
 	s.importShared(Budget{})
 	if got := s.Stats().Imported; got != 0 {
 		t.Fatalf("imported %d clauses mentioning unknown variables, want 0", got)
@@ -190,7 +187,6 @@ func TestShareImportUnitPropagates(t *testing.T) {
 	s.importFn = func(max int) [][]Lit {
 		return [][]Lit{{lit(0, true)}, {lit(0, false)}}
 	}
-	s.shareOpts = ShareOptions{}.withDefaults()
 	s.importShared(Budget{})
 	if s.Okay() {
 		t.Fatal("contradictory unit imports did not refute the solver")
@@ -207,7 +203,7 @@ func TestShareProofIncompatible(t *testing.T) {
 			t.Fatal("SetShareHooks with proof logging did not panic")
 		}
 	}()
-	s.SetShareHooks(ShareOptions{}, func([]Lit, int) {}, nil)
+	s.SetShareHooks(func([]Lit, int) {}, nil)
 }
 
 type discardWriter struct{}

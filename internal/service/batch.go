@@ -165,9 +165,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, "batch has no items")
 		return
 	}
-	if len(req.Items) > s.cfg.MaxBatchItems {
+	if len(req.Items) > MaxBatchItems {
 		status = http.StatusBadRequest
-		s.writeError(w, status, fmt.Sprintf("batch has %d items, server cap is %d", len(req.Items), s.cfg.MaxBatchItems))
+		s.writeError(w, status, fmt.Sprintf("batch has %d items, server cap is %d", len(req.Items), MaxBatchItems))
 		return
 	}
 
@@ -388,7 +388,7 @@ func (s *Server) parseBatchItem(it BatchItem, deadline time.Time) (*job, error) 
 		}
 		conflicts := req.Conflicts
 		if conflicts == 0 {
-			conflicts = s.cfg.DefaultConflicts
+			conflicts = defaultConflicts
 		}
 		j.key = solveKey(width, p.da, p.db)
 		j.group = fmt.Sprintf("%s|s=%s|p=%t|pre=%t|c=%d", j.key, req.Solver, req.Portfolio, req.Simplify, conflicts)

@@ -161,7 +161,7 @@ func TestBatchClassifySampling(t *testing.T) {
 }
 
 func TestBatchRejections(t *testing.T) {
-	_, cl := newTestServer(t, service.Config{Workers: 1, MaxBatchItems: 2})
+	_, cl := newTestServer(t, service.Config{Workers: 1})
 	ctx := context.Background()
 
 	// Empty batch: 400.
@@ -171,11 +171,10 @@ func TestBatchRejections(t *testing.T) {
 	}
 
 	// Over the cap: 400.
-	big := service.BatchRequest{Items: []service.BatchItem{
-		{Solve: &service.SolveRequest{A: "x", B: "x", Width: 8}},
-		{Solve: &service.SolveRequest{A: "y", B: "y", Width: 8}},
-		{Solve: &service.SolveRequest{A: "z", B: "z", Width: 8}},
-	}}
+	big := service.BatchRequest{Items: make([]service.BatchItem, service.MaxBatchItems+1)}
+	for i := range big.Items {
+		big.Items[i].Solve = &service.SolveRequest{A: "x", B: "x", Width: 8}
+	}
 	_, err = cl.Batch(ctx, big)
 	if se, ok := err.(*client.StatusError); !ok || se.Code != http.StatusBadRequest {
 		t.Fatalf("oversize batch: %v, want 400", err)

@@ -36,6 +36,22 @@ var (
 	siteStop   = fault.NewSite("service.stop")
 )
 
+// MaxBatchItems caps the item count of one /v1/batch request, on a node
+// and on the cluster router alike. Larger batches are rejected with 400
+// so a single call cannot pin the pool for minutes past every deadline;
+// since the router checks the same cap, no sub-batch it forwards can
+// exceed a node's.
+const MaxBatchItems = 256
+
+const (
+	// defaultConflicts is the CDCL conflict budget applied when a solve
+	// request does not set one, matching the public API's
+	// CheckEquivalence budget.
+	defaultConflicts = 2_000_000
+	// retryAfter is the backoff hint attached to 429/503 answers.
+	retryAfter = time.Second
+)
+
 // Config sizes the service. The zero value yields sensible defaults.
 type Config struct {
 	// Workers is the solver pool size (default NumCPU). It bounds the
@@ -51,17 +67,9 @@ type Config struct {
 	// (default 5s); MaxTimeout clamps requested budgets (default 60s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// DefaultConflicts is the CDCL conflict budget applied when a solve
-	// request does not set one (default 2,000,000, matching the public
-	// API's CheckEquivalence budget). Zero keeps requests unlimited
-	// within their wall clock.
-	DefaultConflicts int64
 	// DefaultWidth is the ring width used when requests omit one
 	// (default 64).
 	DefaultWidth uint
-	// RetryAfter is the backoff hint attached to 429/503 answers
-	// (default 1s).
-	RetryAfter time.Duration
 	// BreakerThreshold is the consecutive structural-failure count
 	// (contained panics, blown memory caps — not ordinary timeouts)
 	// that opens a personality's circuit breaker. Default 3; negative
@@ -94,10 +102,6 @@ type Config struct {
 	// screen race cannot decide within its conflict budget. Affects
 	// portfolio solves only.
 	Cubes bool
-	// MaxBatchItems caps the item count of one /v1/batch request
-	// (default 256). Larger batches are rejected with 400 so a single
-	// call cannot pin the pool for minutes past every deadline.
-	MaxBatchItems int
 	// Store is the optional persistent verdict store consulted behind
 	// the LRU and written through on definitive answers (nil =
 	// memory-only). The server shares it read/write with its workers but
@@ -122,17 +126,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 60 * time.Second
 	}
-	if c.DefaultConflicts == 0 {
-		c.DefaultConflicts = 2_000_000
-	}
 	if c.DefaultWidth == 0 || c.DefaultWidth > 64 {
 		c.DefaultWidth = 64
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 256
 	}
 	return c
 }
@@ -484,9 +479,8 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 	resp := ErrorResponse{Error: msg}
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		retry := s.cfg.RetryAfter
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int64((retry+time.Second-1)/time.Second)))
-		resp.RetryAfterMS = retry.Milliseconds()
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", int64((retryAfter+time.Second-1)/time.Second)))
+		resp.RetryAfterMS = retryAfter.Milliseconds()
 	}
 	WriteJSON(w, status, resp)
 }
@@ -672,7 +666,7 @@ func (s *Server) runSimplify(wc *workerCtx, e *expr.Expr, digest expr.Digest, wi
 	if verify {
 		resp.Verify = s.runSolve(wc, e, simplified, width, solveSpec{
 			solver:    "",
-			conflicts: s.cfg.DefaultConflicts,
+			conflicts: defaultConflicts,
 			deadline:  deadline,
 		})
 	}

@@ -49,7 +49,7 @@ func BenchmarkCheckTermEquivFresh(b *testing.B) {
 // cache and skip blasting entirely.
 func BenchmarkCheckTermEquivIncremental(b *testing.B) {
 	pairs := benchPairs(b)
-	ctx := NewZ3Sim().NewContext(ContextOptions{})
+	ctx := NewZ3Sim().NewContext()
 	budget := Budget{Conflicts: 200_000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -37,19 +37,21 @@ import (
 // clause is therefore implied by the circuit alone and sound for every
 // later query.
 //
-// Growth is bounded by watermarks (ContextOptions): a width whose
-// solver outgrows MaxVars/MaxClauses is recycled (its blaster and
-// activation cache dropped, to be rebuilt on demand), and when the
-// intern table outgrows MaxTerms the whole context resets. A Blast
-// call interrupted by a stop flag or deadline also forces that width's
+// Growth is bounded by watermarks: a width whose solver outgrows the
+// variable or clause watermark is recycled (its blaster and activation
+// cache dropped, to be rebuilt on demand), and when the intern table
+// outgrows the term watermark the whole context resets. A Blast call
+// interrupted by a stop flag or deadline also forces that width's
 // recycle, per the Blaster contract that a partially encoded circuit
 // must be discarded.
 //
 // A Context is single-goroutine, like the Rewriter it embeds; use one
 // per worker and never share one across goroutines.
 type Context struct {
-	s    *Solver
-	opts ContextOptions
+	s *Solver
+	// Variable and term watermarks, set to the defaults by NewContext
+	// (tests lower them).
+	maxVars, maxTerms int
 
 	in     *bv.Interner
 	rw     *bv.Rewriter
@@ -66,41 +68,17 @@ type Context struct {
 	retiredBlast bitblast.Stats // encoding counters of recycled states
 }
 
-// ContextOptions bounds a Context's memory. Zero fields take the
-// package defaults.
-type ContextOptions struct {
-	// MaxVars recycles a width's solver when its variable count passes
-	// this watermark.
-	MaxVars int
-	// MaxClauses recycles a width's solver when problem plus learned
-	// clauses pass this watermark.
-	MaxClauses int
-	// MaxTerms resets the whole context (interner, rewriter, all
-	// widths) when the intern table passes this watermark.
-	MaxTerms int
-}
-
-// Default watermarks: generous enough that corpus-scale workloads never
+// Watermarks: generous enough that corpus-scale workloads never
 // recycle, small enough that a context cannot grow unboundedly in a
-// long-lived service worker.
+// long-lived service worker. A width's solver is recycled when its
+// variables pass defaultMaxVars or its problem plus learned clauses
+// pass defaultMaxClauses; the whole context (interner, rewriter, all
+// widths) resets when the intern table passes defaultMaxTerms.
 const (
 	defaultMaxVars    = 2_000_000
 	defaultMaxClauses = 8_000_000
 	defaultMaxTerms   = 1_000_000
 )
-
-func (o ContextOptions) withDefaults() ContextOptions {
-	if o.MaxVars <= 0 {
-		o.MaxVars = defaultMaxVars
-	}
-	if o.MaxClauses <= 0 {
-		o.MaxClauses = defaultMaxClauses
-	}
-	if o.MaxTerms <= 0 {
-		o.MaxTerms = defaultMaxTerms
-	}
-	return o
-}
 
 // ContextStats reports a context's reuse and recycling counters.
 type ContextStats struct {
@@ -113,7 +91,7 @@ type ContextStats struct {
 	Blast  bitblast.Stats // encoding-cache reuse, summed over all states
 
 	// Size of the live shared circuits, summed over width states (the
-	// quantities the MaxVars/MaxClauses watermarks police).
+	// quantities the variable and clause watermarks police).
 	Vars    int
 	Clauses int
 	Learnts int
@@ -127,13 +105,14 @@ type ctxState struct {
 }
 
 // NewContext returns an incremental context over this personality.
-func (s *Solver) NewContext(opts ContextOptions) *Context {
+func (s *Solver) NewContext() *Context {
 	return &Context{
-		s:      s,
-		opts:   opts.withDefaults(),
-		in:     bv.NewInterner(),
-		rw:     bv.NewRewriter(s.level),
-		states: map[uint]*ctxState{},
+		s:        s,
+		maxVars:  defaultMaxVars,
+		maxTerms: defaultMaxTerms,
+		in:       bv.NewInterner(),
+		rw:       bv.NewRewriter(s.level),
+		states:   map[uint]*ctxState{},
 	}
 }
 
@@ -154,7 +133,7 @@ func (c *Context) Stats() ContextStats {
 // Reset drops every cached structure — interner, rewriter, all solver
 // states. Callers use it to invalidate a context wholesale (e.g. a
 // service worker recycling between tenants); it is also what the
-// MaxTerms watermark triggers internally.
+// term watermark triggers internally.
 func (c *Context) Reset() {
 	c.retireAll()
 	c.in = bv.NewInterner()
@@ -250,12 +229,12 @@ func (c *Context) reconcileVars(width uint, st *ctxState, vars map[string]uint) 
 
 // recycleIfOverLimit applies the growth watermarks after a query.
 func (c *Context) recycleIfOverLimit(width uint, st *ctxState) {
-	if st.bl.S.NumVars() > c.opts.MaxVars ||
-		st.bl.S.NumClauses()+st.bl.S.NumLearnts() > c.opts.MaxClauses {
+	if st.bl.S.NumVars() > c.maxVars ||
+		st.bl.S.NumClauses()+st.bl.S.NumLearnts() > defaultMaxClauses {
 		c.retire(width)
 		c.stats.Recycles++
 	}
-	if c.in.Len() > c.opts.MaxTerms {
+	if c.in.Len() > c.maxTerms {
 		c.Reset()
 	}
 }
@@ -348,7 +327,7 @@ func (c *Context) decide(q query) (Result, bool) {
 	// unshared query must not publish under a stale generation.
 	if q.budget.Share != nil {
 		bl.SetShareAct(act)
-		bl.EnableShare(q.budget.Share, sat.ShareOptions{})
+		bl.EnableShare(q.budget.Share)
 	}
 	v, res := c.search(&q, bl, act)
 	if q.budget.Share != nil {

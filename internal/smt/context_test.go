@@ -65,7 +65,7 @@ func TestContextDifferentialEquivalence(t *testing.T) {
 	pairs := diffCorpus(t)
 	budget := diffBudget
 	for _, s := range All() {
-		ctx := s.NewContext(ContextOptions{})
+		ctx := s.NewContext()
 		freshStatus := make([]Status, len(pairs))
 		for i, p := range pairs {
 			fresh := s.CheckEquiv(p[0], p[1], width, budget)
@@ -114,7 +114,7 @@ func TestContextTightBudgetNoContradiction(t *testing.T) {
 	pairs := diffCorpus(t)
 	budget := Budget{Conflicts: 50, Timeout: 2 * time.Second}
 	for _, s := range All() {
-		ctx := s.NewContext(ContextOptions{})
+		ctx := s.NewContext()
 		for round := 0; round < 2; round++ {
 			for i, p := range pairs {
 				fresh := s.CheckEquiv(p[0], p[1], width, budget)
@@ -146,7 +146,7 @@ func TestContextSolveAssertionsDifferential(t *testing.T) {
 	// The hardest set takes 721 conflicts: a 13.9× margin.
 	budget := Budget{Conflicts: 10_000}
 	for _, s := range All() {
-		ctx := s.NewContext(ContextOptions{})
+		ctx := s.NewContext()
 		for round := 0; round < 2; round++ {
 			for i, set := range sets {
 				fresh := s.SolveAssertions(set, budget)
@@ -174,7 +174,7 @@ func TestContextSolveAssertionsDifferential(t *testing.T) {
 // the context stays usable for later queries after both.
 func TestContextStopCancellation(t *testing.T) {
 	a, b := hardQuery(t)
-	ctx := NewBoolectorSim().NewContext(ContextOptions{})
+	ctx := NewBoolectorSim().NewContext()
 
 	var pre atomic.Bool
 	pre.Store(true)
@@ -213,7 +213,7 @@ func TestContextStopCancellation(t *testing.T) {
 // queries the same way they bound one-shot queries.
 func TestContextDeadlineTimeout(t *testing.T) {
 	a, b := hardQuery(t)
-	ctx := NewSTPSim().NewContext(ContextOptions{})
+	ctx := NewSTPSim().NewContext()
 	start := time.Now()
 	res := ctx.CheckTermEquiv(a, b, Budget{Timeout: 50 * time.Millisecond})
 	elapsed := time.Since(start)
@@ -230,7 +230,8 @@ func TestContextDeadlineTimeout(t *testing.T) {
 // correctly; an intern-table watermark forces a full reset.
 func TestContextRecycleWatermarks(t *testing.T) {
 	s := NewZ3Sim()
-	ctx := s.NewContext(ContextOptions{MaxVars: 200})
+	ctx := s.NewContext()
+	ctx.maxVars = 200
 	budget := Budget{Timeout: 30 * time.Second}
 	pairs := diffCorpus(t)
 	for _, p := range pairs {
@@ -242,15 +243,16 @@ func TestContextRecycleWatermarks(t *testing.T) {
 		}
 	}
 	if ctx.Stats().Recycles == 0 {
-		t.Fatalf("MaxVars=200 never recycled across the corpus: %+v", ctx.Stats())
+		t.Fatalf("maxVars=200 never recycled across the corpus: %+v", ctx.Stats())
 	}
 
-	ctx = s.NewContext(ContextOptions{MaxTerms: 10})
+	ctx = s.NewContext()
+	ctx.maxTerms = 10
 	for _, p := range pairs[:6] {
 		ctx.CheckEquiv(p[0], p[1], 8, budget)
 	}
 	if ctx.Stats().FullResets == 0 {
-		t.Fatalf("MaxTerms=10 never reset the context: %+v", ctx.Stats())
+		t.Fatalf("maxTerms=10 never reset the context: %+v", ctx.Stats())
 	}
 	// Still correct after resets.
 	res := ctx.CheckEquiv(parser.MustParse("x^y"), parser.MustParse("(x|y)-(x&y)"), 8, budget)
@@ -263,7 +265,7 @@ func TestContextRecycleWatermarks(t *testing.T) {
 // solver states, and reusing a variable name at a new width recycles
 // instead of panicking in VarBits.
 func TestContextWidthIsolation(t *testing.T) {
-	ctx := NewBoolectorSim().NewContext(ContextOptions{})
+	ctx := NewBoolectorSim().NewContext()
 	// The hardest query takes 874 conflicts: an 11.4× margin.
 	budget := Budget{Conflicts: 10_000}
 	a, b := parser.MustParse("x+y"), parser.MustParse("(x^y)+2*(x&y)")
@@ -289,7 +291,7 @@ func TestContextWidthIsolation(t *testing.T) {
 // re-solving a query through a warm context spends no new encoding
 // work (the activation literal and circuit are reused wholesale).
 func TestContextRepeatQueriesGetCheaper(t *testing.T) {
-	ctx := NewZ3Sim().NewContext(ContextOptions{})
+	ctx := NewZ3Sim().NewContext()
 	// The costliest of the four solves takes 338 conflicts: a 29.6×
 	// margin.
 	budget := Budget{Conflicts: 10_000}

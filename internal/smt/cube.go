@@ -27,9 +27,8 @@ type CubeOptions struct {
 	// (before personality speed scaling). Queries decided within it
 	// never pay for cubing. Default 2000.
 	ScreenConflicts int64
-	// Workers bounds concurrent cube workers. Default GOMAXPROCS-ish
-	// via runtime; tests pin it for determinism. Values above the cube
-	// count are clamped.
+	// Workers bounds concurrent cube workers. Default 2. Values above
+	// the cube count are clamped.
 	Workers int
 	// ShareCapacity, when positive, enables raw clause sharing among
 	// the cube workers: all workers blast the same residual query with
@@ -204,7 +203,7 @@ func (q *query) conquer(res Result, splitVars []sat.Var, opts CubeOptions) Resul
 				}
 				b.AssertTrue(o[0])
 				if pool != nil {
-					b.S.SetShareHooks(sat.ShareOptions{}, pool.export(widx), pool.drain(widx, &localStop))
+					b.S.SetShareHooks(pool.export(widx), pool.drain(widx, &localStop))
 				}
 				return b, true
 			}()

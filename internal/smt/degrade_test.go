@@ -21,7 +21,7 @@ func TestContextCorruptThenResetAnswersCorrectly(t *testing.T) {
 	const width = 8
 	pairs := diffCorpus(t)
 	s := NewBoolectorSim()
-	ctx := s.NewContext(ContextOptions{})
+	ctx := s.NewContext()
 	budget := Budget{Timeout: 30 * time.Second}
 
 	// Warm every cache the corruption will later damage.
@@ -68,7 +68,7 @@ func TestInjectedPanicContainedAtBoundary(t *testing.T) {
 		t.Fatalf("one-shot under injected panic: status=%v reason=%v, want unknown/panic", res.Status, res.Reason)
 	}
 
-	ctx := s.NewContext(ContextOptions{})
+	ctx := s.NewContext()
 	if err := fault.EnableSpec("smt.rewrite:hit=1"); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestInjectedContextCorruptionResets(t *testing.T) {
 	defer fault.Disable()
 	const width = 8
 	a, b := parser.MustParse("x^y"), parser.MustParse("(x|y)-(x&y)")
-	ctx := NewBoolectorSim().NewContext(ContextOptions{})
+	ctx := NewBoolectorSim().NewContext()
 	budget := Budget{Timeout: 30 * time.Second}
 
 	if res := ctx.CheckEquiv(a, b, width, budget); res.Status != Equivalent {
@@ -132,7 +132,7 @@ func TestResourceCapsDegradeToUnknown(t *testing.T) {
 		t.Fatalf("MaxLits cap: status=%v reason=%v, want unknown/resource", res.Status, res.Reason)
 	}
 
-	ctx := s.NewContext(ContextOptions{})
+	ctx := s.NewContext()
 	res = ctx.CheckEquiv(a, b, width, Budget{Timeout: 30 * time.Second, MaxVars: 8})
 	if res.Status != Unknown || res.Reason != ReasonResource {
 		t.Fatalf("context MaxVars cap: status=%v reason=%v, want unknown/resource", res.Status, res.Reason)

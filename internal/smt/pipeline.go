@@ -319,7 +319,7 @@ func (q *query) solveFresh(conflicts int64) (res Result, bl *bitblast.Blaster, o
 	if q.budget.Share != nil {
 		// The query is asserted outright, so exported clauses need no
 		// activation guard.
-		bl.EnableShare(q.budget.Share, sat.ShareOptions{})
+		bl.EnableShare(q.budget.Share)
 	}
 	v := bl.Solve(q.satBudget(conflicts, q.budget.Stop))
 	st := bl.S.Stats()

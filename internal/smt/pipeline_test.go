@@ -88,7 +88,7 @@ func TestBackendParity(t *testing.T) {
 				res, _ := s.checkTerms(s.newQuery(c.budget()), ta, tb, nil, rw(), be)
 				return res
 			}
-			ctx := s.NewContext(ContextOptions{})
+			ctx := s.NewContext()
 			if rw != nil {
 				ctx.rw = rw()
 			}

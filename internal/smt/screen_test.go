@@ -138,8 +138,8 @@ func TestScreenNeverFlipsVerdicts(t *testing.T) {
 	off.NoScreen = true
 	const width = 8
 	for _, s := range All() {
-		ctx := s.NewContext(ContextOptions{})
-		ctxOff := s.NewContext(ContextOptions{})
+		ctx := s.NewContext()
+		ctxOff := s.NewContext()
 		for i, p := range pairs {
 			fresh := s.CheckEquiv(p[0], p[1], width, budget)
 			freshOff := s.CheckEquiv(p[0], p[1], width, off)

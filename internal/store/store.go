@@ -86,16 +86,17 @@ const frameHeaderLen = 8
 // support on both amd64 and arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// maxPending bounds the Put queue. A full queue drops the write — the
+// entry stays served from memory — rather than stalling the request
+// path on a slow disk.
+const maxPending = 1024
+
 // Options tunes a Store. The zero value takes the defaults.
 type Options struct {
 	// SyncInterval is the group-commit period: appended records are
 	// fsynced together at this cadence (default 25ms). Shorter bounds
 	// the durability window, longer amortizes the flush.
 	SyncInterval time.Duration
-	// MaxPending bounds the Put queue (default 1024). A full queue
-	// drops the write — the entry stays served from memory — rather
-	// than stalling the request path on a slow disk.
-	MaxPending int
 	// PoisonThreshold is the consecutive write/fsync failure count that
 	// poisons the store into memory-only mode (default 3).
 	PoisonThreshold int
@@ -108,9 +109,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SyncInterval <= 0 {
 		o.SyncInterval = 25 * time.Millisecond
-	}
-	if o.MaxPending <= 0 {
-		o.MaxPending = 1024
 	}
 	if o.PoisonThreshold <= 0 {
 		o.PoisonThreshold = 3
@@ -211,7 +209,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		path:    path,
 		index:   make(map[string][]byte),
 		f:       f,
-		pending: make(chan record, opts.MaxPending),
+		pending: make(chan record, maxPending),
 		stopc:   make(chan struct{}),
 	}
 	if err := s.recoverLog(); err != nil {
