@@ -18,9 +18,10 @@ import (
 // arithmetic structure expands distributively (§4.4 ArithReduce).
 // Subtrees that cannot be normalized (too many variables) become opaque
 // atoms, which keeps the transformation semantics-preserving at the
-// cost of less simplification.
-func (s *Simplifier) polyOf(e *expr.Expr) *poly.Poly {
-	return poly.FromExpr(e, s.opts.Width, s.leaf)
+// cost of less simplification. ok is false when a product would expand
+// past maxExprNodes term pairs.
+func (s *Simplifier) polyOf(e *expr.Expr) (p *poly.Poly, ok bool) {
+	return poly.FromExprMax(e, s.opts.Width, s.leaf, maxExprNodes)
 }
 
 // leaf is polyOf's poly.Leaf for a variable or bitwise-rooted subtree.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -110,10 +111,11 @@ func TestPropertyAlternationNeverGrowsOnLinear(t *testing.T) {
 }
 
 func TestMaxVarsBailout(t *testing.T) {
-	// Seven distinct variables exceed the signature budget
-	// (truthtable.MaxVars is 6): the simplifier must bail out
-	// gracefully and preserve semantics.
-	in := parserMust("(a&b) + (c&d) + (e&f) + (g&a) + a - a")
+	// One bitwise leaf over seven distinct variables exceeds the
+	// signature budget (truthtable.MaxVars is 6): the simplifier must
+	// keep it as an opaque atom, record the bailout and preserve
+	// semantics.
+	in := parserMust("(a&b&c&d&e&f&g) + x - x")
 	s := Default()
 	out := s.Simplify(in)
 	rng := rand.New(rand.NewSource(9))
@@ -122,6 +124,25 @@ func TestMaxVarsBailout(t *testing.T) {
 	}
 	if s.Stats().Bailouts == 0 {
 		t.Error("expected a bailout to be recorded")
+	}
+}
+
+func TestWideSumNormalizes(t *testing.T) {
+	// Seven variables in all, but every bitwise leaf has at most two:
+	// the sum normalizes leaf by leaf over the conjunction basis, with
+	// no bailout. The atoms come out in the polynomial's sorted order.
+	in := parserMust("(a&b) + (c&d) + (e&f) + (g&a) + a - a")
+	s := Default()
+	out := s.Simplify(in)
+	if want := "(a&b)+(a&g)+(c&d)+(e&f)"; out.String() != want {
+		t.Errorf("Simplify(%v) = %v, want %v", in, out, want)
+	}
+	if n := s.Stats().Bailouts; n != 0 {
+		t.Errorf("Bailouts = %d, want 0", n)
+	}
+	rng := rand.New(rand.NewSource(9))
+	if eq, w := eval.ProbablyEqual(rng, in, out, 64, 100); !eq {
+		t.Fatalf("wide sum broke semantics: %v at %v", out, w)
 	}
 }
 
@@ -177,6 +198,31 @@ func TestDeepNestingTerminates(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	if eq, w := eval.ProbablyEqual(rng, e, out, 64, 30); !eq {
 		t.Fatalf("deep nesting broke semantics at %v", w)
+	}
+}
+
+func TestProductBlowupStaysBounded(t *testing.T) {
+	// A product of 20 binomials over distinct variables expands to 2^20
+	// terms. Alone and under a bitwise operator beside a second bound
+	// subtree (which expands it for the complement check), it must
+	// stop at the size budget, record a bailout and keep its meaning.
+	prod := expr.Add(expr.Var("v0"), expr.Var("w0"))
+	for i := 1; i < 20; i++ {
+		prod = expr.Mul(prod, expr.Add(expr.Var(fmt.Sprintf("v%d", i)), expr.Var(fmt.Sprintf("w%d", i))))
+	}
+	for _, in := range []*expr.Expr{
+		prod,
+		expr.Add(expr.And(prod, expr.Var("x")), expr.Or(expr.Add(prod, expr.Const(1)), expr.Var("y"))),
+	} {
+		s := Default()
+		out := s.Simplify(in)
+		if s.Stats().Bailouts == 0 {
+			t.Errorf("Simplify(%v): expected a bailout to be recorded", in)
+		}
+		rng := rand.New(rand.NewSource(12))
+		if eq, w := eval.ProbablyEqual(rng, in, out, 64, 30); !eq {
+			t.Fatalf("Simplify(%v) broke semantics at %v", in, w)
+		}
 	}
 }
 
