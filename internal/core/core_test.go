@@ -232,6 +232,19 @@ func TestSimplifyComplementConstants(t *testing.T) {
 	checkSimplify(t, s, "(-2&x*y)+(1&x*y)", "x*y")
 }
 
+func TestSimplifyFoldsUnderBitwise(t *testing.T) {
+	// Under a bitwise parent, u+v-(u&v) over the products u = x*z and
+	// v = y*z folds to u|v, so (u|v)&u normalizes to u.
+	s := Default()
+	checkSimplify(t, s, "(x*z+y*z-(x*z&y*z))&x*z", "x*z")
+	checkSimplify(t, s, "3*x*z-y*z-2*(x*z+y*z-(x*z&y*z)&x*z)", "x*z-y*z")
+	// u-(u&y) is u&~y, and (u&~y)&y is 0.
+	checkSimplify(t, s, "(x*y-(x*y&y))&y", "0")
+	// DisableFinalOpt keeps the linear form under the parent too.
+	const in = "x*z+y*z-(x*z&y*z)&x*z" // & binds looser than + and -
+	checkSimplify(t, New(Options{DisableFinalOpt: true}), in, in)
+}
+
 func TestDisableCSEUnlinksComplements(t *testing.T) {
 	// DisableCSE turns off complement sharing with the rest of CSE: the
 	// two temporaries stay unrelated and the sum stays unsimplified.
