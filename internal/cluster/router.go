@@ -250,13 +250,16 @@ func (rt *Router) probe(node string) bool {
 
 // ---- batch routing --------------------------------------------------
 
-const maxBodyBytes = 8 << 20
+// maxReplyBytes caps what the router reads of one node reply. It is
+// larger than service.MaxBodyBytes, the request cap: a reply to a
+// full-cap batch carries every input back with its result.
+const maxReplyBytes = 8 << 20
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rt.met.batches.Add(1)
 	var req service.BatchRequest
-	if err := service.DecodeJSON(w, r, &req, maxBodyBytes); err != nil {
+	if err := service.DecodeJSON(w, r, &req, service.MaxBodyBytes); err != nil {
 		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: err.Error()})
 		return
 	}
@@ -287,11 +290,16 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) sendSubBatch(id string) SendFunc {
 	return func(ctx context.Context, node string, req *service.BatchRequest) ([]byte, error) {
 		rt.met.forwarded.Add(1)
-		body, err := json.Marshal(req)
-		if err != nil {
+		// Without HTML escaping, as the node's own encoder writes: the
+		// default escapes every & as \u0026, six bytes for one, and an
+		// &-heavy batch under the cap would reach the node over it.
+		var body bytes.Buffer
+		enc := json.NewEncoder(&body)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(req); err != nil {
 			return nil, fmt.Errorf("encoding sub-batch: %w", err)
 		}
-		hr, err := http.NewRequestWithContext(ctx, http.MethodPost, node+service.PathBatch, bytes.NewReader(body))
+		hr, err := http.NewRequestWithContext(ctx, http.MethodPost, node+service.PathBatch, &body)
 		if err != nil {
 			return nil, err
 		}
@@ -302,7 +310,7 @@ func (rt *Router) sendSubBatch(id string) SendFunc {
 			return nil, err
 		}
 		defer res.Body.Close()
-		data, err := io.ReadAll(io.LimitReader(res.Body, maxBodyBytes))
+		data, err := io.ReadAll(io.LimitReader(res.Body, maxReplyBytes))
 		if err != nil {
 			return nil, fmt.Errorf("reading sub-batch response: %w", err)
 		}
@@ -326,7 +334,7 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: fmt.Sprintf("method %s not allowed (use POST)", r.Method)})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBodyBytes))
 	if err != nil {
 		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: fmt.Sprintf("reading request: %v", err)})
 		return
@@ -374,7 +382,7 @@ func (rt *Router) forwardSingle(w http.ResponseWriter, r *http.Request, node str
 		return false, err
 	}
 	defer res.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(res.Body, maxBodyBytes))
+	data, err := io.ReadAll(io.LimitReader(res.Body, maxReplyBytes))
 	if err != nil {
 		b.ReportFailure()
 		return false, fmt.Errorf("reading node response: %w", err)

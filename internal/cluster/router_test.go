@@ -701,6 +701,85 @@ func TestRouterAndNodeShareBatchCap(t *testing.T) {
 	}
 }
 
+// TestRouterAndNodeShareBodyCap puts a real node behind a one-node
+// router and posts /v1/batch bodies near service.MaxBodyBytes, of items
+// full of '&', which an HTML-escaping encoder writes as six bytes. A
+// body just under the cap must come back whole with the node healthy;
+// one just over it must get 400 without reaching the node.
+func TestRouterAndNodeShareBodyCap(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	svc := service.New(service.Config{Workers: 2})
+	node := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		node.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := svc.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	rt, err := NewRouter(RouterConfig{Nodes: []string{node.URL}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+
+	// body encodes MaxBatchItems simplify items of about perItem bytes
+	// each, '&' written as itself.
+	body := func(perItem int) []byte {
+		and := strings.Repeat("x&y&", perItem/4)
+		req := service.BatchRequest{}
+		for i := 0; i < service.MaxBatchItems; i++ {
+			req.Items = append(req.Items, service.BatchItem{Simplify: &service.SimplifyRequest{Expr: fmt.Sprintf("%sx+%d", and, i), Width: 8}})
+		}
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(req); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	post := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, service.PathBatch, bytes.NewReader(body)))
+		return rec
+	}
+
+	near := body(service.MaxBodyBytes/service.MaxBatchItems - 64)
+	if len(near) > service.MaxBodyBytes || len(near) < service.MaxBodyBytes-32<<10 {
+		t.Fatalf("near-cap body is %d bytes, cap %d", len(near), service.MaxBodyBytes)
+	}
+	rec := post(near)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("near-cap body answered %d %s", rec.Code, rec.Body.String())
+	}
+	var resp service.BatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("decoding batch response: %v", err)
+	}
+	for i, it := range resp.Items {
+		if it.Error != "" || it.Simplify == nil {
+			t.Fatalf("item %d: %+v, want a simplification", i, it)
+		}
+	}
+	snap := rt.Snapshot()
+	if snap.Degraded != 0 || snap.Nodes[node.URL] != "healthy" {
+		t.Fatalf("after near-cap body: degraded=%d node=%q, want 0 and healthy", snap.Degraded, snap.Nodes[node.URL])
+	}
+
+	over := body(service.MaxBodyBytes / service.MaxBatchItems)
+	if len(over) <= service.MaxBodyBytes {
+		t.Fatalf("over-cap body is %d bytes, cap %d", len(over), service.MaxBodyBytes)
+	}
+	if rec := post(over); rec.Code != http.StatusBadRequest {
+		t.Fatalf("over-cap body answered %d, want 400", rec.Code)
+	}
+	if got := rt.Snapshot().Forwarded - snap.Forwarded; got != 0 {
+		t.Fatalf("over-cap body forwarded %d sub-batches, want 0", got)
+	}
+}
+
 func TestRouterCloseIdempotent(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	n1 := newFakeNode(t, "n1")

@@ -155,7 +155,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.met.observe(PathBatch, status, time.Since(start)) }()
 
 	var req BatchRequest
-	if err := DecodeJSON(w, r, &req, maxBodyBytes); err != nil {
+	if err := DecodeJSON(w, r, &req, MaxBodyBytes); err != nil {
 		status = http.StatusBadRequest
 		s.writeError(w, status, err.Error())
 		return
