@@ -34,28 +34,50 @@ func TestShareExportCaps(t *testing.T) {
 // TestShareExportedClausesAreImplied verifies soundness of the export
 // stream: every exported clause must be implied by the problem clauses
 // alone (independent of any assumptions in effect), checked by brute
-// force on a small instance solved under assumptions.
+// force. The instance is pigeonhole PHP(4,3) whose last pigeon must
+// have a hole only while a selector is assumed: unsat under the
+// selector, so the search hits conflicts and exports learned clauses,
+// and sat without it.
 func TestShareExportedClausesAreImplied(t *testing.T) {
-	rngClauses := [][]Lit{
-		{lit(0, false), lit(1, false), lit(2, true)},
-		{lit(0, true), lit(3, false)},
-		{lit(1, true), lit(3, true), lit(4, false)},
-		{lit(2, false), lit(4, true), lit(5, false)},
-		{lit(3, true), lit(5, true)},
-		{lit(0, false), lit(4, true)},
-		{lit(1, false), lit(2, false), lit(5, true)},
+	const pigeons, holes = 4, 3
+	const sel = pigeons * holes // the selector variable
+	const nvars = sel + 1
+	va := func(p, h int) Lit { return lit(p*holes+h, false) }
+	var clauses [][]Lit
+	for p := 0; p < pigeons; p++ {
+		var cl []Lit
+		for h := 0; h < holes; h++ {
+			cl = append(cl, va(p, h))
+		}
+		if p == pigeons-1 {
+			cl = append(cl, lit(sel, true))
+		}
+		clauses = append(clauses, cl)
 	}
-	const nvars = 6
+	for h := 0; h < holes; h++ {
+		for p1 := 0; p1 < pigeons; p1++ {
+			for p2 := p1 + 1; p2 < pigeons; p2++ {
+				clauses = append(clauses, []Lit{va(p1, h).Not(), va(p2, h).Not()})
+			}
+		}
+	}
 	s := newTestSolver(t, nvars)
-	for _, cl := range rngClauses {
+	for _, cl := range clauses {
 		s.AddClause(cl...)
 	}
 	var exported [][]Lit
 	s.SetShareHooks(func(lits []Lit, lbd int) {
 		exported = append(exported, append([]Lit(nil), lits...))
 	}, nil)
-	s.Solve(Budget{}, lit(0, false), lit(1, false))
-	s.Solve(Budget{}, lit(5, true), lit(2, false))
+	if got := s.Solve(Budget{}, lit(sel, false)); got != Unsat {
+		t.Fatalf("under the selector: %v, want unsat", got)
+	}
+	if got := s.Solve(Budget{}, va(0, 0)); got != Sat {
+		t.Fatalf("without the selector: %v, want sat", got)
+	}
+	if len(exported) == 0 {
+		t.Fatal("no clause exported")
+	}
 
 	for _, cl := range exported {
 		// F implies C iff F & ~C is unsat.
@@ -63,10 +85,11 @@ func TestShareExportedClausesAreImplied(t *testing.T) {
 		for _, l := range cl {
 			neg = append(neg, []Lit{l.Not()})
 		}
-		if bruteForceSat(nvars, append(append([][]Lit{}, rngClauses...), neg...)) {
+		if bruteForceSat(nvars, append(append([][]Lit{}, clauses...), neg...)) {
 			t.Fatalf("exported clause %v is not implied by the problem clauses", cl)
 		}
 	}
+	t.Logf("%d exported clauses checked", len(exported))
 }
 
 // TestShareImportRoundTrip solves one copy of an unsat instance,
