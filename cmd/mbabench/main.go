@@ -21,13 +21,6 @@
 // default stays fresh so the tables reproduce the paper's
 // query-isolated setup.
 //
-// -share and -cubes (with -portfolio) turn the racing personalities
-// into a cooperating portfolio: -share exchanges short learned clauses
-// between the engines during each race, and -cubes adds a
-// cube-and-conquer fallback that splits queries the screen race cannot
-// decide on the most active variables. Verdicts are unchanged; the
-// point is fewer timeouts at a fixed conflict budget.
-//
 // -bench FILE switches to the incremental-vs-fresh solver benchmark:
 // it runs every personality over a repeated corpus in both modes,
 // writes the JSON report (scripts/bench.sh keeps it in
@@ -76,8 +69,6 @@ func main() {
 	csvOut := flag.String("csv", "", "also export raw per-query outcomes as CSV to this file")
 	usePortfolio := flag.Bool("portfolio", false, "add a virtual solver column racing all personalities per query")
 	incremental := flag.Bool("incremental", false, "solve through warm incremental contexts instead of a fresh solver per query")
-	share := flag.Bool("share", false, "portfolio: personalities exchange short learned clauses during the race")
-	cubes := flag.Bool("cubes", false, "portfolio: cube-and-conquer fallback for queries the screen race cannot decide")
 	benchOut := flag.String("bench", "", "run the incremental-vs-fresh solver benchmark and write the JSON report to this file (- = stdout)")
 	repeats := flag.Int("repeats", 4, "bench: round-robin passes over the corpus")
 	benchSamples := flag.Int("bench-samples", 6, "bench: corpus equations")
@@ -121,10 +112,6 @@ func main() {
 			fatal(fmt.Errorf("eval bench found %d mismatches against the interpreter", report.Mismatches))
 		}
 		return
-	}
-
-	if (*share || *cubes) && !*usePortfolio && *benchOut == "" {
-		fatal(fmt.Errorf("-share and -cubes modify the portfolio column; pass -portfolio too"))
 	}
 
 	if *clusterOut != "" {
@@ -173,9 +160,6 @@ func main() {
 			Width:   *width,
 			Repeats: *repeats,
 		})
-		step("benchmarking solo race vs clause sharing + cube-and-conquer...")
-		par := harness.RunParallelBench(harness.ParallelBenchConfig{})
-		report.Parallel = &par
 		out := os.Stdout
 		if *benchOut != "-" {
 			f, err := os.Create(*benchOut)
@@ -189,8 +173,6 @@ func main() {
 			fatal(err)
 		}
 		step("overall speedup %.2fx, %d verdict mismatches", report.Overall, report.Mismatches)
-		step("parallel: %d solo timeouts vs %d with share+cubes, %d mismatches",
-			par.SoloTimeouts, par.ParallelTimeouts, par.Mismatches)
 		return
 	}
 
@@ -217,8 +199,6 @@ func main() {
 		},
 		Portfolio:   *usePortfolio,
 		Incremental: *incremental,
-		Share:       *share,
-		Cubes:       *cubes,
 	}
 	solvers := smt.All()
 	names := make([]string, len(solvers))

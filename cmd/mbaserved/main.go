@@ -5,7 +5,7 @@
 //	mbaserved [-addr 127.0.0.1:8391] [-workers N] [-queue N] [-cache N]
 //	          [-timeout 5s] [-max-timeout 60s] [-width 64]
 //	          [-breaker-threshold N] [-breaker-cooldown 250ms]
-//	          [-share] [-cubes] [-store DIR]
+//	          [-store DIR]
 //	mbaserved -selfcheck [-target http://host:port] [-expect-store-recovered]
 //
 // In server mode it listens on -addr (port 0 picks a free port), prints
@@ -63,8 +63,6 @@ func main() {
 	width := flag.Uint("width", 64, "default ring width when requests omit one")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive panic/resource failures opening a personality's circuit breaker (0 = 3, negative disables breakers)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "initial cooldown of an open circuit breaker (0 = 250ms)")
-	share := flag.Bool("share", false, "portfolio solves exchange short learned clauses between personalities")
-	cubes := flag.Bool("cubes", false, "portfolio solves fall back to cube-and-conquer when the race cannot decide")
 	storeDir := flag.String("store", "", "persistent verdict store directory (empty = memory-only)")
 	selfcheck := flag.Bool("selfcheck", false, "run the end-to-end smoke instead of serving")
 	target := flag.String("target", "", "with -selfcheck: smoke this base URL instead of an in-process server")
@@ -80,8 +78,6 @@ func main() {
 		DefaultWidth:     *width,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
-		Share:            *share,
-		Cubes:            *cubes,
 	}
 
 	if *selfcheck {

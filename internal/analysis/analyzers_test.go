@@ -18,9 +18,8 @@ func TestFixtures(t *testing.T) {
 		// The budgetloop fixture poses as a solver hot-path package so
 		// the analyzer's scope rules apply to it.
 		{dir: "budgetloop", pkg: "mbasolver/internal/sat", minDiags: 3},
-		// The portfolio package joined the budgetloop scope with the
-		// clause-sharing/cube work: cube workers and share import loops
-		// must consult the budget like any solver hot path.
+		// The portfolio package is in the budgetloop scope: the loops
+		// of its race must consult the budget like any solver hot path.
 		{dir: "budgetportfolio", pkg: "mbasolver/internal/portfolio", minDiags: 2},
 		{dir: "atomicmix", pkg: "example.com/atomicmix", minDiags: 4},
 		{dir: "lockdiscipline", pkg: "example.com/lockfix", minDiags: 8},

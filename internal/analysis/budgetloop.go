@@ -10,10 +10,9 @@ import (
 
 // budgetScopePkgs are the solver hot-path packages whose loops must
 // stay budget-aware (matched by import-path suffix so fixtures can
-// pose as them). internal/portfolio joined the list with the
-// clause-sharing/cube work: cube workers and the share import loop run
-// unbounded search under the same cooperative-cancellation contract as
-// the core solver. internal/eval and internal/eval/bitslice joined
+// pose as them). internal/portfolio is on the list because its race
+// runs and cancels solves under the same cooperative-cancellation
+// contract as the core solver. internal/eval and internal/eval/bitslice joined
 // with the bytecode evaluation engine: bulk sampling loops run under
 // the same stop-flag contract (the suffix match does not descend, so
 // the subpackage is listed explicitly).

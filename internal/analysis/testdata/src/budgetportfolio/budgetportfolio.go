@@ -1,9 +1,11 @@
 // Package budgetportfolio exercises the budgetloop analyzer's
 // portfolio scope. The harness loads it posing as
-// mbasolver/internal/portfolio: with the clause-sharing/cube work the
-// portfolio package gained its own unbounded loops (cube workers
-// draining a queue of solves, the share import loop), which must obey
-// the same cooperative-cancellation contract as the core solver.
+// mbasolver/internal/portfolio, whose race runs solves and polls a
+// cancellation flag in loops that must obey the same
+// cooperative-cancellation contract as the core solver. The loops
+// below are the two shapes the analyzer must catch there: a worker
+// draining a queue of solves, and a mailbox poll that never ends on
+// its own.
 package budgetportfolio
 
 import (
@@ -41,7 +43,7 @@ func drainCubesNoConsult(cubes []int) int {
 }
 
 // drainCubesConsults is fine: the worker polls the budget between
-// cubes, as the real cube workers do.
+// cubes.
 func drainCubesConsults(b Budget, cubes []int) int {
 	total := 0
 	for i := 0; i < len(cubes); i++ {
@@ -54,7 +56,7 @@ func drainCubesConsults(b Budget, cubes []int) int {
 }
 
 // importForeverNoConsult violates rule 1: an import loop that drains a
-// share mailbox forever without consulting the budget.
+// mailbox forever without consulting the budget.
 func importForeverNoConsult(b Budget, mailbox chan int) int {
 	total := 0
 	for { // want "infinite for loop in budget-holding function importForeverNoConsult never consults"
@@ -69,8 +71,8 @@ func importForeverNoConsult(b Budget, mailbox chan int) int {
 	}
 }
 
-// importForeverConsults is fine: the real share import loop checks the
-// stop flag between clauses.
+// importForeverConsults is fine: it checks the stop flag between
+// items.
 func importForeverConsults(b Budget, mailbox chan int) int {
 	total := 0
 	for {

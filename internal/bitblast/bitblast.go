@@ -34,15 +34,9 @@ type Blaster struct {
 	S *sat.Solver
 
 	vars    map[string][]sat.Lit // BV variable -> bit literals, LSB first
-	owner   map[sat.Var]varBit   // reverse map: solver variable -> named bit
 	cache   map[*bv.Term][]sat.Lit
 	gates   map[[3]int64]sat.Lit // structural gate hash: op,a,b -> output
 	trueLit sat.Lit
-
-	// Clause sharing (see share.go).
-	share       *Endpoint
-	shareAct    sat.Lit
-	shareActSet bool
 
 	stop       *atomic.Bool // optional cancellation flag, checked while encoding
 	deadline   time.Time    // optional wall-clock bound on encoding
@@ -88,7 +82,6 @@ func New(opts sat.Options) *Blaster {
 	b := &Blaster{
 		S:     sat.New(opts),
 		vars:  map[string][]sat.Lit{},
-		owner: map[sat.Var]varBit{},
 		cache: map[*bv.Term][]sat.Lit{},
 		gates: map[[3]int64]sat.Lit{},
 	}
@@ -98,16 +91,15 @@ func New(opts sat.Options) *Blaster {
 
 // Reset empties the Blaster as if it were freshly built by New(opts),
 // keeping the capacity of its maps and of its solver (see
-// sat.Solver.Reset). Stop flag, deadline, variable cap, sharing and
-// the interrupted state are all cleared, so a Blaster whose Blast was
+// sat.Solver.Reset). Stop flag, deadline, variable cap and the
+// interrupted state are all cleared, so a Blaster whose Blast was
 // aborted is reusable after Reset.
 func (b *Blaster) Reset(opts sat.Options) {
 	b.S.Reset(opts)
 	clear(b.vars)
-	clear(b.owner)
 	clear(b.cache)
 	clear(b.gates)
-	*b = Blaster{S: b.S, vars: b.vars, owner: b.owner, cache: b.cache, gates: b.gates}
+	*b = Blaster{S: b.S, vars: b.vars, cache: b.cache, gates: b.gates}
 	b.addTrue()
 }
 
@@ -138,7 +130,6 @@ func (b *Blaster) VarBits(name string, width uint) []sat.Lit {
 	for i := range bits {
 		v := b.S.NewVar()
 		bits[i] = sat.MkLit(v, false)
-		b.owner[v] = varBit{name: name, bit: i}
 	}
 	b.vars[name] = bits
 	return bits

@@ -106,12 +106,10 @@ func TestResetEqualsFresh(t *testing.T) {
 			}
 			return b
 		}},
-		{"after-shared-stopped-solve", func(t *testing.T) *Blaster {
+		{"after-stopped-solve", func(t *testing.T) *Blaster {
 			var stop atomic.Bool
-			p := NewPool(2)
 			b := New(sat.DefaultOptions())
 			b.SetStop(&stop)
-			b.EnableShare(p.Endpoint(0))
 			ta, tb := resetQueries[2].terms()
 			out := b.Blast(bv.Predicate(bv.Ne, ta, tb))
 			b.AssertTrue(out[0])

@@ -58,12 +58,9 @@ var faultSpecs = []string{
 	"bitblast.gate:every=40",
 	"smt.rewrite:every=2",
 	"smt.context:every=3",
-	"bitblast.share:every=2",
-	"smt.cube:every=2",
 	"sat.learn:p=0.5,seed=7",
 	"bitblast.gate:p=0.05,seed=11",
 	"smt.context:p=0.3,seed=13;sat.learn:p=0.2,seed=17",
-	"bitblast.share:p=0.3,seed=31;smt.cube:p=0.3,seed=37",
 }
 
 // checkDegraded asserts the graceful-degradation contract for one
@@ -120,7 +117,7 @@ func checkWitness(t *testing.T, p pair, w map[string]uint64) {
 
 // runners are the execution modes the corpus sweeps: a stateless
 // solver and a warm incremental context per personality, plus the
-// portfolio set in its warm and cooperating configurations.
+// warm portfolio set.
 type runner struct {
 	name string
 	make func() func(*testing.T, pair) smt.Result
@@ -149,46 +146,6 @@ func allRunners() []runner {
 		runner{"contextset", func() func(*testing.T, pair) smt.Result {
 			cs := portfolio.New(smt.All(), portfolio.Options{
 				Incremental: true,
-				Breakers:    &portfolio.BreakerOptions{Threshold: 2, Cooldown: 10 * time.Millisecond},
-			})
-			return func(t *testing.T, p pair) smt.Result {
-				ta, tb := terms(t, p)
-				return cs.CheckTermEquiv(ta, tb, budget()).Result
-			}
-		}},
-		// Cube-and-conquer with a starved screen (1 conflict), so most
-		// queries actually fan out into cube workers — the path the
-		// smt.cube site lives on. Worker sharing armed to traffic the
-		// raw pool.
-		runner{"cube-z3sim", func() func(*testing.T, pair) smt.Result {
-			s := smt.NewZ3Sim()
-			return func(t *testing.T, p pair) smt.Result {
-				ta, tb := terms(t, p)
-				return s.CheckTermEquivCube(ta, tb, budget(),
-					smt.CubeOptions{Vars: 2, ScreenConflicts: 1, Workers: 2, ShareCapacity: 64})
-			}
-		}},
-		// The full cooperating portfolio: clause sharing across the
-		// personalities (bitblast.share translates on import) and a cube
-		// fallback when the clamped screen race cannot decide.
-		runner{"parallel-share-cubes", func() func(*testing.T, pair) smt.Result {
-			set := portfolio.New(smt.All(), portfolio.Options{
-				Share: true,
-				Cubes: &smt.CubeOptions{Vars: 2, ScreenConflicts: 1, Workers: 2, ShareCapacity: 64},
-			})
-			return func(t *testing.T, p pair) smt.Result {
-				ta, tb := terms(t, p)
-				return set.CheckTermEquiv(ta, tb, budget()).Result
-			}
-		}},
-		// Warm contexts with persistent sharing pool and cube fallback:
-		// generation stamping and the breaker accounting both run every
-		// query.
-		runner{"contextset-share-cubes", func() func(*testing.T, pair) smt.Result {
-			cs := portfolio.New(smt.All(), portfolio.Options{
-				Incremental: true,
-				Share:       true,
-				Cubes:       &smt.CubeOptions{Vars: 2, ScreenConflicts: 1, Workers: 2, ShareCapacity: 64},
 				Breakers:    &portfolio.BreakerOptions{Threshold: 2, Cooldown: 10 * time.Millisecond},
 			})
 			return func(t *testing.T, p pair) smt.Result {

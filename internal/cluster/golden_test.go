@@ -205,7 +205,7 @@ func goldenCorpus(nodes map[string]*httptest.Server, tr *http.Transport) []golde
 		classifyGolden("(x&y)*(x|y)"),
 		classifyGolden("y^x"),
 		service.BatchItem{Solve: &service.SolveRequest{A: "x*x*y", B: "y*x*x", Width: 16, Solver: "stpsim"}},
-		service.BatchItem{Solve: &service.SolveRequest{A: "x", B: "x", Width: 8, Solver: "nosuch"}}, // the node's error
+		service.BatchItem{Solve: &service.SolveRequest{A: "x", B: "x", Width: 8, Solver: "nosuch"}}, // refused by the router with the node's error
 		service.BatchItem{Solve: &service.SolveRequest{A: "x*y*z", B: "z*(y*x)+0", Width: 12, Conflicts: 1}},
 	)
 	malformed := batchGolden(

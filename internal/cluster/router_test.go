@@ -780,6 +780,67 @@ func TestRouterAndNodeShareBodyCap(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesUnknownSolverBeforeForwarding posts a batch under
+// the body cap whose solve items name a solver of 1200 U+2028
+// characters. JSON encoders escape U+2028 in six bytes where the
+// client sent three, so a router that forwarded these items would
+// re-encode them past the node's body cap, get 400 back and degrade
+// every item as unavailable, ejecting a healthy node. The router must
+// instead refuse each item with the node's own unknown-solver error and
+// forward nothing.
+func TestRouterRefusesUnknownSolverBeforeForwarding(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	svc := service.New(service.Config{Workers: 2})
+	node := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		node.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := svc.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	rt, err := NewRouter(RouterConfig{Nodes: []string{node.URL}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+
+	// The body is written by hand: encoding/json would escape U+2028.
+	item := `{"solve":{"a":"x","b":"x","width":8,"solver":"` + strings.Repeat("\u2028", 1200) + `"}}`
+	items := make([]string, service.MaxBatchItems)
+	for i := range items {
+		items[i] = item
+	}
+	body := []byte(`{"items":[` + strings.Join(items, ",") + "]}\n")
+	if len(body) != 934_412 {
+		t.Fatalf("body is %d bytes, want 934412", len(body))
+	}
+	for round := 0; round < 3; round++ {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, service.PathBatch, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("round %d: answered %d %s", round, rec.Code, rec.Body.String())
+		}
+		var resp service.BatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("round %d: decoding batch response: %v", round, err)
+		}
+		if len(resp.Items) != service.MaxBatchItems {
+			t.Fatalf("round %d: %d items, want %d", round, len(resp.Items), service.MaxBatchItems)
+		}
+		for i, it := range resp.Items {
+			if !strings.HasPrefix(it.Error, "unknown solver") || it.Solve != nil {
+				t.Fatalf("round %d item %d: %+v, want the unknown-solver error", round, i, it)
+			}
+		}
+	}
+	snap := rt.Snapshot()
+	if snap.Degraded != 0 || snap.Forwarded != 0 || snap.Nodes[node.URL] != "healthy" {
+		t.Fatalf("degraded=%d forwarded=%d node=%q, want 0, 0 and healthy", snap.Degraded, snap.Forwarded, snap.Nodes[node.URL])
+	}
+}
+
 func TestRouterCloseIdempotent(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	n1 := newFakeNode(t, "n1")

@@ -4,14 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"mbasolver/internal/bv"
-	"mbasolver/internal/expr"
 	"mbasolver/internal/gen"
-	"mbasolver/internal/parser"
-	"mbasolver/internal/portfolio"
 	"mbasolver/internal/smt"
 )
 
@@ -87,123 +83,6 @@ type BenchReport struct {
 	// definitive verdicts; anything but zero is a bug (the differential
 	// tests in internal/smt pin this).
 	Mismatches int `json:"mismatches"`
-	// Parallel is the clause-sharing + cube-and-conquer comparison
-	// (RunParallelBench), attached by mbabench -bench.
-	Parallel *ParallelBench `json:"parallel,omitempty"`
-}
-
-// ParallelBenchConfig sizes the sharing+cubes benchmark. The workload
-// is the multiplier MBA identity x*y == (x&~y)*(~x&y) + (x&y)*(x|y)
-// instantiated at several widths, plus an off-by-one refuted variant
-// per width: width is a clean hardness dial for the same structure
-// (the 8-bit instance needs ~100k conflicts solo), so a fixed
-// per-query conflict budget cleanly separates what each mode can
-// decide. Conflict budgets, not wall clock, are the yardstick — the
-// comparison is deterministic and meaningful on any core count.
-type ParallelBenchConfig struct {
-	Widths    []uint `json:"widths"`    // identity widths (default 6,7,8,9)
-	Conflicts int64  `json:"conflicts"` // per-query conflict budget (default 20000)
-}
-
-func (c ParallelBenchConfig) withDefaults() ParallelBenchConfig {
-	if len(c.Widths) == 0 {
-		c.Widths = []uint{6, 7, 8, 9}
-	}
-	if c.Conflicts == 0 {
-		c.Conflicts = 20_000
-	}
-	return c
-}
-
-// ParallelBenchRun is one (query, mode) measurement.
-type ParallelBenchRun struct {
-	Width     uint    `json:"width"`
-	Query     string  `json:"query"` // "identity" or "refuted"
-	Mode      string  `json:"mode"`  // "solo" or "share+cubes"
-	Status    string  `json:"status"`
-	Winner    string  `json:"winner,omitempty"`
-	Conflicts int64   `json:"conflicts"`
-	WallMS    float64 `json:"wall_ms"`
-}
-
-// ParallelBench compares the plain first-verdict-wins race ("solo")
-// against the cooperating portfolio ("share+cubes": clause sharing
-// during the race, cube-and-conquer fallback when the screen cannot
-// decide) at a fixed per-query conflict budget. The headline numbers
-// are the timeout counts: cubing converts budget-starved timeouts into
-// verdicts because each cube spends the budget on a strictly smaller
-// subproblem. Cores records runtime.NumCPU() for the run — on a
-// single-core machine the wall-clock columns measure interleaved
-// execution and only the conflict/timeout columns are comparable
-// across machines.
-type ParallelBench struct {
-	Config           ParallelBenchConfig `json:"config"`
-	Cores            int                 `json:"cores"`
-	Runs             []ParallelBenchRun  `json:"runs"`
-	SoloTimeouts     int                 `json:"solo_timeouts"`
-	ParallelTimeouts int                 `json:"parallel_timeouts"`
-	// Mismatches counts queries where the two modes returned different
-	// definitive verdicts; anything but zero is a soundness bug (the
-	// differential tests in internal/smt and internal/portfolio pin
-	// this).
-	Mismatches int `json:"mismatches"`
-}
-
-// RunParallelBench measures the solo race against sharing+cubes on the
-// width-graded multiplier identity family.
-func RunParallelBench(cfg ParallelBenchConfig) ParallelBench {
-	cfg = cfg.withDefaults()
-	report := ParallelBench{Config: cfg, Cores: runtime.NumCPU()}
-
-	identA := parser.MustParse("x*y")
-	identB := parser.MustParse("(x&~y)*(~x&y) + (x&y)*(x|y)")
-	refutedB := parser.MustParse("(x&~y)*(~x&y) + (x&y)*(x|y) + 1")
-
-	budget := smt.Budget{Conflicts: cfg.Conflicts}
-	cubeOpts := &smt.CubeOptions{ScreenConflicts: 2000, Workers: 2, ShareCapacity: 256}
-	queries := []struct {
-		name string
-		b    *expr.Expr
-	}{{"identity", identB}, {"refuted", refutedB}}
-
-	for _, w := range cfg.Widths {
-		for _, q := range queries {
-			verdicts := make(map[string]smt.Status)
-			for _, mode := range []string{"solo", "share+cubes"} {
-				start := time.Now()
-				opts := portfolio.Options{}
-				if mode == "share+cubes" {
-					opts = portfolio.Options{Share: true, Cubes: cubeOpts}
-				}
-				res := portfolio.New(smt.All(), opts).CheckEquiv(identA, q.b, w, budget)
-				run := ParallelBenchRun{
-					Width:  w,
-					Query:  q.name,
-					Mode:   mode,
-					Status: res.Status.String(),
-					Winner: res.Winner,
-					WallMS: durMSf(time.Since(start)),
-				}
-				for _, e := range res.Engines {
-					run.Conflicts += e.Conflicts
-				}
-				report.Runs = append(report.Runs, run)
-				verdicts[mode] = res.Status
-				if res.Status == smt.Timeout {
-					if mode == "solo" {
-						report.SoloTimeouts++
-					} else {
-						report.ParallelTimeouts++
-					}
-				}
-			}
-			solo, par := verdicts["solo"], verdicts["share+cubes"]
-			if definitive(solo) && definitive(par) && solo != par {
-				report.Mismatches++
-			}
-		}
-	}
-	return report
 }
 
 // RunSolverBench measures every personality on the repeated corpus in

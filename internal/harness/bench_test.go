@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"mbasolver/internal/smt"
 )
 
 // TestSolverBenchSmoke runs a miniature solver benchmark end to end —
@@ -40,36 +38,6 @@ func TestSolverBenchSmoke(t *testing.T) {
 	}
 	if report.Overall <= 0 {
 		t.Errorf("overall speedup not computed: %v", report.Overall)
-	}
-}
-
-// TestParallelBenchSmoke runs a miniature sharing+cubes benchmark —
-// widths where both modes decide quickly — and checks the report's
-// invariants: no verdict mismatches, every (width, query) pair
-// measured in both modes, refuted queries actually refuted. Kept small
-// for ci.sh; the full width sweep (where the timeout separation shows)
-// runs via scripts/bench.sh.
-func TestParallelBenchSmoke(t *testing.T) {
-	report := RunParallelBench(ParallelBenchConfig{Widths: []uint{6, 7}, Conflicts: 20_000})
-	if report.Mismatches != 0 {
-		t.Fatalf("solo and share+cubes verdicts disagree on %d queries", report.Mismatches)
-	}
-	if want := 2 * 2 * 2; len(report.Runs) != want {
-		t.Fatalf("%d runs, want %d (2 widths x 2 queries x 2 modes)", len(report.Runs), want)
-	}
-	if report.Cores <= 0 {
-		t.Fatalf("cores not recorded: %d", report.Cores)
-	}
-	for _, r := range report.Runs {
-		if r.Query == "refuted" && r.Status != smt.NotEquivalent.String() {
-			t.Errorf("width %d %s %s: status %s, want not-equivalent", r.Width, r.Query, r.Mode, r.Status)
-		}
-		if r.Query == "identity" && r.Status != smt.Equivalent.String() {
-			t.Errorf("width %d %s %s: status %s, want equivalent at these widths", r.Width, r.Query, r.Mode, r.Status)
-		}
-	}
-	if report.ParallelTimeouts > report.SoloTimeouts {
-		t.Errorf("share+cubes has MORE timeouts (%d) than solo (%d)", report.ParallelTimeouts, report.SoloTimeouts)
 	}
 }
 

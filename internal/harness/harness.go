@@ -43,12 +43,6 @@ type Config struct {
 	// worker. Verdicts are unchanged (see the differential tests in
 	// internal/smt); per-query budgets still apply individually.
 	Incremental bool
-	// Share lets the portfolio personalities exchange short learned
-	// clauses during each race (only meaningful with Portfolio).
-	Share bool
-	// Cubes adds a cube-and-conquer fallback to portfolio queries the
-	// screen race cannot decide (only meaningful with Portfolio).
-	Cubes bool
 }
 
 func (c Config) withDefaults() Config {
@@ -175,10 +169,7 @@ func runQueries(samples []gen.Sample, solvers []*smt.Solver, cfg Config,
 	if cfg.Portfolio {
 		perSample++
 	}
-	popts := portfolio.Options{Incremental: cfg.Incremental, Share: cfg.Share}
-	if cfg.Cubes {
-		popts.Cubes = &smt.CubeOptions{}
-	}
+	popts := portfolio.Options{Incremental: cfg.Incremental}
 	jobs := make(chan job)
 	results := make([]Outcome, len(samples)*perSample)
 	var wg sync.WaitGroup

@@ -118,7 +118,7 @@ func TestSetSkipsOpenBreaker(t *testing.T) {
 	cs.Breakers()[0].ReportFailure() // open z3sim's breaker
 
 	a, b := parser.MustParse("x^y"), parser.MustParse("(x|y)-(x&y)")
-	res := cs.CheckEquiv(a, b, 8, smt.Budget{Timeout: 30 * time.Second})
+	res := cs.CheckEquiv(a, b, 8, decideBudget)
 	if res.Status != smt.Equivalent {
 		t.Fatalf("verdict %v, want equivalent", res.Status)
 	}
@@ -141,7 +141,7 @@ func TestBreakerOpensOnInjectedPanicsAndRecovers(t *testing.T) {
 	cs := New(smt.All(), Options{Incremental: true, Breakers: &BreakerOptions{Threshold: 2, Cooldown: time.Hour}})
 
 	a, b := parser.MustParse("x+y"), parser.MustParse("(x|y)+(x&y)")
-	budget := smt.Budget{Timeout: 30 * time.Second}
+	budget := decideBudget
 
 	if err := fault.EnableSpec("smt.rewrite:every=1"); err != nil {
 		t.Fatal(err)

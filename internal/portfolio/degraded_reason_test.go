@@ -23,7 +23,7 @@ func TestEmptyPortfolioCarriesReason(t *testing.T) {
 	for _, opts := range []Options{
 		{},
 		{Incremental: true},
-		{Incremental: true, Share: true, Cubes: &smt.CubeOptions{}, Breakers: &BreakerOptions{}},
+		{Incremental: true, Breakers: &BreakerOptions{}},
 	} {
 		set := New(nil, opts)
 		if r := set.CheckTermEquiv(ta, tb, budget); r.Status != smt.Timeout || r.Reason != smt.ReasonResource {

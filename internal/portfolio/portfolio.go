@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mbasolver/internal/bitblast"
 	"mbasolver/internal/bv"
 	"mbasolver/internal/expr"
 	"mbasolver/internal/smt"
@@ -70,19 +69,6 @@ type Options struct {
 	// queries; verdicts stay those of the underlying personalities.
 	// When false every query runs on the stateless solvers.
 	Incremental bool
-	// Share lets the racing personalities exchange short learned
-	// clauses (glue clauses over input-variable bits, translated
-	// through each engine's own variable map) over a bounded
-	// non-blocking pool. Each query stamps a new pool generation, so a
-	// clause learned under one query never leaks into the next.
-	Share bool
-	// Cubes, when non-nil, turns the equivalence race into a screening
-	// phase: the race runs clamped to Cubes.ScreenConflicts, and if it
-	// ends in a budget-kind Unknown the query is split by
-	// cube-and-conquer on the strongest personality with whatever
-	// budget remains. The cube phase is stateless, so warm contexts
-	// are untouched by it.
-	Cubes *smt.CubeOptions
 	// Breakers, when non-nil, guards each personality with a circuit
 	// breaker: an engine that keeps panicking or blowing resource caps
 	// is skipped until its cooldown admits a probe.
@@ -104,10 +90,8 @@ type engine interface {
 // goroutine racing it). Use one set per worker.
 type Set struct {
 	solvers  []*smt.Solver
-	engines  []engine         // index-aligned with solvers
-	breakers []*Breaker       // nil without Options.Breakers; index-aligned with solvers
-	pool     *bitblast.Pool   // nil without Options.Share; endpoints index-aligned with solvers
-	cubes    *smt.CubeOptions // nil without Options.Cubes; defaults applied
+	engines  []engine   // index-aligned with solvers
+	breakers []*Breaker // nil without Options.Breakers; index-aligned with solvers
 }
 
 // New builds a Set racing the given personalities.
@@ -125,28 +109,12 @@ func New(solvers []*smt.Solver, opts Options) *Set {
 			s.breakers[i] = NewBreaker(sv.Name(), *opts.Breakers)
 		}
 	}
-	if opts.Share {
-		s.pool = bitblast.NewPool(len(solvers))
-	}
-	if opts.Cubes != nil {
-		c := opts.Cubes.WithDefaults()
-		s.cubes = &c
-	}
 	return s
 }
 
 // Breakers returns the per-personality breakers (nil when disabled),
 // index-aligned with the solver list.
 func (s *Set) Breakers() []*Breaker { return s.breakers }
-
-// ShareStats returns the sharing pool's counters (zero when sharing is
-// disabled).
-func (s *Set) ShareStats() bitblast.PoolStats {
-	if s.pool == nil {
-		return bitblast.PoolStats{}
-	}
-	return s.pool.Stats()
-}
 
 // Reset invalidates every warm engine's accumulated state.
 func (s *Set) Reset() {
@@ -167,7 +135,7 @@ func (s *Set) Reset() {
 func (s *Set) CheckTermEquiv(ta, tb *bv.Term, budget smt.Budget) Result {
 	return s.checkEquiv(budget, func(e engine, b smt.Budget) smt.Result {
 		return e.CheckTermEquiv(ta, tb, b)
-	}, func() (*bv.Term, *bv.Term) { return ta, tb })
+	})
 }
 
 // CheckEquiv is CheckTermEquiv over expressions at the given width.
@@ -176,22 +144,14 @@ func (s *Set) CheckTermEquiv(ta, tb *bv.Term, budget smt.Budget) Result {
 func (s *Set) CheckEquiv(a, b *expr.Expr, width uint, budget smt.Budget) Result {
 	return s.checkEquiv(budget, func(e engine, bu smt.Budget) smt.Result {
 		return e.CheckEquiv(a, b, width, bu)
-	}, func() (*bv.Term, *bv.Term) { return bv.FromExpr(a, width), bv.FromExpr(b, width) })
+	})
 }
 
-// checkEquiv races solve across the engines, then runs the cube phase
-// on the terms from sides when the race came back budget-bound.
-func (s *Set) checkEquiv(budget smt.Budget, solve func(engine, smt.Budget) smt.Result, sides func() (*bv.Term, *bv.Term)) Result {
+// checkEquiv races solve across the engines.
+func (s *Set) checkEquiv(budget smt.Budget, solve func(engine, smt.Budget) smt.Result) Result {
 	start := time.Now()
-	// With a cube phase waiting, the race doubles as the screen: clamp
-	// it to the screen's conflict budget so a hard query fails over to
-	// splitting instead of burning the whole budget three ways.
-	raceBudget := budget
-	if s.cubes != nil && (raceBudget.Conflicts == 0 || raceBudget.Conflicts > s.cubes.ScreenConflicts) {
-		raceBudget.Conflicts = s.cubes.ScreenConflicts
-	}
 	r := race(s, budget.Stop, func(i int, stop *atomic.Bool) smt.Result {
-		return solve(s.engines[i], s.engineBudget(i, raceBudget, stop))
+		return solve(s.engines[i], withStop(budget, stop))
 	}, equivReport)
 	res := Result{Result: r.best, Winner: r.winner, Engines: r.engines}
 	if r.winner == "" {
@@ -199,11 +159,7 @@ func (s *Set) checkEquiv(budget smt.Budget, solve func(engine, smt.Budget) smt.R
 		res.Conflicts, res.Propagations = spent(r.engines)
 	}
 	res.Elapsed = time.Since(start)
-	if r.winner != "" || s.cubes == nil {
-		return res
-	}
-	ta, tb := sides()
-	return s.runCubePhase(res, ta, tb, budget, start)
+	return res
 }
 
 // SolveAssertions races the engines on the conjunction of asserted
@@ -212,7 +168,7 @@ func (s *Set) checkEquiv(budget smt.Budget, solve func(engine, smt.Budget) smt.R
 func (s *Set) SolveAssertions(assertions []*bv.Term, budget smt.Budget) SatResult {
 	start := time.Now()
 	r := race(s, budget.Stop, func(i int, stop *atomic.Bool) smt.SatResult {
-		return s.engines[i].SolveAssertions(assertions, s.engineBudget(i, budget, stop))
+		return s.engines[i].SolveAssertions(assertions, withStop(budget, stop))
 	}, satReport)
 	res := SatResult{SatResult: r.best, Winner: r.winner, Engines: r.engines}
 	if r.winner == "" {
@@ -266,16 +222,10 @@ type raced[T any] struct {
 	reason  smt.Reason
 }
 
-// engineBudget is engine i's copy of a query budget: its private stop
-// flag and, with sharing, its pool endpoint.
-func (s *Set) engineBudget(i int, budget smt.Budget, stop *atomic.Bool) smt.Budget {
+// withStop is an engine's copy of a query budget under its own stop
+// flag.
+func withStop(budget smt.Budget, stop *atomic.Bool) smt.Budget {
 	budget.Stop = stop
-	if s.pool != nil {
-		// Endpoint by solver index, not compacted race index: an engine
-		// must keep the same mailbox across queries even when breakers
-		// change who races.
-		budget.Share = s.pool.Endpoint(i)
-	}
 	return budget
 }
 
@@ -290,13 +240,6 @@ func (s *Set) engineBudget(i int, budget smt.Budget, stop *atomic.Bool) smt.Budg
 func race[T any](s *Set, parent *atomic.Bool, solve func(i int, stop *atomic.Bool) T,
 	report func(T) (Engine, bool)) raced[T] {
 
-	if s.pool != nil {
-		// New generation: clauses still in flight from the previous
-		// query become stale and are dropped at drain. Safe to bump here
-		// because race joins every engine before returning, so no engine
-		// is mid-solve now.
-		s.pool.NextQuery()
-	}
 	idx := s.admitted()
 	stops := make([]*atomic.Bool, len(idx))
 	reports := make([]Engine, len(idx))
@@ -432,53 +375,4 @@ func portfolioReason(reasons []smt.Reason) smt.Reason {
 		}
 	}
 	return fallback
-}
-
-// cubeSolver picks the personality that runs the cube phase: the
-// btorsim personality when present (full rewriting, fastest simulated
-// core — the strongest single engine on hard residuals), else the last
-// in the list.
-func (s *Set) cubeSolver() *smt.Solver {
-	for _, sv := range s.solvers {
-		if sv.Name() == "btorsim" {
-			return sv
-		}
-	}
-	return s.solvers[len(s.solvers)-1]
-}
-
-// runCubePhase runs cube-and-conquer after a race came back Unknown
-// and folds the outcome into res as one more Engine entry. Only a
-// budget-kind Unknown earns the phase: an external stop means the
-// whole query is out of time, and a structural (resource/panic)
-// failure — including an empty line-up — would only repeat 2^k times.
-// The cube solve gets the caller's original budget with the wall clock
-// already spent by the race subtracted, so the two phases together
-// still respect the caller's Timeout. The race's reason stays: it is
-// budget-kind, and a failed cube phase cannot make a retry hopeless.
-func (s *Set) runCubePhase(res Result, ta, tb *bv.Term, budget smt.Budget, start time.Time) Result {
-	if res.Reason != smt.ReasonBudget || (budget.Stop != nil && budget.Stop.Load()) {
-		return res
-	}
-	cb := budget
-	cb.Share = nil // the race's pool endpoints are not the cube workers'
-	if budget.Timeout > 0 {
-		remaining := budget.Timeout - time.Since(start)
-		if remaining <= 0 {
-			return res
-		}
-		cb.Timeout = remaining
-	}
-	cuber := s.cubeSolver()
-	cres := cuber.CheckTermEquivCube(ta, tb, cb, *s.cubes)
-	eng, won := equivReport(cres)
-	eng.Solver = "cubes:" + cuber.Name()
-	eng.Won = won
-	if won {
-		res.Result = cres
-		res.Winner = eng.Solver
-	}
-	res.Engines = append(res.Engines, eng)
-	res.Elapsed = time.Since(start)
-	return res
 }

@@ -14,6 +14,14 @@ import (
 	"mbasolver/internal/smt"
 )
 
+// decideBudget is a conflict-only budget under which every personality
+// decides each small query of this package's tests alone, fresh or
+// warm. The most any of them needs is 614 conflicts (btorsim, warm, on
+// x+y = (x|y)+y-(~x&y)); the budget is over three times that. Without a
+// wall clock, verdicts do not depend on host load or the race
+// detector's slowdown.
+var decideBudget = smt.Budget{Conflicts: 2000}
+
 // TestPortfolioMatchesBestSingleSolver: on seed-corpus equations the
 // portfolio must reach the same verdict as the best single personality
 // (btorsim, per the paper's ordering) and report which engine won.
@@ -51,7 +59,7 @@ func TestPortfolioMatchesBestSingleSolver(t *testing.T) {
 
 func TestPortfolioWinnerAndStats(t *testing.T) {
 	res := New(smt.All(), Options{}).CheckEquiv(parser.MustParse("x+y"), parser.MustParse("(x|y)+y-(~x&y)"),
-		8, smt.Budget{Timeout: 30 * time.Second})
+		8, decideBudget)
 	if res.Status != smt.Equivalent {
 		t.Fatalf("portfolio on identity: %v", res.Status)
 	}
@@ -151,7 +159,7 @@ func TestPortfolioSolveAssertions(t *testing.T) {
 	// x + y == 7 && x != y: satisfiable.
 	q1 := bv.Predicate(bv.Eq, bv.Binary(bv.Add, x, y), bv.NewConst(7, width))
 	q2 := bv.Predicate(bv.Ne, x, y)
-	res := New(smt.All(), Options{}).SolveAssertions([]*bv.Term{q1, q2}, smt.Budget{Timeout: 30 * time.Second})
+	res := New(smt.All(), Options{}).SolveAssertions([]*bv.Term{q1, q2}, decideBudget)
 	if res.Status != smt.Satisfiable {
 		t.Fatalf("portfolio SolveAssertions = %v, want sat", res.Status)
 	}
@@ -167,7 +175,7 @@ func TestPortfolioSolveAssertions(t *testing.T) {
 	one := bv.NewConst(1, width)
 	u1 := bv.Predicate(bv.Eq, bv.Binary(bv.And, x, one), bv.NewConst(0, width))
 	u2 := bv.Predicate(bv.Eq, bv.Binary(bv.And, x, one), one)
-	ures := New(smt.All(), Options{}).SolveAssertions([]*bv.Term{u1, u2}, smt.Budget{Timeout: 30 * time.Second})
+	ures := New(smt.All(), Options{}).SolveAssertions([]*bv.Term{u1, u2}, decideBudget)
 	if ures.Status != smt.Unsatisfiable {
 		t.Fatalf("portfolio on contradiction = %v, want unsat", ures.Status)
 	}
@@ -190,7 +198,7 @@ func TestPortfolioConcurrentQueries(t *testing.T) {
 			go func(lhs, rhs string) {
 				defer wg.Done()
 				a, b := parser.MustParse(lhs), parser.MustParse(rhs)
-				res := New(smt.All(), Options{}).CheckEquiv(a, b, 8, smt.Budget{Timeout: 30 * time.Second})
+				res := New(smt.All(), Options{}).CheckEquiv(a, b, 8, decideBudget)
 				if res.Status == smt.Timeout {
 					t.Errorf("%s vs %s timed out", lhs, rhs)
 					return

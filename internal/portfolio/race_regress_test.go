@@ -37,7 +37,7 @@ func TestRaceFastPanicDoesNotCancelRace(t *testing.T) {
 	}
 
 	a, b := parser.MustParse("x+y"), parser.MustParse("(x|y)+(x&y)")
-	res := New(smt.All(), Options{}).CheckEquiv(a, b, 8, smt.Budget{Timeout: 30 * time.Second})
+	res := New(smt.All(), Options{}).CheckEquiv(a, b, 8, decideBudget)
 	if res.Status != smt.Equivalent {
 		t.Fatalf("verdict %v, want equivalent despite one engine panicking", res.Status)
 	}
@@ -76,7 +76,7 @@ func TestRaceFastPanicSatPath(t *testing.T) {
 
 	x := bv.FromExpr(parser.MustParse("x"), 8)
 	assertions := []*bv.Term{bv.Predicate(bv.Eq, x, bv.NewConst(1, 8))}
-	res := New(smt.All(), Options{}).SolveAssertions(assertions, smt.Budget{Timeout: 30 * time.Second})
+	res := New(smt.All(), Options{}).SolveAssertions(assertions, decideBudget)
 	if res.Status != smt.Satisfiable {
 		t.Fatalf("verdict %v, want satisfiable despite one engine panicking", res.Status)
 	}
@@ -109,7 +109,7 @@ func TestBreakerSeesFastFailureWhenRaceIsWon(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := parser.MustParse("x+y"), parser.MustParse("(x|y)+(x&y)")
-	res := cs.CheckEquiv(a, b, 8, smt.Budget{Timeout: 30 * time.Second})
+	res := cs.CheckEquiv(a, b, 8, decideBudget)
 	if res.Status != smt.Equivalent {
 		t.Fatalf("verdict %v, want equivalent despite one engine panicking", res.Status)
 	}
@@ -143,6 +143,13 @@ func TestBreakerSeesFastFailureWhenRaceIsWon(t *testing.T) {
 	}
 }
 
+// multiplierBudget is a conflict-only budget under which every
+// personality decides the width-8 multiplier identity x*y =
+// (x&~y)*(~x&y) + (x&y)*(x|y) alone, fresh or warm. It takes z3sim
+// ~99k conflicts warm, and z3sim's budget is the only one not scaled
+// up by a simulated speed.
+var multiplierBudget = smt.Budget{Conflicts: 200_000}
+
 // TestRaceCancelledLoserStillLabeled: the flip side of the fix — a
 // healthy engine that was genuinely stopped because the race ended
 // keeps the Cancelled label (budget-kind Unknown under a raised flag),
@@ -156,7 +163,7 @@ func TestRaceCancelledLoserStillLabeled(t *testing.T) {
 	a := parser.MustParse("x*y")
 	b := parser.MustParse("(x&~y)*(~x&y) + (x&y)*(x|y)")
 	for q := 0; q < 3; q++ {
-		res := cs.CheckEquiv(a, b, 8, knownPairsBudget)
+		res := cs.CheckEquiv(a, b, 8, multiplierBudget)
 		if res.Status != smt.Equivalent {
 			t.Fatalf("query %d verdict %v, want equivalent", q, res.Status)
 		}

@@ -180,8 +180,6 @@ type Stats struct {
 	Learnt       int64
 	Removed      int64
 	MaxLBD       int
-	Exported     int64 // learnt clauses offered to the share export hook
-	Imported     int64 // foreign clauses attached via the share import hook
 }
 
 // cref is a clause reference: the offset of the clause's header in
@@ -242,7 +240,7 @@ type Solver struct {
 	minimizeS   []Lit
 	learntBuf   []Lit    // analyze's learnt clause
 	redundantS  []Lit    // litRedundant's DFS stack
-	addBuf      []Lit    // AddClause's and importClause's normalized clause
+	addBuf      []Lit    // AddClause's normalized clause
 	levelStamp  []uint32 // computeLBD's per-level marks
 	stamp       uint32   // computeLBD's current mark
 	compactions int      // arena compactions run
@@ -257,11 +255,6 @@ type Solver struct {
 	// proof logging is enabled; DRAT proofs refute the original
 	// formula, not its normalized form.
 	origClauses [][]Lit
-
-	// Clause sharing (see share.go). exportFn receives learnt clauses
-	// passing the caps; importFn supplies foreign clauses at restarts.
-	exportFn func(lits []Lit, lbd int)
-	importFn func(max int) [][]Lit
 }
 
 // New returns an empty solver with the given options.
@@ -273,7 +266,7 @@ func New(opts Options) *Solver {
 }
 
 // Reset empties the solver as if it were freshly built by New(opts):
-// clauses, variables, statistics, share hooks and proof output all go.
+// clauses, variables, statistics and proof output all go.
 // It keeps the capacity of its arena, variable arrays, scratch and
 // per-literal watch lists, so a reused solver searches exactly like a
 // new one without growing its buffers again.
@@ -938,7 +931,6 @@ func (s *Solver) Solve(budget Budget, assumptions ...Lit) Status {
 			if len(learnt) > 1 {
 				lbd = s.computeLBD(learnt)
 			}
-			s.exportLearnt(learnt, lbd)
 			s.backtrackTo(bt)
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], noReason)
@@ -979,22 +971,7 @@ func (s *Solver) Solve(budget Budget, assumptions ...Lit) Status {
 			conflictsSinceRestart = 0
 			restartLimit = s.nextRestartLimit(restartCount, restartLimit)
 			s.stats.Restarts++
-			if s.importFn != nil {
-				// Foreign clauses attach at level 0, so the restart must
-				// undo assumption levels too; the search loop re-decides
-				// the assumptions immediately afterwards.
-				s.backtrackTo(0)
-				s.importShared(budget)
-				if !s.okay {
-					// An imported clause (implied by the shared formula)
-					// refuted the instance at level 0.
-					s.proofAdd(nil)
-					s.proofFlush()
-					return Unsat
-				}
-			} else {
-				s.backtrackTo(s.assumptionLevel(len(assumptions)))
-			}
+			s.backtrackTo(s.assumptionLevel(len(assumptions)))
 			if !checkBudget() {
 				return Unknown
 			}

@@ -293,6 +293,18 @@ type parsedItem struct {
 	verify   bool        // simplify proof request
 }
 
+// solverNames are the personalities a solve item may name, portfolio
+// or not. Checking the name here lets the router refuse an unknown one
+// before forwarding: an unchecked name could grow past the node's body
+// cap when the router re-encodes it (JSON escapes U+2028 in six bytes).
+var solverNames = func() map[string]bool {
+	names := map[string]bool{}
+	for _, sv := range smt.All() {
+		names[sv.Name()] = true
+	}
+	return names
+}()
+
 // parseItem validates and parses one item without a server.
 func parseItem(it BatchItem) (p parsedItem, err error) {
 	if it.kinds() != 1 {
@@ -312,6 +324,9 @@ func parseItem(it BatchItem) (p parsedItem, err error) {
 		}
 		if p.b, err = parser.Parse(req.B); err != nil {
 			return p, fmt.Errorf("b: %w", err)
+		}
+		if req.Solver != "" && !solverNames[req.Solver] {
+			return p, fmt.Errorf("unknown solver %q (want z3sim, stpsim or btorsim)", req.Solver)
 		}
 		p.kind, p.reqWidth = kindSolve, req.Width
 		p.da, p.db = expr.Hash(p.a), expr.Hash(p.b)
@@ -367,7 +382,7 @@ type job struct {
 
 // parseBatchItem validates one item and builds its job: parseItem's
 // server-independent checks, then the server's width default and cap,
-// solver names, default budget and the key and group strings.
+// default budget and the key and group strings.
 func (s *Server) parseBatchItem(it BatchItem, deadline time.Time) (*job, error) {
 	p, err := parseItem(it)
 	if err != nil {
@@ -381,11 +396,6 @@ func (s *Server) parseBatchItem(it BatchItem, deadline time.Time) (*job, error) 
 	switch p.kind {
 	case kindSolve:
 		req := it.Solve
-		if !req.Portfolio && req.Solver != "" {
-			if _, ok := s.solvers[req.Solver]; !ok {
-				return nil, fmt.Errorf("unknown solver %q (want z3sim, stpsim or btorsim)", req.Solver)
-			}
-		}
 		conflicts := req.Conflicts
 		if conflicts == 0 {
 			conflicts = defaultConflicts

@@ -90,18 +90,8 @@ type Config struct {
 	// internal watermarks, which recycle oversized state automatically);
 	// verdicts are identical either way, so this switch exists for
 	// memory-constrained deployments and A/B measurement, not
-	// correctness. Share, Cubes and the portfolio's breakers apply
-	// either way.
+	// correctness. The portfolio's breakers apply either way.
 	DisableIncremental bool
-	// Share lets each worker's portfolio personalities exchange short
-	// learned clauses during races (see internal/bitblast's clause
-	// pool). Verdicts are unchanged; the point is fewer timeouts at a
-	// fixed budget. Affects portfolio solves only.
-	Share bool
-	// Cubes adds a cube-and-conquer fallback to portfolio solves the
-	// screen race cannot decide within its conflict budget. Affects
-	// portfolio solves only.
-	Cubes bool
 	// Store is the optional persistent verdict store consulted behind
 	// the LRU and written through on definitive answers (nil =
 	// memory-only). The server shares it read/write with its workers but
@@ -135,10 +125,7 @@ func (c Config) withDefaults() Config {
 // portfolioOptions maps the config onto each worker's portfolio set;
 // the one-engine solo sets take its Incremental and Breakers.
 func (c Config) portfolioOptions() portfolio.Options {
-	o := portfolio.Options{Incremental: !c.DisableIncremental, Share: c.Share}
-	if c.Cubes {
-		o.Cubes = &smt.CubeOptions{}
-	}
+	o := portfolio.Options{Incremental: !c.DisableIncremental}
 	if c.BreakerThreshold >= 0 {
 		o.Breakers = &portfolio.BreakerOptions{Threshold: c.BreakerThreshold, Cooldown: c.BreakerCooldown}
 	}
@@ -234,7 +221,6 @@ type Server struct {
 	closing atomic.Bool
 	admitMu sync.RWMutex // write-held once by Shutdown to fence admissions
 	wg      sync.WaitGroup
-	solvers map[string]*smt.Solver
 	all     []*smt.Solver // portfolio line-up, paper column order
 	mux     *http.ServeMux
 }
@@ -243,19 +229,15 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		met:     newServerMetrics(PathSimplify, PathSolve, PathClassify, PathBatch, PathHealth, PathReady, PathMetrics),
-		cache:   NewCache(cfg.CacheSize),
-		store:   cfg.Store,
-		queue:   make(chan *task, cfg.QueueDepth),
-		down:    make(chan struct{}),
-		solvers: map[string]*smt.Solver{},
-		mux:     http.NewServeMux(),
+		cfg:   cfg,
+		met:   newServerMetrics(PathSimplify, PathSolve, PathClassify, PathBatch, PathHealth, PathReady, PathMetrics),
+		cache: NewCache(cfg.CacheSize),
+		store: cfg.Store,
+		queue: make(chan *task, cfg.QueueDepth),
+		down:  make(chan struct{}),
+		mux:   http.NewServeMux(),
 	}
 	s.all = smt.All()
-	for _, sv := range s.all {
-		s.solvers[sv.Name()] = sv
-	}
 	s.mux.HandleFunc(PathSimplify, s.handleSimplify)
 	s.mux.HandleFunc(PathSolve, s.handleSolve)
 	s.mux.HandleFunc(PathClassify, s.handleClassify)

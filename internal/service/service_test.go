@@ -400,42 +400,3 @@ func waitInFlight(t *testing.T, svc *service.Server, n int64) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
-
-// TestSolveShareCubesConfig boots a server with clause sharing and the
-// cube-and-conquer fallback enabled and checks that portfolio solves
-// still produce the same verdicts — the server-side analogue of the
-// portfolio package's differential tests — with warm contexts and with
-// fresh solvers. Cached repeats are avoided by disabling the cache so
-// both queries exercise the solve path.
-func TestSolveShareCubesConfig(t *testing.T) {
-	for _, cfg := range []service.Config{
-		{Workers: 2, CacheSize: -1, Share: true, Cubes: true},
-		{Workers: 2, CacheSize: -1, Share: true, Cubes: true, DisableIncremental: true},
-	} {
-		_, cl := newTestServer(t, cfg)
-		ctx := context.Background()
-
-		eq, err := cl.Solve(ctx, service.SolveRequest{A: "x+y", B: "(x|y)+(x&y)", Width: 8, Portfolio: true})
-		if err != nil {
-			t.Fatalf("solve: %v", err)
-		}
-		if eq.Status != "equivalent" {
-			t.Fatalf("DisableIncremental=%v: x+y vs (x|y)+(x&y) = %s, want equivalent", cfg.DisableIncremental, eq.Status)
-		}
-		if len(eq.Engines) == 0 {
-			t.Fatalf("portfolio solve reported no engines: %+v", eq)
-		}
-		neq, err := cl.Solve(ctx, service.SolveRequest{A: "x", B: "x+1", Width: 8, Portfolio: true})
-		if err != nil {
-			t.Fatalf("solve (neq): %v", err)
-		}
-		if neq.Status != "not-equivalent" || neq.Witness == nil {
-			t.Fatalf("DisableIncremental=%v: x vs x+1 = %s witness=%v, want not-equivalent with witness",
-				cfg.DisableIncremental, neq.Status, neq.Witness)
-		}
-		env := eval.Env(neq.Witness)
-		if eval.Eval(parser.MustParse("x"), env, 8) == eval.Eval(parser.MustParse("x+1"), env, 8) {
-			t.Fatalf("DisableIncremental=%v: witness %v does not distinguish x and x+1", cfg.DisableIncremental, neq.Witness)
-		}
-	}
-}

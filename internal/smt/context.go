@@ -320,20 +320,7 @@ func (c *Context) decide(q query) (Result, bool) {
 	if !ok {
 		return q.unknown(bl.StopReason()), false
 	}
-	// Clause sharing on a persistent circuit: the query holds only
-	// under its activation literal, so exports carry the guard slot and
-	// imports are re-guarded (see bitblast.SetShareAct). Sharing is
-	// enabled per query and disabled right after the solve — a later
-	// unshared query must not publish under a stale generation.
-	if q.budget.Share != nil {
-		bl.SetShareAct(act)
-		bl.EnableShare(q.budget.Share)
-	}
 	v, res := c.search(&q, bl, act)
-	if q.budget.Share != nil {
-		bl.DisableShare()
-		bl.ClearShareAct()
-	}
 	q.verdict(&res, v, bl)
 	c.recycleIfOverLimit(width, st)
 	return res, true
@@ -370,7 +357,7 @@ func (c *Context) solveAll(q query, ts []*bv.Term, vars map[string]uint) (SatRes
 // Blaster armed for q.
 func (c *Context) warmState(q *query, key uint, vars map[string]uint) *ctxState {
 	st := c.reconcileVars(key, c.state(key), vars)
-	q.arm(st.bl, q.budget.Stop)
+	q.arm(st.bl)
 	return st
 }
 
@@ -398,7 +385,7 @@ func (c *Context) activate(st *ctxState, key uint, t *bv.Term) (sat.Lit, bool) {
 // lifetime totals, so the query's share is a delta.
 func (c *Context) search(q *query, bl *bitblast.Blaster, acts ...sat.Lit) (sat.Status, Result) {
 	before := bl.S.Stats()
-	v := bl.Solve(q.satBudget(q.budget.Conflicts, q.budget.Stop), acts...)
+	v := bl.Solve(q.satBudget(), acts...)
 	after := bl.S.Stats()
 	return v, Result{
 		Elapsed:      time.Since(q.start),

@@ -1,7 +1,6 @@
 package smt
 
 import (
-	"sync/atomic"
 	"time"
 
 	"mbasolver/internal/bitblast"
@@ -18,8 +17,7 @@ import (
 //	(findWitness) → backend.decide → SAT-outcome mapping
 //
 // A warm Context differs from a fresh query only in the interner and
-// rewriter it passes in and in its back end; cube-and-conquer differs
-// only in its back end.
+// rewriter it passes in and in its back end.
 
 // query is one query in flight: its budget and clock, and, for an
 // equivalence query, the input sides (hash-consed when an interner is
@@ -53,22 +51,21 @@ func (q *query) unknown(reason Reason) Result {
 	return Result{Status: Unknown, Reason: reason, Elapsed: time.Since(q.start)}
 }
 
-// arm points a Blaster at the query's limits, with stop as its
-// cancellation flag.
-func (q *query) arm(bl *bitblast.Blaster, stop *atomic.Bool) {
-	bl.SetStop(stop)
+// arm points a Blaster at the query's limits and stop flag.
+func (q *query) arm(bl *bitblast.Blaster) {
+	bl.SetStop(q.budget.Stop)
 	bl.SetDeadline(q.deadline)
 	bl.SetMaxVars(q.budget.MaxVars)
 }
 
-// satBudget is the SAT search budget for conflicts (before the
-// personality's speed scaling) under the given stop flag.
-func (q *query) satBudget(conflicts int64, stop *atomic.Bool) sat.Budget {
-	return sat.Budget{Conflicts: q.s.scaledConflicts(conflicts), Stop: stop, Deadline: q.deadline, MaxLits: q.budget.MaxLits}
+// satBudget is the query's SAT search budget, its conflicts scaled by
+// the personality's speed.
+func (q *query) satBudget() sat.Budget {
+	return sat.Budget{Conflicts: q.s.scaledConflicts(q.budget.Conflicts), Stop: q.budget.Stop, Deadline: q.deadline, MaxLits: q.budget.MaxLits}
 }
 
 // backend is the SAT phase behind the word-level pipeline: fresh (a
-// pooled Blaster per query), a Context's warm circuits, or cubes.
+// pooled Blaster per query) or a Context's warm circuits.
 type backend interface {
 	// enter runs once the first budget gate has passed, before any
 	// word-level work.
@@ -296,41 +293,31 @@ type fresh struct{}
 
 func (fresh) enter() {}
 
+// decide blasts q.residual into a pooled Blaster, asserts it and
+// searches it. A query that panics never releases its Blaster, so a
+// Blaster left half-updated is dropped, not reused.
 func (fresh) decide(q query) (Result, bool) {
-	res, bl, ok := q.solveFresh(q.budget.Conflicts)
-	releaseBlaster(bl)
-	return res, ok
-}
-
-// solveFresh blasts q.residual into a pooled Blaster, asserts it and
-// searches under the given conflict budget. ok is false when encoding
-// was interrupted. The Blaster is returned for the caller to read and
-// release; a query that panics never releases it, so a Blaster left
-// half-updated is dropped, not reused.
-func (q *query) solveFresh(conflicts int64) (res Result, bl *bitblast.Blaster, ok bool) {
-	bl = acquireBlaster(q.s.satOpts)
-	q.arm(bl, q.budget.Stop)
+	bl := acquireBlaster(q.s.satOpts)
+	q.arm(bl)
 	out := bl.Blast(q.residual)
 	if out == nil {
 		// Cancelled, out of time, or over the circuit cap mid-encoding.
-		return q.unknown(bl.StopReason()), bl, false
+		res := q.unknown(bl.StopReason())
+		releaseBlaster(bl)
+		return res, false
 	}
 	bl.AssertTrue(out[0])
-	if q.budget.Share != nil {
-		// The query is asserted outright, so exported clauses need no
-		// activation guard.
-		bl.EnableShare(q.budget.Share)
-	}
-	v := bl.Solve(q.satBudget(conflicts, q.budget.Stop))
+	v := bl.Solve(q.satBudget())
 	st := bl.S.Stats()
-	res = Result{Elapsed: time.Since(q.start), Conflicts: st.Conflicts, Propagations: st.Propagations}
+	res := Result{Elapsed: time.Since(q.start), Conflicts: st.Conflicts, Propagations: st.Propagations}
 	q.verdict(&res, v, bl)
-	return res, bl, true
+	releaseBlaster(bl)
+	return res, true
 }
 
 func (fresh) solveAll(q query, ts []*bv.Term, vars map[string]uint) (SatResult, bool) {
 	bl := acquireBlaster(q.s.satOpts)
-	q.arm(bl, q.budget.Stop)
+	q.arm(bl)
 	for _, t := range ts {
 		out := bl.Blast(t)
 		if out == nil {
@@ -340,7 +327,7 @@ func (fresh) solveAll(q query, ts []*bv.Term, vars map[string]uint) (SatResult, 
 		}
 		bl.AssertTrue(out[0])
 	}
-	v := bl.Solve(q.satBudget(q.budget.Conflicts, q.budget.Stop))
+	v := bl.Solve(q.satBudget())
 	st := bl.S.Stats()
 	res := SatResult{Elapsed: time.Since(q.start), Conflicts: st.Conflicts, Propagations: st.Propagations}
 	satVerdict(&res, v, bl, vars)

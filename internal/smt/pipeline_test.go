@@ -62,11 +62,11 @@ func levelOf(l bv.RewriteLevel) *bv.RewriteLevel { return &l }
 func noRewriteSim() *Solver { return NewCustom("none", bv.RewriteNone, sat.DefaultOptions()) }
 
 // TestBackendParity runs every pipeline exit through the fresh back
-// end, a warm Context (cold, then re-asked) and the cube back end, and
-// checks that they agree on the exit's verdict, reason and flags, that
-// every witness replays, and that the Context counts the query the way
-// it always has: Queries for every answered query, ActHits for a
-// re-asked residual, Recycles for an interrupted encoding.
+// end and a warm Context (cold, then re-asked), and checks that they
+// agree on the exit's verdict, reason and flags, that every witness
+// replays, and that the Context counts the query the way it always
+// has: Queries for every answered query, ActHits for a re-asked
+// residual, Recycles for an interrupted encoding.
 func TestBackendParity(t *testing.T) {
 	const width = 8
 	for _, c := range pipelineExits {
@@ -80,9 +80,6 @@ func TestBackendParity(t *testing.T) {
 			}
 			pipeline := func(be backend) Result {
 				if rw == nil {
-					if cb, ok := be.(cubes); ok {
-						return s.CheckTermEquivCube(ta, tb, c.budget(), cb.opts)
-					}
 					return s.CheckTermEquiv(ta, tb, c.budget())
 				}
 				res, _ := s.checkTerms(s.newQuery(c.budget()), ta, tb, nil, rw(), be)
@@ -100,7 +97,6 @@ func TestBackendParity(t *testing.T) {
 				{"fresh", pipeline(fresh{})},
 				{"warm cold", ctx.CheckTermEquiv(ta, tb, c.budget())},
 				{"warm re-asked", ctx.CheckTermEquiv(ta, tb, c.budget())},
-				{"cubes", pipeline(cubes{opts: CubeOptions{Workers: 1}.WithDefaults()})},
 			}
 			for _, r := range runs {
 				got := r.res

@@ -100,12 +100,6 @@ type Budget struct {
 	// MaxVars caps the bit-blasted circuit in SAT variables; exceeding
 	// it mid-encoding degrades to Unknown with ReasonResource.
 	MaxVars int
-	// Share is an optional clause-sharing endpoint (one member of a
-	// bitblast.Pool). When set, the SAT phase exports short learnt
-	// clauses to the pool and imports foreign ones at restart
-	// boundaries, translated through the blaster's variable map. The
-	// portfolio solver wires one pool across its personalities.
-	Share *bitblast.Endpoint
 	// NoScreen disables the pre-solve equivalence screen (random +
 	// corner vector blocks on the bitsliced evaluator that refute
 	// most non-identities before any rewriting or SAT work). The

@@ -6,13 +6,6 @@
 # root. The report also cross-checks verdicts between the two modes;
 # "mismatches" must be 0.
 #
-# The report's "parallel" section benchmarks the cooperating portfolio
-# (clause sharing + cube-and-conquer) against the solo race on a
-# width-graded hard identity at a fixed conflict budget: fewer timeouts
-# with sharing+cubes, zero verdict mismatches. Conflict budgets, not
-# wall clock, are the yardstick — the numbers are stable on loaded or
-# single-core machines (the report records the core count).
-#
 # The cluster stage boots in-process mbaserved nodes behind an
 # mbarouter ring at 1/2/3 nodes, drives one known-answer batch through
 # each cluster cold and warm, checks every definitive verdict against

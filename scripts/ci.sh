@@ -38,21 +38,13 @@ go test -race -timeout 20m ./...
 # and catches a skipped-package CI edit.)
 go test -race -count=1 ./internal/chaos/
 
-# Sharing + cubes smoke: the cooperating portfolio (clause sharing
-# between personalities plus the cube-and-conquer fallback) must agree
-# with the solo race on every verdict, under the race detector — the
-# differential tests cover share on/off x cubes on/off across all
-# personalities.
-go test -race -count=1 ./internal/portfolio/ -run 'TestParallelMatchesSolo|TestParallelCubeFallback|TestIncrementalSharingAndCubes'
-
 # Bench smoke: the miniature incremental-vs-fresh solver benchmark,
-# the solo-vs-share+cubes benchmark, the sharded-cluster benchmark and
-# the evaluation-engine benchmark must run end to end with zero
-# verdict/evaluation mismatches, the solver benchmark rerun at
-# BENCH_solver.json's config must reproduce its committed
-# deterministic counters exactly, and the Go benchmarks must still
-# execute (full numbers: scripts/bench.sh).
-go test ./internal/harness/ -run 'TestSolverBenchSmoke|TestSolverBenchCountersMatchCommitted|TestParallelBenchSmoke|TestClusterBenchSmoke|TestEvalBenchSmoke'
+# the sharded-cluster benchmark and the evaluation-engine benchmark
+# must run end to end with zero verdict/evaluation mismatches, the
+# solver benchmark rerun at BENCH_solver.json's config must reproduce
+# its committed deterministic counters exactly, and the Go benchmarks
+# must still execute (full numbers: scripts/bench.sh).
+go test ./internal/harness/ -run 'TestSolverBenchSmoke|TestSolverBenchCountersMatchCommitted|TestClusterBenchSmoke|TestEvalBenchSmoke'
 go test ./internal/smt/ -run '^$' -bench CheckTermEquiv -benchtime 1x
 go test ./internal/sat/ -run '^$' -bench Solve -benchtime 1x
 go test ./internal/expr/ -run '^$' -bench Hash -benchtime 1x
@@ -79,6 +71,12 @@ go test ./internal/cluster/ -run '^$' -fuzz '^FuzzNodeReply$' -fuzztime 10s
 # at width 4 (inputs of at most 3 variables) and on random bitsliced
 # blocks at width 64, for every expression the parser accepts.
 go test ./internal/core/ -run '^$' -fuzz '^FuzzSimplify$' -fuzztime 10s
+
+# Equivalence-check fuzz: on every pair the parser accepts, at widths
+# 1 to 8, no personality calls an identity NotEquivalent or a
+# non-identity Equivalent, every witness tells the sides apart, and the
+# fresh back end, a warm context and the screened path agree.
+go test ./internal/smt/ -run '^$' -fuzz '^FuzzCheckEquiv$' -fuzztime 10s
 
 # Benchmark gate: the end-to-end benchmark's known-answer and
 # determinism tests (raw, simplified, and the service path client →
