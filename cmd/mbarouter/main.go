@@ -22,15 +22,16 @@
 // With -selfcheck -target it smokes a running router: readiness, a
 // single solve, a mixed batch with duplicate items (asserting input
 // order and dedup server-side), a batch of exactly the batch cap
-// (answered whole, its nodes still healthy) and one item more
-// (refused with 400). scripts/ci.sh uses this in the cluster smoke
-// stage.
+// (answered whole, its nodes still healthy), one item more (refused
+// with 400) and an '&'-heavy batch just under the body cap (answered
+// whole, its nodes still healthy). scripts/ci.sh uses this in the
+// cluster smoke stage.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -141,8 +142,8 @@ func splitNodes(s string) []string {
 
 // smoke drives a running router end-to-end through the typed client:
 // readiness, one routed solve, a batch mixing solves, a duplicate pair
-// and a simplify, asserting order, dedup and correct verdicts, and
-// then the batch cap from both sides.
+// and a simplify, asserting order, dedup and correct verdicts, then
+// the batch cap from both sides and the body cap from below.
 // The caller's context bounds the whole run, so an operator's Ctrl-C
 // (or a test's cancel) stops it mid-flight.
 func smoke(ctx context.Context, base string) error {
@@ -198,41 +199,79 @@ func smoke(ctx context.Context, base string) error {
 	if resp.RequestID == "" {
 		return fmt.Errorf("routed batch: missing request ID")
 	}
-	return smokeBatchCap(ctx, cl, &http.Client{Transport: tr})
+	return smokeCaps(ctx, base, &http.Client{Transport: tr})
 }
 
-// smokeBatchCap checks that the router and its nodes admit the same
+// smokeCaps checks that the router and its nodes admit the same
 // batches. A batch of exactly service.MaxBatchItems cheap simplify
-// items must come back with no item unavailable and every node that
-// answered still healthy in the router's /debug/metrics (a node killed
-// before the run answers nothing and is not asked about); one item
-// more must be refused with 400.
-func smokeBatchCap(ctx context.Context, cl *client.Client, hc *http.Client) error {
-	batch := service.BatchRequest{}
-	for i := 0; i <= service.MaxBatchItems; i++ {
-		batch.Items = append(batch.Items, service.BatchItem{Simplify: &service.SimplifyRequest{Expr: fmt.Sprintf("(x|y)+%d", i), Width: 8}})
+// items, and one of as many '&'-heavy items in a body just under
+// service.MaxBodyBytes, must each come back whole, no item unavailable,
+// with every node that answered still healthy in the router's
+// /debug/metrics (a node killed before the run answers nothing and is
+// not asked about); one item more must be refused with 400. Bodies
+// carry '&' as itself: a router that re-encoded them with HTML escaping
+// ('&' as six bytes) would push its nodes over the body cap and eject
+// them.
+func smokeCaps(ctx context.Context, base string, hc *http.Client) error {
+	batch := func(n int, prefix string) []byte {
+		req := service.BatchRequest{}
+		for i := 0; i < n; i++ {
+			req.Items = append(req.Items, service.BatchItem{Simplify: &service.SimplifyRequest{Expr: fmt.Sprintf("%s(x|y)+%d", prefix, i), Width: 8}})
+		}
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetEscapeHTML(false)
+		_ = enc.Encode(req) // a BatchRequest always encodes
+		return b.Bytes()
 	}
-	var se *client.StatusError
-	if _, err := cl.Batch(ctx, batch); err == nil {
-		return errors.New("cap+1 batch answered 200, want 400")
-	} else if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
-		return fmt.Errorf("cap+1 batch: %w, want a 400", err)
+	post := func(body []byte, out any) (int, error) {
+		hr, err := http.NewRequestWithContext(ctx, http.MethodPost, base+service.PathBatch, bytes.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		res, err := hc.Do(hr)
+		if err != nil {
+			return 0, err
+		}
+		defer res.Body.Close()
+		if res.StatusCode != http.StatusOK || out == nil {
+			return res.StatusCode, nil
+		}
+		return res.StatusCode, json.NewDecoder(res.Body).Decode(out)
 	}
 
-	batch.Items = batch.Items[:service.MaxBatchItems]
-	resp, err := cl.Batch(ctx, batch)
-	if err != nil {
-		return fmt.Errorf("full-cap batch: %w", err)
+	if code, err := post(batch(service.MaxBatchItems+1, ""), nil); err != nil {
+		return fmt.Errorf("cap+1 batch: %w", err)
+	} else if code != http.StatusBadRequest {
+		return fmt.Errorf("cap+1 batch: answered %d, want 400", code)
+	}
+	near := batch(service.MaxBatchItems, strings.Repeat("x&y&", (service.MaxBodyBytes/service.MaxBatchItems-64)/4))
+	if len(near) > service.MaxBodyBytes || len(near) < service.MaxBodyBytes-32<<10 {
+		return fmt.Errorf("near-cap batch: body is %d bytes, want just under %d", len(near), service.MaxBodyBytes)
 	}
 	answered := map[string]bool{}
-	for i, it := range resp.Items {
-		if it.Simplify == nil || it.Error != "" {
-			return fmt.Errorf("full-cap batch: item %d = %+v, want a simplification", i, it)
+	for _, stage := range []struct {
+		name string
+		body []byte
+	}{{"full-cap batch", batch(service.MaxBatchItems, "")}, {"near-cap batch", near}} {
+		var resp service.BatchResponse
+		if code, err := post(stage.body, &resp); err != nil {
+			return fmt.Errorf("%s: %w", stage.name, err)
+		} else if code != http.StatusOK {
+			return fmt.Errorf("%s: answered %d, want 200", stage.name, code)
 		}
-		answered[it.Node] = true
+		if len(resp.Items) != service.MaxBatchItems {
+			return fmt.Errorf("%s: %d results for %d items", stage.name, len(resp.Items), service.MaxBatchItems)
+		}
+		for i, it := range resp.Items {
+			if it.Simplify == nil || it.Error != "" {
+				return fmt.Errorf("%s: item %d = %+v, want a simplification", stage.name, i, it)
+			}
+			answered[it.Node] = true
+		}
 	}
 
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.Base()+service.PathMetrics, nil)
+	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, base+service.PathMetrics, nil)
 	if err != nil {
 		return err
 	}
@@ -247,7 +286,7 @@ func smokeBatchCap(ctx context.Context, cl *client.Client, hc *http.Client) erro
 	}
 	for node := range answered {
 		if state := snap.Nodes[node]; state != "healthy" {
-			return fmt.Errorf("full-cap batch: node %s is %q after answering, want healthy", node, state)
+			return fmt.Errorf("node %s is %q after answering the cap batches, want healthy", node, state)
 		}
 	}
 	return nil

@@ -45,8 +45,10 @@ func terms(t *testing.T, p pair) (*bv.Term, *bv.Term) {
 }
 
 // budget leaves real headroom so that, with injection off, every corpus
-// query terminates definitively.
-func budget() smt.Budget { return smt.Budget{Timeout: 30 * time.Second} }
+// query terminates definitively: the costliest takes 214 conflicts (a
+// warm z3sim context), a 4.7× margin. Conflicts, not the wall clock,
+// bound it, so a loaded host cannot turn a verdict into a timeout.
+func budget() smt.Budget { return smt.Budget{Conflicts: 1000} }
 
 // faultSpecs is one spec per injectable fault class in the solver
 // stack, plus probabilistic variants that scatter faults instead of
@@ -149,8 +151,7 @@ func allRunners() []runner {
 				Breakers:    &portfolio.BreakerOptions{Threshold: 2, Cooldown: 10 * time.Millisecond},
 			})
 			return func(t *testing.T, p pair) smt.Result {
-				ta, tb := terms(t, p)
-				return cs.CheckTermEquiv(ta, tb, budget()).Result
+				return cs.CheckEquiv(parser.MustParse(p.a), parser.MustParse(p.b), width, budget()).Result
 			}
 		}})
 }

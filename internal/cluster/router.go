@@ -67,7 +67,7 @@ type Router struct {
 	ring     *Ring
 	breakers map[string]*portfolio.Breaker // by node URL; fixed after NewRouter
 	hc       *http.Client
-	mux      *http.ServeMux
+	h        http.Handler // the endpoints behind the request-ID middleware
 	met      routerMetrics
 
 	done    chan struct{}
@@ -114,20 +114,21 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		ring:     ring,
 		breakers: make(map[string]*portfolio.Breaker, len(cfg.Nodes)),
 		hc:       &http.Client{Transport: cfg.Transport},
-		mux:      http.NewServeMux(),
 		met:      routerMetrics{start: time.Now()},
 		done:     make(chan struct{}),
 	}
 	for _, node := range cfg.Nodes {
 		rt.breakers[node] = portfolio.NewBreaker(node, cfg.Health)
 	}
-	rt.mux.HandleFunc(service.PathBatch, rt.handleBatch)
-	rt.mux.HandleFunc(service.PathSolve, rt.handleSingle)
-	rt.mux.HandleFunc(service.PathSimplify, rt.handleSingle)
-	rt.mux.HandleFunc(service.PathClassify, rt.handleSingle)
-	rt.mux.HandleFunc(service.PathHealth, rt.handleHealth)
-	rt.mux.HandleFunc(service.PathReady, rt.handleReady)
-	rt.mux.HandleFunc(service.PathMetrics, rt.handleMetrics)
+	mux := http.NewServeMux()
+	mux.HandleFunc(service.PathBatch, rt.handleBatch)
+	mux.HandleFunc(service.PathSolve, rt.handleSingle)
+	mux.HandleFunc(service.PathSimplify, rt.handleSingle)
+	mux.HandleFunc(service.PathClassify, rt.handleSingle)
+	mux.HandleFunc(service.PathHealth, rt.handleHealth)
+	mux.HandleFunc(service.PathReady, rt.handleReady)
+	mux.HandleFunc(service.PathMetrics, rt.handleMetrics)
+	rt.h = service.WithRequestID(mux)
 	if cfg.ProbeInterval > 0 {
 		rt.wg.Add(1)
 		go rt.probeLoop()
@@ -138,17 +139,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 // Handler returns the router's HTTP handler.
 func (rt *Router) Handler() http.Handler { return rt }
 
-// ServeHTTP implements http.Handler, applying the same request-ID
-// middleware as the nodes so the ID exists before it is forwarded.
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	id := r.Header.Get(service.HeaderRequestID)
-	if id == "" {
-		id = service.NewRequestID()
-		r.Header.Set(service.HeaderRequestID, id)
-	}
-	w.Header().Set(service.HeaderRequestID, id)
-	rt.mux.ServeHTTP(w, r)
-}
+// ServeHTTP implements http.Handler, applying the nodes' request-ID
+// middleware so the ID exists before it is forwarded.
+func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.h.ServeHTTP(w, r) }
 
 // Ring exposes the router's ring (the bench harness inspects shard
 // assignment).
@@ -339,7 +332,14 @@ func (rt *Router) handleSingle(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: fmt.Sprintf("reading request: %v", err)})
 		return
 	}
-	key, err := routeKeyFor(r.URL.Path, body)
+	// The route key is the key of the one-item batch the node will run
+	// the request as, so routing and caching agree on what "the same
+	// query" means.
+	it, _, err := service.SingleItem(r.URL.Path, bytes.NewReader(body))
+	var key string
+	if err == nil {
+		key, err = it.RouteKey()
+	}
 	if err != nil {
 		service.WriteJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: err.Error()})
 		return
@@ -402,34 +402,6 @@ func (rt *Router) forwardSingle(w http.ResponseWriter, r *http.Request, node str
 	w.WriteHeader(res.StatusCode)
 	_, _ = w.Write(data)
 	return true, nil
-}
-
-// routeKeyFor computes the canonical route key for a single-item
-// request body as the key of the one-item batch the node will run it
-// as, so routing and caching agree on what "the same query" means.
-func routeKeyFor(path string, body []byte) (string, error) {
-	var it service.BatchItem
-	var req any
-	switch path {
-	case service.PathSolve:
-		it.Solve = new(service.SolveRequest)
-		req = it.Solve
-	case service.PathSimplify:
-		it.Simplify = new(service.SimplifyRequest)
-		req = it.Simplify
-	default:
-		it.Classify = new(service.ClassifyRequest)
-		req = it.Classify
-	}
-	if err := json.Unmarshal(body, req); err != nil {
-		return "", fmt.Errorf("invalid request body: %w", err)
-	}
-	if it.Solve != nil {
-		// A single solve's own budget is the node's to check; the
-		// batch item it runs as carries none.
-		it.Solve.TimeoutMS = 0
-	}
-	return it.RouteKey()
 }
 
 // ---- router health & metrics ----------------------------------------

@@ -459,6 +459,49 @@ func TestRouterMalformedItemErrorsMatchNode(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesMalformedSingleBeforeForwarding: a single request
+// the node would refuse (an unknown field, a negative timeout_ms) gets
+// the node's own 400 from the router, without a forward.
+func TestRouterRefusesMalformedSingleBeforeForwarding(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	svc := service.New(service.Config{Workers: 1})
+	node := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		node.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := svc.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	rt, err := NewRouter(RouterConfig{Nodes: []string{node.URL}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+
+	post := func(h http.Handler, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, service.PathSolve, strings.NewReader(body)))
+		return rec
+	}
+	for _, body := range []string{
+		`{"a":"x","b":"x","width":8,"bogus":1}`,
+		`{"a":"x","b":"x","width":8,"timeout_ms":-1}`,
+	} {
+		direct, routed := post(svc.Handler(), body), post(rt.Handler(), body)
+		if direct.Code != http.StatusBadRequest || routed.Code != http.StatusBadRequest {
+			t.Fatalf("%s: node answered %d, router %d, want 400 from both", body, direct.Code, routed.Code)
+		}
+		if routed.Body.String() != direct.Body.String() {
+			t.Errorf("%s: router answered %s, node %s", body, routed.Body.String(), direct.Body.String())
+		}
+	}
+	if got := rt.Snapshot().Forwarded; got != 0 {
+		t.Fatalf("%d malformed single requests forwarded, want 0", got)
+	}
+}
+
 func TestRouterAllNodesDownDegrades(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	n1, n2 := newFakeNode(t, "n1"), newFakeNode(t, "n2")

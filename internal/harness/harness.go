@@ -177,15 +177,11 @@ func runQueries(samples []gen.Sample, solvers []*smt.Solver, cfg Config,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns one portfolio set for portfolio jobs and
-			// one one-engine set per personality for solo jobs, as the
-			// service's workers do; in incremental mode each holds warm
-			// contexts (single-goroutine), reused across its jobs.
+			// Each worker owns one portfolio set and runs solo jobs on
+			// its one-engine views, as the service's workers do; in
+			// incremental mode it holds one warm context
+			// (single-goroutine) per personality, reused across its jobs.
 			set := portfolio.New(solvers, popts)
-			solo := make(map[*smt.Solver]*portfolio.Set, len(solvers))
-			for _, sv := range solvers {
-				solo[sv] = portfolio.New([]*smt.Solver{sv}, portfolio.Options{Incremental: cfg.Incremental})
-			}
 			for j := range jobs {
 				lhs, rhs := sides(j.sample)
 				o := Outcome{
@@ -195,7 +191,7 @@ func runQueries(samples []gen.Sample, solvers []*smt.Solver, cfg Config,
 				}
 				run := set
 				if !j.portfolio {
-					run = solo[j.solver]
+					run = set.Solo(j.solver.Name())
 					o.Solver = j.solver.Name()
 				}
 				res := run.CheckEquiv(lhs, rhs, cfg.Width, cfg.Budget)

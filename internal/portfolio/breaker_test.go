@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mbasolver/internal/expr"
 	"mbasolver/internal/fault"
 	"mbasolver/internal/parser"
 	"mbasolver/internal/smt"
@@ -115,7 +116,7 @@ func TestBreakerStateMachine(t *testing.T) {
 // correct verdict.
 func TestSetSkipsOpenBreaker(t *testing.T) {
 	cs := New(smt.All(), Options{Incremental: true, Breakers: &BreakerOptions{Threshold: 1, Cooldown: time.Hour}})
-	cs.Breakers()[0].ReportFailure() // open z3sim's breaker
+	cs.breakers[0].ReportFailure() // open z3sim's breaker
 
 	a, b := parser.MustParse("x^y"), parser.MustParse("(x|y)-(x&y)")
 	res := cs.CheckEquiv(a, b, 8, decideBudget)
@@ -152,7 +153,7 @@ func TestBreakerOpensOnInjectedPanicsAndRecovers(t *testing.T) {
 			t.Fatalf("query %d under injection: status=%v reason=%v, want unknown/panic", i, res.Status, res.Reason)
 		}
 	}
-	for _, br := range cs.Breakers() {
+	for _, br := range cs.breakers {
 		if br.State() != "open" {
 			t.Fatalf("breaker %s state=%s after repeated panics, want open", br.Name(), br.State())
 		}
@@ -168,9 +169,58 @@ func TestBreakerOpensOnInjectedPanicsAndRecovers(t *testing.T) {
 	// closed. (Cancelled losers are inconclusive and may stay open until
 	// they win a later race — that is fine, force-admission keeps them
 	// racing.)
-	for _, br := range cs.Breakers() {
+	for _, br := range cs.breakers {
 		if br.Name() == res.Winner && br.State() != "closed" {
 			t.Fatalf("winner %s breaker state=%s after success, want closed", br.Name(), br.State())
 		}
+	}
+}
+
+// TestSoloViewSharesEngineAndBreaker: a Solo view runs on the set's own
+// warm context and breaker, so a worker that races its set and solves
+// on single personalities keeps one of each per personality.
+func TestSoloViewSharesEngineAndBreaker(t *testing.T) {
+	defer fault.Disable()
+	opts := Options{Incremental: true, Breakers: &BreakerOptions{Threshold: 1, Cooldown: time.Hour}}
+	a, b := parser.MustParse("x+y"), parser.MustParse("(x|y)+y-(~x&y)")
+
+	// Open stpsim's and btorsim's breakers, so the race runs z3sim
+	// alone and always reaches its activation literal.
+	cs := New(smt.All(), opts)
+	cs.breakers[1].ReportFailure()
+	cs.breakers[2].ReportFailure()
+	solo := cs.Solo("z3sim")
+	warm := cs.engines[0].(*smt.Context)
+	for i, paths := range [][2]*Set{{cs, solo}, {solo, cs}} {
+		first, second := paths[0], paths[1]
+		lhs := expr.Binary(expr.OpAdd, a, expr.Const(uint64(i)))
+		rhs := expr.Binary(expr.OpAdd, b, expr.Const(uint64(i)))
+		if r := first.CheckEquiv(lhs, rhs, 8, decideBudget); r.Status != smt.Equivalent {
+			t.Fatalf("query %d first: %v, want equivalent", i, r.Status)
+		}
+		hits := warm.Stats().ActHits
+		if r := second.CheckEquiv(lhs, rhs, 8, decideBudget); r.Status != smt.Equivalent {
+			t.Fatalf("query %d repeated: %v, want equivalent", i, r.Status)
+		}
+		if got := warm.Stats().ActHits; got != hits+1 {
+			t.Fatalf("query %d repeated through the other path: ActHits %d -> %d, want one hit on the shared context", i, hits, got)
+		}
+	}
+
+	// Trip z3sim's breaker through the view: the race skips it.
+	cs = New(smt.All(), opts)
+	if err := fault.EnableSpec("smt.rewrite:every=1"); err != nil {
+		t.Fatal(err)
+	}
+	if r := cs.Solo("z3sim").CheckEquiv(a, b, 8, decideBudget); r.Reason != smt.ReasonPanic {
+		t.Fatalf("solo under injection: %v/%v, want unknown/panic", r.Status, r.Reason)
+	}
+	fault.Disable()
+	res := cs.CheckEquiv(a, b, 8, decideBudget)
+	if res.Status != smt.Equivalent {
+		t.Fatalf("race after the trip: %v, want equivalent", res.Status)
+	}
+	if !res.Engines[0].Skipped || res.Engines[1].Skipped || res.Engines[2].Skipped {
+		t.Fatalf("race after tripping z3sim through its view: %+v, want only z3sim skipped", res.Engines)
 	}
 }

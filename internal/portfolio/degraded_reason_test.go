@@ -3,7 +3,6 @@ package portfolio
 import (
 	"testing"
 
-	"mbasolver/internal/bv"
 	"mbasolver/internal/leakcheck"
 	"mbasolver/internal/parser"
 	"mbasolver/internal/smt"
@@ -16,8 +15,7 @@ import (
 // caller cannot distinguish from a genuine budget exhaustion.
 func TestEmptyPortfolioCarriesReason(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
-	ta := bv.FromExpr(parser.MustParse("x"), 8)
-	tb := bv.FromExpr(parser.MustParse("x"), 8)
+	x := parser.MustParse("x")
 	budget := smt.Budget{Conflicts: 10}
 
 	for _, opts := range []Options{
@@ -26,8 +24,8 @@ func TestEmptyPortfolioCarriesReason(t *testing.T) {
 		{Incremental: true, Breakers: &BreakerOptions{}},
 	} {
 		set := New(nil, opts)
-		if r := set.CheckTermEquiv(ta, tb, budget); r.Status != smt.Timeout || r.Reason != smt.ReasonResource {
-			t.Errorf("%+v: CheckTermEquiv(no engines) = %v/%q, want %v/%q", opts, r.Status, r.Reason, smt.Timeout, smt.ReasonResource)
+		if r := set.CheckEquiv(x, x, 8, budget); r.Status != smt.Timeout || r.Reason != smt.ReasonResource {
+			t.Errorf("%+v: CheckEquiv(no engines) = %v/%q, want %v/%q", opts, r.Status, r.Reason, smt.Timeout, smt.ReasonResource)
 		}
 		if r := set.SolveAssertions(nil, budget); r.Status != smt.SatUnknown || r.Reason != smt.ReasonResource {
 			t.Errorf("%+v: SolveAssertions(no engines) = %v/%q, want %v/%q", opts, r.Status, r.Reason, smt.SatUnknown, smt.ReasonResource)

@@ -63,8 +63,8 @@ type SatResult struct {
 // Options configures a Set. The zero value is the plain stateless race.
 type Options struct {
 	// Incremental gives each personality one warm smt.Context, raced on
-	// every query. Across a corpus the engines keep their interned
-	// terms, encoded circuits, learned clauses and branching
+	// every equivalence query. Across a corpus the engines keep their
+	// interned terms, encoded circuits, learned clauses and branching
 	// heuristics, so the set gets faster on structurally related
 	// queries; verdicts stay those of the underlying personalities.
 	// When false every query runs on the stateless solvers.
@@ -75,19 +75,18 @@ type Options struct {
 	Breakers *BreakerOptions
 }
 
-// engine answers one personality's queries: a stateless *smt.Solver
-// or a warm *smt.Context.
+// engine answers one personality's equivalence queries: a stateless
+// *smt.Solver or a warm *smt.Context.
 type engine interface {
 	CheckEquiv(a, b *expr.Expr, width uint, budget smt.Budget) smt.Result
-	CheckTermEquiv(ta, tb *bv.Term, budget smt.Budget) smt.Result
-	SolveAssertions(assertions []*bv.Term, budget smt.Budget) smt.SatResult
 }
 
 // Set is one portfolio line-up, raced on every query.
 //
 // A Set is single-caller: one query at a time (the engines race
 // internally, but each warm context is only ever touched by the
-// goroutine racing it). Use one set per worker.
+// goroutine racing it). Use one set per worker; its Solo views count
+// as the same caller.
 type Set struct {
 	solvers  []*smt.Solver
 	engines  []engine   // index-aligned with solvers
@@ -112,9 +111,25 @@ func New(solvers []*smt.Solver, opts Options) *Set {
 	return s
 }
 
-// Breakers returns the per-personality breakers (nil when disabled),
-// index-aligned with the solver list.
-func (s *Set) Breakers() []*Breaker { return s.breakers }
+// Solo returns a one-engine view of the named personality, or nil when
+// the set has none by that name. The view shares the set's engine (its
+// warm context, when incremental) and breaker, so a worker that races
+// its set and solves on one personality keeps one warm state and one
+// health record per personality. The view is part of the set: query it
+// only from the set's caller, never while the set is racing.
+func (s *Set) Solo(name string) *Set {
+	for i, sv := range s.solvers {
+		if sv.Name() != name {
+			continue
+		}
+		v := &Set{solvers: s.solvers[i : i+1 : i+1], engines: s.engines[i : i+1 : i+1]}
+		if s.breakers != nil {
+			v.breakers = s.breakers[i : i+1 : i+1]
+		}
+		return v
+	}
+	return nil
+}
 
 // Reset invalidates every warm engine's accumulated state.
 func (s *Set) Reset() {
@@ -125,33 +140,18 @@ func (s *Set) Reset() {
 	}
 }
 
-// CheckTermEquiv races the engines on one term-equivalence query. The
-// first Equivalent/NotEquivalent verdict wins and the remaining
-// engines are cancelled; if every engine exhausts the budget the
-// result is Timeout, carrying the conflicts and propagations every
-// engine spent. budget.Stop, when set, cancels the entire portfolio.
-// Engines whose circuit breaker is open sit the race out (reported as
-// Skipped in Engines).
-func (s *Set) CheckTermEquiv(ta, tb *bv.Term, budget smt.Budget) Result {
-	return s.checkEquiv(budget, func(e engine, b smt.Budget) smt.Result {
-		return e.CheckTermEquiv(ta, tb, b)
-	})
-}
-
-// CheckEquiv is CheckTermEquiv over expressions at the given width.
-// Each engine translates the sides itself, so a warm context interns
-// them as it builds them.
+// CheckEquiv races the engines on a == b at the given width. The first
+// Equivalent/NotEquivalent verdict wins and the remaining engines are
+// cancelled; if every engine exhausts the budget the result is
+// Timeout, carrying the conflicts and propagations every engine spent.
+// budget.Stop, when set, cancels the entire portfolio. Engines whose
+// circuit breaker is open sit the race out (reported as Skipped in
+// Engines). Each engine translates the sides itself, so a warm context
+// interns them as it builds them.
 func (s *Set) CheckEquiv(a, b *expr.Expr, width uint, budget smt.Budget) Result {
-	return s.checkEquiv(budget, func(e engine, bu smt.Budget) smt.Result {
-		return e.CheckEquiv(a, b, width, bu)
-	})
-}
-
-// checkEquiv races solve across the engines.
-func (s *Set) checkEquiv(budget smt.Budget, solve func(engine, smt.Budget) smt.Result) Result {
 	start := time.Now()
 	r := race(s, budget.Stop, func(i int, stop *atomic.Bool) smt.Result {
-		return solve(s.engines[i], withStop(budget, stop))
+		return s.engines[i].CheckEquiv(a, b, width, withStop(budget, stop))
 	}, equivReport)
 	res := Result{Result: r.best, Winner: r.winner, Engines: r.engines}
 	if r.winner == "" {
@@ -162,13 +162,15 @@ func (s *Set) checkEquiv(budget smt.Budget, solve func(engine, smt.Budget) smt.R
 	return res
 }
 
-// SolveAssertions races the engines on the conjunction of asserted
-// width-1 terms; the first sat/unsat verdict wins, with
-// breaker-skipped engines and a Timeout's spend as in CheckTermEquiv.
+// SolveAssertions races the personalities on the conjunction of
+// asserted width-1 terms; the first sat/unsat verdict wins, with
+// breaker-skipped engines and a Timeout's spend as in CheckEquiv.
+// Assertions always run on the stateless solvers: warm contexts answer
+// equivalence queries only.
 func (s *Set) SolveAssertions(assertions []*bv.Term, budget smt.Budget) SatResult {
 	start := time.Now()
 	r := race(s, budget.Stop, func(i int, stop *atomic.Bool) smt.SatResult {
-		return s.engines[i].SolveAssertions(assertions, withStop(budget, stop))
+		return s.solvers[i].SolveAssertions(assertions, withStop(budget, stop))
 	}, satReport)
 	res := SatResult{SatResult: r.best, Winner: r.winner, Engines: r.engines}
 	if r.winner == "" {

@@ -8,6 +8,7 @@ import (
 
 	"mbasolver/internal/bv"
 	"mbasolver/internal/eval"
+	"mbasolver/internal/expr"
 	"mbasolver/internal/gen"
 	"mbasolver/internal/leakcheck"
 	"mbasolver/internal/parser"
@@ -83,20 +84,20 @@ func TestPortfolioWinnerAndStats(t *testing.T) {
 	}
 }
 
-// hardTerms returns a query no engine finishes in under a second.
-func hardTerms() (*bv.Term, *bv.Term) {
-	const width = 64
-	a := bv.FromExpr(parser.MustParse("x*y"), width)
-	b := bv.FromExpr(parser.MustParse("(x&~y)*(~x&y) + (x&y)*(x|y)"), width)
-	return a, b
+// hardWidth and hardSides make a query no engine finishes in under a
+// second.
+const hardWidth = 64
+
+func hardSides() (*expr.Expr, *expr.Expr) {
+	return parser.MustParse("x*y"), parser.MustParse("(x&~y)*(~x&y) + (x&y)*(x|y)")
 }
 
 // TestPortfolioTimeoutWithinBound: with every engine stuck, a 50ms
 // wall-clock budget must bound the whole portfolio to ~2x the budget.
 func TestPortfolioTimeoutWithinBound(t *testing.T) {
-	a, b := hardTerms()
+	a, b := hardSides()
 	start := time.Now()
-	res := New(smt.All(), Options{}).CheckTermEquiv(a, b, smt.Budget{Timeout: 50 * time.Millisecond})
+	res := New(smt.All(), Options{}).CheckEquiv(a, b, hardWidth, smt.Budget{Timeout: 50 * time.Millisecond})
 	elapsed := time.Since(start)
 	if res.Status != smt.Timeout {
 		t.Fatalf("portfolio = %v, want timeout", res.Status)
@@ -116,10 +117,9 @@ func TestPortfolioCancelsLosers(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	// x & y == y & x: btorsim decides it at the word level instantly;
 	// z3sim/stpsim would need real SAT search at width 32.
-	a := bv.FromExpr(parser.MustParse("x&y"), 32)
-	b := bv.FromExpr(parser.MustParse("y&x"), 32)
+	a, b := parser.MustParse("x&y"), parser.MustParse("y&x")
 	start := time.Now()
-	res := New(smt.All(), Options{}).CheckTermEquiv(a, b, smt.Budget{})
+	res := New(smt.All(), Options{}).CheckEquiv(a, b, 32, smt.Budget{})
 	elapsed := time.Since(start)
 	if res.Status != smt.Equivalent {
 		t.Fatalf("portfolio = %v, want equivalent", res.Status)
@@ -133,14 +133,14 @@ func TestPortfolioCancelsLosers(t *testing.T) {
 // entire portfolio mid-flight.
 func TestPortfolioExternalCancel(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
-	a, b := hardTerms()
+	a, b := hardSides()
 	var stop atomic.Bool
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		stop.Store(true)
 	}()
 	start := time.Now()
-	res := New(smt.All(), Options{}).CheckTermEquiv(a, b, smt.Budget{Stop: &stop})
+	res := New(smt.All(), Options{}).CheckEquiv(a, b, hardWidth, smt.Budget{Stop: &stop})
 	elapsed := time.Since(start)
 	if res.Status != smt.Timeout {
 		t.Fatalf("cancelled portfolio = %v, want timeout", res.Status)

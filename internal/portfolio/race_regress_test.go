@@ -129,7 +129,7 @@ func TestBreakerSeesFastFailureWhenRaceIsWon(t *testing.T) {
 	if res.Engines[panickedIdx].Cancelled {
 		t.Fatalf("panicked engine %s labeled Cancelled", res.Engines[panickedIdx].Solver)
 	}
-	for i, br := range cs.Breakers() {
+	for i, br := range cs.breakers {
 		if i == panickedIdx {
 			if br.State() != "open" {
 				t.Fatalf("panicked engine %s breaker state=%s, want open: the race being won must not hide failures from the breaker",
@@ -174,7 +174,7 @@ func TestRaceCancelledLoserStillLabeled(t *testing.T) {
 			}
 		}
 	}
-	for _, br := range cs.Breakers() {
+	for _, br := range cs.breakers {
 		if br.State() != "closed" {
 			t.Fatalf("engine %s breaker state=%s after healthy queries, want closed", br.Name(), br.State())
 		}

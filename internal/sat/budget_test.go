@@ -29,7 +29,7 @@ func TestDeadlineObservedPromptly(t *testing.T) {
 	if elapsed > 100*time.Millisecond {
 		t.Fatalf("50ms deadline overshot: solve took %v (want <= 100ms)", elapsed)
 	}
-	if !s.Okay() {
+	if !s.okay {
 		t.Fatal("solver marked not-okay after deadline exhaustion")
 	}
 }
@@ -93,7 +93,7 @@ func TestStopCancelsSolve(t *testing.T) {
 
 	// The cancelled solver must be reusable: okay, trail backtracked to
 	// level 0, and a fresh unbounded Solve reaches the right verdict.
-	if !s.Okay() {
+	if !s.okay {
 		t.Fatal("solver marked not-okay after cancellation")
 	}
 	if lvl := s.decisionLevel(); lvl != 0 {

@@ -63,13 +63,13 @@ func TestProofRandomUnsat(t *testing.T) {
 			a := MkLit(Var(rng.Intn(nvars)), rng.Intn(2) == 1)
 			b := MkLit(Var(rng.Intn(nvars)), rng.Intn(2) == 1)
 			c := MkLit(Var(rng.Intn(nvars)), rng.Intn(2) == 1)
-			if !s.Okay() {
+			if !s.okay {
 				break
 			}
 			s.AddClause(a, b, c)
 		}
 		original := s.ProblemClauses()
-		if !s.Okay() {
+		if !s.okay {
 			continue
 		}
 		if s.Solve(Budget{}) != Unsat {

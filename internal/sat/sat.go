@@ -104,8 +104,6 @@ type Options struct {
 	// VarDecay is the VSIDS activity decay factor in (0,1); typical
 	// 0.95. Higher = longer memory.
 	VarDecay float64
-	// ClauseDecay is the learnt clause activity decay; typical 0.999.
-	ClauseDecay float64
 	// RestartLuby selects Luby restarts; otherwise restarts are
 	// geometric with factor RestartInc.
 	RestartLuby bool
@@ -113,36 +111,29 @@ type Options struct {
 	RestartBase int
 	// RestartInc is the geometric restart growth factor (>1).
 	RestartInc float64
-	// PhaseSaving re-decides variables with their last assigned
-	// polarity.
-	PhaseSaving bool
-	// DefaultPhase is the polarity used for never-assigned variables
-	// (false = assign false first, the MiniSat default).
-	DefaultPhase bool
 	// LearntsFraction caps the learnt database at this multiple of the
 	// problem clauses before reduction; typical 1.0/3.
 	LearntsFraction float64
 }
 
+// clauseDecay is the learnt clause activity decay (MiniSat's).
+const clauseDecay = 0.999
+
 // DefaultOptions returns a balanced MiniSat-like configuration.
 func DefaultOptions() Options {
 	return Options{
 		VarDecay:        0.95,
-		ClauseDecay:     0.999,
 		RestartLuby:     true,
 		RestartBase:     100,
 		RestartInc:      2.0,
-		PhaseSaving:     true,
-		DefaultPhase:    false,
 		LearntsFraction: 1.0 / 3.0,
 	}
 }
 
 // Budget bounds a Solve call. Zero fields mean unlimited.
 type Budget struct {
-	Conflicts    int64
-	Propagations int64
-	Deadline     time.Time
+	Conflicts int64
+	Deadline  time.Time
 	// MaxLits caps the live literal count of the clause database
 	// (problem plus learnt clauses). When learning a clause would
 	// exceed the cap, Solve returns Unknown with ReasonResource instead
@@ -161,7 +152,7 @@ type Budget struct {
 // after every conflict and every restart, and additionally after every
 // propsPerBudgetCheck propagations so that conflict-free (or
 // conflict-starved) search phases still observe deadlines and
-// cancellation. The Stop flag and the conflict/propagation counters are
+// cancellation. The Stop flag and the conflict counter are
 // consulted on every check; the wall clock is only sampled every
 // deadlineCheckPeriod checks, which bounds time.Now() overhead while
 // keeping the worst-case deadline overshoot to a few milliseconds of
@@ -312,7 +303,7 @@ func (s *Solver) NewVar() Var {
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, noReason)
 	s.activity = append(s.activity, 0)
-	s.phase = append(s.phase, s.opts.DefaultPhase)
+	s.phase = append(s.phase, false) // assign false first, the MiniSat default
 	s.seen = append(s.seen, 0)
 	if n := len(s.watches); n+2 <= cap(s.watches) {
 		// Reuse the watch lists a Reset left behind.
@@ -679,9 +670,7 @@ func (s *Solver) backtrackTo(level int32) {
 		s.assign[l] = lUndef
 		s.assign[l.Not()] = lUndef
 		s.reason[v] = noReason
-		if s.opts.PhaseSaving {
-			s.phase[v] = !l.Neg()
-		}
+		s.phase[v] = !l.Neg() // phase saving
 		s.order.insert(v)
 	}
 	s.trail = s.trail[:bound]
@@ -847,7 +836,6 @@ func (s *Solver) Solve(budget Budget, assumptions ...Lit) Status {
 
 	restartCount := int64(0)
 	conflictBudgetAtStart := s.stats.Conflicts
-	propBudgetAtStart := s.stats.Propagations
 	conflictsSinceRestart := int64(0)
 	restartLimit := s.firstRestartLimit()
 	maxLearnts := float64(len(s.clauses))*s.opts.LearntsFraction + 100
@@ -877,18 +865,13 @@ func (s *Solver) Solve(budget Budget, assumptions ...Lit) Status {
 			s.whyUnk = ReasonBudget
 			return false
 		}
-		if budget.Propagations > 0 && s.stats.Propagations-propBudgetAtStart >= budget.Propagations {
-			s.whyUnk = ReasonBudget
-			return false
-		}
 		if !budget.Deadline.IsZero() && checks%deadlineCheckPeriod == 0 && time.Now().After(budget.Deadline) {
 			s.whyUnk = ReasonBudget
 			return false
 		}
 		return true
 	}
-	bounded := budget.Stop != nil || budget.Conflicts > 0 ||
-		budget.Propagations > 0 || !budget.Deadline.IsZero()
+	bounded := budget.Stop != nil || budget.Conflicts > 0 || !budget.Deadline.IsZero()
 
 	// A budget that is already exhausted on entry (expired deadline,
 	// raised stop flag) must not buy any search at all.
@@ -947,7 +930,7 @@ func (s *Solver) Solve(budget Budget, assumptions ...Lit) Status {
 				s.uncheckedEnqueue(learnt[0], c)
 			}
 			s.varInc /= s.opts.VarDecay
-			s.claInc /= s.opts.ClauseDecay
+			s.claInc /= clauseDecay
 			if !checkBudget() {
 				return Unknown
 			}
@@ -1105,7 +1088,3 @@ func (s *Solver) UnknownReason() Reason { return s.whyUnk }
 
 // Stats returns cumulative search statistics.
 func (s *Solver) Stats() Stats { return s.stats }
-
-// Okay reports whether the solver is still consistent (no level-0
-// unsat derived).
-func (s *Solver) Okay() bool { return s.okay }

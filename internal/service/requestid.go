@@ -31,3 +31,20 @@ func NewRequestID() string {
 // requestIDOf returns the request's correlation ID ("" if absent; the
 // server middleware guarantees presence on requests it routed).
 func requestIDOf(r *http.Request) string { return r.Header.Get(HeaderRequestID) }
+
+// WithRequestID wraps h in the request-ID middleware that nodes and the
+// cluster router share: an incoming X-Request-ID is adopted and echoed,
+// a missing one is generated (and set on the request, so a router
+// forwards it), and any answer — including 429 and 503 rejections —
+// can be correlated across a multi-node cluster.
+func WithRequestID(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := requestIDOf(r)
+		if id == "" {
+			id = NewRequestID()
+			r.Header.Set(HeaderRequestID, id)
+		}
+		w.Header().Set(HeaderRequestID, id)
+		h.ServeHTTP(w, r)
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -122,8 +123,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// portfolioOptions maps the config onto each worker's portfolio set;
-// the one-engine solo sets take its Incremental and Breakers.
+// portfolioOptions maps the config onto each worker's portfolio set.
 func (c Config) portfolioOptions() portfolio.Options {
 	o := portfolio.Options{Incremental: !c.DisableIncremental}
 	if c.BreakerThreshold >= 0 {
@@ -175,12 +175,13 @@ type simpKey struct {
 // workerCtx is the per-worker state handed to task closures. Each
 // worker runs tasks strictly sequentially, so the incremental contexts
 // (single-goroutine by contract) are safe here and accumulate warm
-// state across every query the worker serves.
+// state across every query the worker serves. Solo solves run on a
+// one-engine view of set, so each personality has one warm context and
+// one breaker per worker.
 type workerCtx struct {
 	stop  *atomic.Bool
 	simps map[simpKey]*core.Simplifier
-	solo  map[string]*portfolio.Set // one-engine set per personality
-	set   *portfolio.Set            // portfolio line-up
+	set   *portfolio.Set // portfolio line-up
 }
 
 // resetSolvers rebuilds the worker's accumulated solver state after a
@@ -189,9 +190,6 @@ type workerCtx struct {
 // a wrong verdict from a half-updated one.
 func (w *workerCtx) resetSolvers() {
 	w.simps = map[simpKey]*core.Simplifier{}
-	for _, set := range w.solo {
-		set.Reset()
-	}
 	w.set.Reset()
 }
 
@@ -222,7 +220,7 @@ type Server struct {
 	admitMu sync.RWMutex // write-held once by Shutdown to fence admissions
 	wg      sync.WaitGroup
 	all     []*smt.Solver // portfolio line-up, paper column order
-	mux     *http.ServeMux
+	h       http.Handler  // the endpoints behind the request-ID middleware
 }
 
 // New builds a Server and starts its worker pool.
@@ -235,16 +233,17 @@ func New(cfg Config) *Server {
 		store: cfg.Store,
 		queue: make(chan *task, cfg.QueueDepth),
 		down:  make(chan struct{}),
-		mux:   http.NewServeMux(),
 	}
 	s.all = smt.All()
-	s.mux.HandleFunc(PathSimplify, s.handleSimplify)
-	s.mux.HandleFunc(PathSolve, s.handleSolve)
-	s.mux.HandleFunc(PathClassify, s.handleClassify)
-	s.mux.HandleFunc(PathBatch, s.handleBatch)
-	s.mux.HandleFunc(PathHealth, s.handleHealth)
-	s.mux.HandleFunc(PathReady, s.handleReady)
-	s.mux.HandleFunc(PathMetrics, s.handleMetrics)
+	mux := http.NewServeMux()
+	mux.HandleFunc(PathSimplify, s.handleSingle)
+	mux.HandleFunc(PathSolve, s.handleSingle)
+	mux.HandleFunc(PathClassify, s.handleSingle)
+	mux.HandleFunc(PathBatch, s.handleBatch)
+	mux.HandleFunc(PathHealth, s.handleHealth)
+	mux.HandleFunc(PathReady, s.handleReady)
+	mux.HandleFunc(PathMetrics, s.handleMetrics)
+	s.h = WithRequestID(mux)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -256,18 +255,8 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s }
 
 // ServeHTTP implements http.Handler. Every request passes the
-// request-ID middleware: an incoming X-Request-ID is adopted and
-// echoed, a missing one is generated, so any answer — including 429
-// and 503 rejections — can be correlated across a multi-node cluster.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	id := requestIDOf(r)
-	if id == "" {
-		id = NewRequestID()
-		r.Header.Set(HeaderRequestID, id)
-	}
-	w.Header().Set(HeaderRequestID, id)
-	s.mux.ServeHTTP(w, r)
-}
+// request-ID middleware (WithRequestID).
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.h.ServeHTTP(w, r) }
 
 // Metrics returns the current metrics snapshot (the /debug/metrics
 // body), for in-process consumers like tests and the selfcheck.
@@ -314,14 +303,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 func (s *Server) worker() {
 	defer s.wg.Done()
-	opts := s.cfg.portfolioOptions()
 	w := &workerCtx{
 		simps: map[simpKey]*core.Simplifier{},
-		solo:  make(map[string]*portfolio.Set, len(s.all)),
-		set:   portfolio.New(s.all, opts),
-	}
-	for _, sv := range s.all {
-		w.solo[sv.Name()] = portfolio.New([]*smt.Solver{sv}, portfolio.Options{Incremental: opts.Incremental, Breakers: opts.Breakers})
+		set:   portfolio.New(s.all, s.cfg.portfolioOptions()),
 	}
 	for {
 		select {
@@ -474,15 +458,63 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 // DecodeJSON reads a JSON request body of at most maxBytes into v. It
 // rejects non-POST methods, unknown fields and malformed JSON.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, v any, maxBytes int64) error {
+	if err := checkPost(r); err != nil {
+		return err
+	}
+	return decodeStrict(http.MaxBytesReader(w, r.Body, maxBytes), v)
+}
+
+// checkPost refuses every method but POST.
+func checkPost(r *http.Request) error {
 	if r.Method != http.MethodPost {
 		return fmt.Errorf("method %s not allowed (use POST)", r.Method)
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+	return nil
+}
+
+// decodeStrict decodes one JSON value from body into v, refusing
+// unknown fields.
+func decodeStrict(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)
 	}
 	return nil
+}
+
+// SingleItem decodes the body of a request to one of the single
+// endpoints (PathSolve, PathSimplify or PathClassify) strictly, and
+// returns the one-item batch item it runs as, with the request's own
+// timeout_ms (0 = server default): a solve's budget becomes its job's
+// deadline, and the item carries none. Nodes and the cluster router
+// both call it, so the router refuses exactly the single requests a
+// node would, with the node's text.
+func SingleItem(path string, body io.Reader) (BatchItem, int64, error) {
+	var it BatchItem
+	var req any
+	switch path {
+	case PathSolve:
+		it.Solve = new(SolveRequest)
+		req = it.Solve
+	case PathSimplify:
+		it.Simplify = new(SimplifyRequest)
+		req = it.Simplify
+	default:
+		it.Classify = new(ClassifyRequest)
+		req = it.Classify
+	}
+	if err := decodeStrict(body, req); err != nil {
+		return BatchItem{}, 0, err
+	}
+	var timeoutMS int64
+	if it.Solve != nil {
+		if it.Solve.TimeoutMS < 0 {
+			return BatchItem{}, 0, errors.New("timeout_ms must be non-negative")
+		}
+		timeoutMS, it.Solve.TimeoutMS = it.Solve.TimeoutMS, 0
+	}
+	return it, timeoutMS, nil
 }
 
 func (s *Server) width(req uint) (uint, error) {
@@ -563,48 +595,17 @@ func classifyKey(width uint, samples int, seed uint64, d expr.Digest) string {
 
 // ---- handlers ------------------------------------------------------
 
-// The single-item endpoints run their request as a one-item batch:
-// each handler decodes its request and applies only its endpoint's own
-// rules, and serveOne does the rest on /v1/batch's per-group pipeline.
-
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req SolveRequest
-	s.serveOne(w, r, PathSolve, &req, func() (BatchItem, int64, error) {
-		if req.TimeoutMS < 0 {
-			return BatchItem{}, 0, errors.New("timeout_ms must be non-negative")
-		}
-		// The request's own budget becomes the one-item job's deadline.
-		timeoutMS := req.TimeoutMS
-		req.TimeoutMS = 0
-		return BatchItem{Solve: &req}, timeoutMS, nil
-	})
-}
-
-func (s *Server) handleSimplify(w http.ResponseWriter, r *http.Request) {
-	var req SimplifyRequest
-	s.serveOne(w, r, PathSimplify, &req, func() (BatchItem, int64, error) {
-		return BatchItem{Simplify: &req}, 0, nil
-	})
-}
-
-func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req ClassifyRequest
-	s.serveOne(w, r, PathClassify, &req, func() (BatchItem, int64, error) {
-		return BatchItem{Classify: &req}, 0, nil
-	})
-}
-
-// serveOne decodes a single-endpoint request into req, turns it into a
-// batch item with its timeout (0 = server default), and answers it
-// through the batch pipeline: parse, recall, submit, remember. Submit
-// failures keep their HTTP mapping (429/503 with Retry-After, 499 for a
-// client that went away, 500 for a contained panic).
-func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, path string, req any, item func() (BatchItem, int64, error)) {
+// handleSingle answers the single-item endpoints. Each request runs as
+// the one-item batch SingleItem makes of it, through the batch
+// pipeline: parse, recall, submit, remember. Submit failures keep their
+// HTTP mapping (429/503 with Retry-After, 499 for a client that went
+// away, 500 for a contained panic).
+func (s *Server) handleSingle(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	status := http.StatusOK
-	defer func() { s.met.observe(path, status, time.Since(start)) }()
+	defer func() { s.met.observe(r.URL.Path, status, time.Since(start)) }()
 
-	j, err := s.parseOne(w, r, start, req, item)
+	j, err := s.parseOne(w, r, start)
 	if err != nil {
 		status = http.StatusBadRequest
 		s.writeError(w, status, err.Error())
@@ -621,11 +622,11 @@ func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, path string, r
 }
 
 // parseOne decodes and validates a single-endpoint request into its job.
-func (s *Server) parseOne(w http.ResponseWriter, r *http.Request, start time.Time, req any, item func() (BatchItem, int64, error)) (*job, error) {
-	if err := DecodeJSON(w, r, req, MaxBodyBytes); err != nil {
+func (s *Server) parseOne(w http.ResponseWriter, r *http.Request, start time.Time) (*job, error) {
+	if err := checkPost(r); err != nil {
 		return nil, err
 	}
-	it, timeoutMS, err := item()
+	it, timeoutMS, err := SingleItem(r.URL.Path, http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		return nil, err
 	}
@@ -696,11 +697,11 @@ func (s *Server) runSolve(wc *workerCtx, a, b *expr.Expr, width uint, spec solve
 		Conflicts: spec.conflicts,
 		Stop:      wc.stop,
 	}
-	// A solo solve is a one-engine portfolio of the named personality.
+	// A solo solve is a one-engine view of the named personality.
 	set, name := wc.set, ""
 	if !spec.portfolio {
 		name = cmp.Or(spec.solver, "btorsim")
-		set = wc.solo[name]
+		set = wc.set.Solo(name)
 	}
 	res := set.CheckEquiv(a, b, width, budget)
 	resp := solveResponse(res.Result, width)

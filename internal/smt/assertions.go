@@ -48,8 +48,7 @@ type SatResult struct {
 func (s *Solver) SolveAssertions(assertions []*bv.Term, budget Budget) (res SatResult) {
 	q := s.newQuery(budget)
 	defer contain("smt.SolveAssertions", q.start, nil, &res)
-	res, _ = s.solveTerms(q, assertions, nil, nil, fresh{})
-	return res
+	return s.solveTerms(q, assertions)
 }
 
 // SimplifyPredicate runs MBA-Solver over the two sides of an asserted

@@ -157,10 +157,6 @@ func (c *Context) Corrupt() {
 	c.poisoned = true
 }
 
-// Poisoned reports whether the context is marked corrupted and will
-// reset on its next query.
-func (c *Context) Poisoned() bool { return c.poisoned }
-
 // ensureHealthy rebuilds a poisoned context before it serves a query.
 func (c *Context) ensureHealthy() {
 	if c.poisoned {
@@ -280,23 +276,6 @@ func (c *Context) check(q query, ta, tb *bv.Term) Result {
 	return res
 }
 
-// SolveAssertions is Solver.SolveAssertions through the incremental
-// context: the conjunction of width-1 assertions is guarded by one
-// activation literal per distinct assertion term, so assertion sets
-// that share members share their encodings and learned clauses.
-// Panics below are contained to SatUnknown/ReasonPanic and poison the
-// context, exactly like CheckTermEquiv.
-func (c *Context) SolveAssertions(assertions []*bv.Term, budget Budget) (res SatResult) {
-	c.ensureHealthy()
-	q := c.s.newQuery(budget)
-	defer contain("smt.Context.SolveAssertions", q.start, &c.poisoned, &res)
-	res, answered := c.s.solveTerms(q, assertions, c.in, c.rw, c)
-	if answered {
-		c.stats.Queries++
-	}
-	return res
-}
-
 // The warm back end: the Context itself. Each result width keeps one
 // live Blaster whose circuit is the union of every query seen so far;
 // a query is checked under its activation literal.
@@ -323,33 +302,6 @@ func (c *Context) decide(q query) (Result, bool) {
 	v, res := c.search(&q, bl, act)
 	q.verdict(&res, v, bl)
 	c.recycleIfOverLimit(width, st)
-	return res, true
-}
-
-func (c *Context) solveAll(q query, ts []*bv.Term, vars map[string]uint) (SatResult, bool) {
-	// Assertion sets share one state, keyed by the widest variable in
-	// play; sets over clashing variable widths recycle it (reconcileVars)
-	// rather than panicking in VarBits.
-	var key uint = 1
-	for _, w := range vars {
-		if w > key {
-			key = w
-		}
-	}
-	st := c.warmState(&q, key, vars)
-	bl := st.bl
-	acts := make([]sat.Lit, 0, len(ts))
-	for _, t := range ts {
-		act, ok := c.activate(st, key, t)
-		if !ok {
-			return SatResult{Status: SatUnknown, Reason: bl.StopReason(), Elapsed: time.Since(q.start)}, false
-		}
-		acts = append(acts, act)
-	}
-	v, r := c.search(&q, bl, acts...)
-	res := SatResult{Elapsed: r.Elapsed, Conflicts: r.Conflicts, Propagations: r.Propagations}
-	satVerdict(&res, v, bl, vars)
-	c.recycleIfOverLimit(key, st)
 	return res, true
 }
 

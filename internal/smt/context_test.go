@@ -131,44 +131,6 @@ func TestContextTightBudgetNoContradiction(t *testing.T) {
 	}
 }
 
-// TestContextSolveAssertionsDifferential: the assertions entry point
-// agrees with the one-shot solver, including on repeats through the
-// warm circuit, and models satisfy the asserted conjunction.
-func TestContextSolveAssertionsDifferential(t *testing.T) {
-	const width = 8
-	mk := func(src string) *bv.Term { return bv.FromExpr(parser.MustParse(src), width) }
-	sets := [][]*bv.Term{
-		{bv.Predicate(bv.Eq, mk("x&y"), mk("x|y"))},            // sat: forces x==y
-		{bv.Predicate(bv.Ne, mk("x+y"), mk("(x|y)+y-(~x&y)"))}, // unsat: identity
-		{bv.Predicate(bv.Eq, mk("x"), mk("y+1")), bv.Predicate(bv.Ult, mk("y"), mk("x"))},
-		{bv.Predicate(bv.Ne, mk("x"), mk("x"))}, // trivially unsat
-	}
-	// The hardest set takes 721 conflicts: a 13.9× margin.
-	budget := Budget{Conflicts: 10_000}
-	for _, s := range All() {
-		ctx := s.NewContext()
-		for round := 0; round < 2; round++ {
-			for i, set := range sets {
-				fresh := s.SolveAssertions(set, budget)
-				inc := ctx.SolveAssertions(set, budget)
-				if fresh.Status != inc.Status {
-					t.Errorf("%s set %d round %d: fresh=%v incremental=%v",
-						s.Name(), i, round, fresh.Status, inc.Status)
-					continue
-				}
-				if inc.Status == Satisfiable {
-					for j, a := range set {
-						if bv.Eval(a, inc.Model) != 1 {
-							t.Errorf("%s set %d round %d: model %v violates assertion %d",
-								s.Name(), i, round, inc.Model, j)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestContextStopCancellation: a pre-raised stop flag yields Timeout
 // without any search, a flag raised mid-query interrupts promptly, and
 // the context stays usable for later queries after both.
@@ -204,7 +166,8 @@ func TestContextStopCancellation(t *testing.T) {
 	// still answer correctly.
 	easyA := bv.FromExpr(parser.MustParse("x+y"), 8)
 	easyB := bv.FromExpr(parser.MustParse("(x|y)+y-(~x&y)"), 8)
-	if got := ctx.CheckTermEquiv(easyA, easyB, Budget{Timeout: 30 * time.Second}); got.Status != Equivalent {
+	// It takes 614 conflicts: a 3.3× margin.
+	if got := ctx.CheckTermEquiv(easyA, easyB, Budget{Conflicts: 2000}); got.Status != Equivalent {
 		t.Fatalf("post-cancellation query returned %v, want equivalent", got.Status)
 	}
 }
@@ -232,7 +195,9 @@ func TestContextRecycleWatermarks(t *testing.T) {
 	s := NewZ3Sim()
 	ctx := s.NewContext()
 	ctx.maxVars = 200
-	budget := Budget{Timeout: 30 * time.Second}
+	// The costliest query takes 25284 conflicts (fresh; 25148 warm): a
+	// 4× margin.
+	budget := Budget{Conflicts: 100_000}
 	pairs := diffCorpus(t)
 	for _, p := range pairs {
 		fresh := s.CheckEquiv(p[0], p[1], 8, budget)
@@ -274,16 +239,22 @@ func TestContextWidthIsolation(t *testing.T) {
 			t.Fatalf("width %d: %v, want equivalent", width, res.Status)
 		}
 	}
-	// Same state key, clashing variable widths: a width-1 conjunction
-	// of predicates over x at 8 bits, then over x at 16 bits.
-	mk := func(w uint) *bv.Term {
-		return bv.Predicate(bv.Eq, bv.FromExpr(parser.MustParse("x"), w), bv.NewConst(3, w))
+	// Same state key, clashing variable widths: width-1 predicate sides
+	// over x and y at 8 bits, then at 16 bits, then at 8 again. Each
+	// query reaches the SAT search, and each change of width recycles
+	// the width-1 state.
+	side := func(src string, w uint) *bv.Term {
+		return bv.Predicate(bv.Eq, bv.FromExpr(parser.MustParse(src), w), bv.NewConst(3, w))
 	}
+	recycles := ctx.Stats().Recycles
 	for _, w := range []uint{8, 16, 8} {
-		res := ctx.SolveAssertions([]*bv.Term{mk(w)}, budget)
-		if res.Status != Satisfiable || res.Model["x"] != 3 {
-			t.Fatalf("width-%d assertion: %v model=%v", w, res.Status, res.Model)
+		res := ctx.CheckTermEquiv(side("x+y", w), side("(x|y)+(x&y)", w), budget)
+		if res.Status != Equivalent || res.Rewritten || res.Screened {
+			t.Fatalf("width-%d predicates: %+v, want equivalent by search", w, res)
 		}
+	}
+	if got := ctx.Stats().Recycles - recycles; got != 2 {
+		t.Fatalf("clashing variable widths recycled %d times, want 2", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package smt
 
 import (
 	"testing"
-	"time"
 
 	"mbasolver/internal/bv"
 	"mbasolver/internal/fault"
@@ -22,7 +21,9 @@ func TestContextCorruptThenResetAnswersCorrectly(t *testing.T) {
 	pairs := diffCorpus(t)
 	s := NewBoolectorSim()
 	ctx := s.NewContext()
-	budget := Budget{Timeout: 30 * time.Second}
+	// The costliest query takes 30063 conflicts (fresh; 24592 warm): a
+	// 3.3× margin.
+	budget := Budget{Conflicts: 100_000}
 
 	// Warm every cache the corruption will later damage.
 	for _, p := range pairs {
@@ -30,7 +31,7 @@ func TestContextCorruptThenResetAnswersCorrectly(t *testing.T) {
 	}
 
 	ctx.Corrupt()
-	if !ctx.Poisoned() {
+	if !ctx.poisoned {
 		t.Fatal("Corrupt did not poison the context")
 	}
 	for i, p := range pairs {
@@ -41,7 +42,7 @@ func TestContextCorruptThenResetAnswersCorrectly(t *testing.T) {
 				i, p[0], p[1], inc.Status, fresh.Status)
 		}
 	}
-	if ctx.Poisoned() {
+	if ctx.poisoned {
 		t.Fatal("context still poisoned after serving queries")
 	}
 	if ctx.Stats().FullResets == 0 {
@@ -58,7 +59,8 @@ func TestInjectedPanicContainedAtBoundary(t *testing.T) {
 	const width = 8
 	a, b := parser.MustParse("x+y"), parser.MustParse("(x|y)+(x&y)")
 	s := NewZ3Sim()
-	budget := Budget{Timeout: 30 * time.Second}
+	// The query takes at most 167 conflicts: a 6× margin.
+	budget := Budget{Conflicts: 1000}
 
 	if err := fault.EnableSpec("smt.rewrite:hit=1"); err != nil {
 		t.Fatal(err)
@@ -76,7 +78,7 @@ func TestInjectedPanicContainedAtBoundary(t *testing.T) {
 	if res.Status != Unknown || res.Reason != ReasonPanic {
 		t.Fatalf("context under injected panic: status=%v reason=%v, want unknown/panic", res.Status, res.Reason)
 	}
-	if !ctx.Poisoned() {
+	if !ctx.poisoned {
 		t.Fatal("panic did not poison the context")
 	}
 
@@ -94,7 +96,8 @@ func TestInjectedContextCorruptionResets(t *testing.T) {
 	const width = 8
 	a, b := parser.MustParse("x^y"), parser.MustParse("(x|y)-(x&y)")
 	ctx := NewBoolectorSim().NewContext()
-	budget := Budget{Timeout: 30 * time.Second}
+	// The query takes at most 123 conflicts: an 8.1× margin.
+	budget := Budget{Conflicts: 1000}
 
 	if res := ctx.CheckEquiv(a, b, width, budget); res.Status != Equivalent {
 		t.Fatalf("warmup: %v", res.Status)
@@ -122,30 +125,32 @@ func TestResourceCapsDegradeToUnknown(t *testing.T) {
 	// verdict comes from the SAT core (conflicts and learned clauses).
 	a, b := parser.MustParse("x+y"), parser.MustParse("(x|y)+y-(~x&y)")
 	s := NewZ3Sim()
+	// Uncapped, the query takes 358 conflicts: a 5.6× margin.
+	const conflicts = 2000
 
-	res := s.CheckEquiv(a, b, width, Budget{Timeout: 30 * time.Second, MaxVars: 8})
+	res := s.CheckEquiv(a, b, width, Budget{Conflicts: conflicts, MaxVars: 8})
 	if res.Status != Unknown || res.Reason != ReasonResource {
 		t.Fatalf("MaxVars cap: status=%v reason=%v, want unknown/resource", res.Status, res.Reason)
 	}
-	res = s.CheckEquiv(a, b, width, Budget{Timeout: 30 * time.Second, MaxLits: 1})
+	res = s.CheckEquiv(a, b, width, Budget{Conflicts: conflicts, MaxLits: 1})
 	if res.Status != Unknown || res.Reason != ReasonResource {
 		t.Fatalf("MaxLits cap: status=%v reason=%v, want unknown/resource", res.Status, res.Reason)
 	}
 
 	ctx := s.NewContext()
-	res = ctx.CheckEquiv(a, b, width, Budget{Timeout: 30 * time.Second, MaxVars: 8})
+	res = ctx.CheckEquiv(a, b, width, Budget{Conflicts: conflicts, MaxVars: 8})
 	if res.Status != Unknown || res.Reason != ReasonResource {
 		t.Fatalf("context MaxVars cap: status=%v reason=%v, want unknown/resource", res.Status, res.Reason)
 	}
 	// The cap is per-query: the same context must answer uncapped.
-	if res := ctx.CheckEquiv(a, b, width, Budget{Timeout: 30 * time.Second}); res.Status != Equivalent {
+	if res := ctx.CheckEquiv(a, b, width, Budget{Conflicts: conflicts}); res.Status != Equivalent {
 		t.Fatalf("uncapped follow-up: %v, want equivalent", res.Status)
 	}
 
 	lhs := bv.FromExpr(parser.MustParse("(x|y)+y-(~x&y)"), width)
 	rhs := bv.FromExpr(parser.MustParse("x+y"), width)
 	sr := s.SolveAssertions([]*bv.Term{bv.Predicate(bv.Ne, lhs, rhs)},
-		Budget{Timeout: 30 * time.Second, MaxVars: 8})
+		Budget{Conflicts: conflicts, MaxVars: 8})
 	if sr.Status != SatUnknown || sr.Reason != ReasonResource {
 		t.Fatalf("SolveAssertions MaxVars cap: status=%v reason=%v, want unknown/resource", sr.Status, sr.Reason)
 	}

@@ -9,8 +9,8 @@ import (
 	"mbasolver/internal/sat"
 )
 
-// Every query, whichever entry point it came through, runs the same
-// word-level phase here and hands what is left to a back end:
+// Every equivalence query, whichever entry point it came through, runs
+// the same word-level phase here and hands what is left to a back end:
 //
 //	budget gate → smt.rewrite fault site → screen → rewrite →
 //	hash-cons check → arithEqual → budget gate → residual Ne fold
@@ -73,9 +73,6 @@ type backend interface {
 	// decide searches q.residual and maps the outcome to a verdict.
 	// ok is false when no search ran because encoding was interrupted.
 	decide(q query) (res Result, ok bool)
-	// solveAll searches the conjunction of the rewritten assertions ts,
-	// whose variables (before rewriting) are vars.
-	solveAll(q query, ts []*bv.Term, vars map[string]uint) (res SatResult, ok bool)
 }
 
 // checkTerms runs the word-level phase of an equivalence query and
@@ -187,28 +184,21 @@ func (q *query) verdict(res *Result, v sat.Status, bl *bitblast.Blaster) {
 	}
 }
 
-// solveTerms runs the word-level phase of a satisfiability query over
-// width-1 assertions and hands the rewritten conjunction to be; in, rw
-// and answered are as for checkTerms.
-func (s *Solver) solveTerms(q query, assertions []*bv.Term, in *bv.Interner, rw *bv.Rewriter, be backend) (res SatResult, answered bool) {
+// solveTerms decides the conjunction of width-1 assertions on a pooled
+// Blaster, after rewriting each one.
+func (s *Solver) solveTerms(q query, assertions []*bv.Term) SatResult {
 	// Per-assertion rewriting is the heavy phase on large inputs; an
 	// exhausted budget must not buy any of it.
 	if q.expired() {
-		return SatResult{Status: SatUnknown, Reason: ReasonBudget, Elapsed: time.Since(q.start)}, false
+		return SatResult{Status: SatUnknown, Reason: ReasonBudget, Elapsed: time.Since(q.start)}
 	}
-	be.enter()
 	if siteRewrite.Fire() {
 		fault.PanicAt("smt.rewrite")
 	}
-	if rw == nil {
-		rw = bv.NewRewriter(s.level)
-	}
+	rw := bv.NewRewriter(s.level)
 	vars := map[string]uint{}
 	rewritten := make([]*bv.Term, 0, len(assertions))
 	for _, a := range assertions {
-		if in != nil {
-			a = in.Intern(a)
-		}
 		for name, width := range bv.Vars(a) {
 			vars[name] = width
 		}
@@ -218,7 +208,7 @@ func (s *Solver) solveTerms(q query, assertions []*bv.Term, in *bv.Interner, rw 
 		}
 		if t.Op == bv.Const {
 			if t.Val == 0 {
-				return SatResult{Status: Unsatisfiable, Elapsed: time.Since(q.start)}, true
+				return SatResult{Status: Unsatisfiable, Elapsed: time.Since(q.start)}
 			}
 			continue // trivially true assertion
 		}
@@ -226,16 +216,26 @@ func (s *Solver) solveTerms(q query, assertions []*bv.Term, in *bv.Interner, rw 
 	}
 	if len(rewritten) == 0 {
 		// All assertions rewrote to true: any assignment works.
-		return SatResult{Status: Satisfiable, Model: model(vars, nil), Elapsed: time.Since(q.start)}, true
+		return SatResult{Status: Satisfiable, Model: model(vars, nil), Elapsed: time.Since(q.start)}
 	}
 	if q.expired() {
-		return SatResult{Status: SatUnknown, Reason: ReasonBudget, Elapsed: time.Since(q.start)}, false
+		return SatResult{Status: SatUnknown, Reason: ReasonBudget, Elapsed: time.Since(q.start)}
 	}
-	return be.solveAll(q, rewritten, vars)
-}
 
-// satVerdict fills res from a SAT outcome on a conjunction over vars.
-func satVerdict(res *SatResult, v sat.Status, bl *bitblast.Blaster, vars map[string]uint) {
+	bl := acquireBlaster(s.satOpts)
+	q.arm(bl)
+	for _, t := range rewritten {
+		out := bl.Blast(t)
+		if out == nil {
+			res := SatResult{Status: SatUnknown, Reason: bl.StopReason(), Elapsed: time.Since(q.start)}
+			releaseBlaster(bl)
+			return res
+		}
+		bl.AssertTrue(out[0])
+	}
+	v := bl.Solve(q.satBudget())
+	st := bl.S.Stats()
+	res := SatResult{Elapsed: time.Since(q.start), Conflicts: st.Conflicts, Propagations: st.Propagations}
 	switch v {
 	case sat.Sat:
 		res.Status = Satisfiable
@@ -246,6 +246,8 @@ func satVerdict(res *SatResult, v sat.Status, bl *bitblast.Blaster, vars map[str
 		res.Status = SatUnknown
 		res.Reason = bl.UnknownReason()
 	}
+	releaseBlaster(bl)
+	return res
 }
 
 // model assigns every variable of vars its value in bl's model, or 0
@@ -311,26 +313,6 @@ func (fresh) decide(q query) (Result, bool) {
 	st := bl.S.Stats()
 	res := Result{Elapsed: time.Since(q.start), Conflicts: st.Conflicts, Propagations: st.Propagations}
 	q.verdict(&res, v, bl)
-	releaseBlaster(bl)
-	return res, true
-}
-
-func (fresh) solveAll(q query, ts []*bv.Term, vars map[string]uint) (SatResult, bool) {
-	bl := acquireBlaster(q.s.satOpts)
-	q.arm(bl)
-	for _, t := range ts {
-		out := bl.Blast(t)
-		if out == nil {
-			res := SatResult{Status: SatUnknown, Reason: bl.StopReason(), Elapsed: time.Since(q.start)}
-			releaseBlaster(bl)
-			return res, false
-		}
-		bl.AssertTrue(out[0])
-	}
-	v := bl.Solve(q.satBudget())
-	st := bl.S.Stats()
-	res := SatResult{Elapsed: time.Since(q.start), Conflicts: st.Conflicts, Propagations: st.Propagations}
-	satVerdict(&res, v, bl, vars)
 	releaseBlaster(bl)
 	return res, true
 }

@@ -59,7 +59,9 @@ func budgetOf(b Budget) func() Budget { return func() Budget { return b } }
 
 func levelOf(l bv.RewriteLevel) *bv.RewriteLevel { return &l }
 
-func noRewriteSim() *Solver { return NewCustom("none", bv.RewriteNone, sat.DefaultOptions()) }
+func noRewriteSim() *Solver {
+	return &Solver{name: "none", level: bv.RewriteNone, satOpts: sat.DefaultOptions(), speed: 1.0}
+}
 
 // TestBackendParity runs every pipeline exit through the fresh back
 // end and a warm Context (cold, then re-asked), and checks that they

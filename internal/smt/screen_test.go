@@ -47,7 +47,8 @@ func TestCornerProbesDistinguishSymmetricPairs(t *testing.T) {
 func TestWitnessOnSymmetricDisequality(t *testing.T) {
 	a, b := parser.MustParse("x"), parser.MustParse("y")
 	for _, noScreen := range []bool{false, true} {
-		res := NewBoolectorSim().CheckEquiv(a, b, 8, Budget{Timeout: 30 * time.Second, NoScreen: noScreen})
+		// Decided without a conflict, screened or not.
+		res := NewBoolectorSim().CheckEquiv(a, b, 8, Budget{Conflicts: 1000, NoScreen: noScreen})
 		if res.Status != NotEquivalent {
 			t.Fatalf("x vs y (NoScreen=%v) -> %v, want not-equivalent", noScreen, res.Status)
 		}

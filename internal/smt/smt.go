@@ -145,11 +145,7 @@ func (s *Solver) Name() string { return s.name }
 
 // NewZ3Sim returns the Z3-like personality.
 func NewZ3Sim() *Solver {
-	opts := sat.DefaultOptions()
-	opts.VarDecay = 0.95
-	opts.RestartLuby = true
-	opts.RestartBase = 100
-	return &Solver{name: "z3sim", level: bv.RewriteBasic, satOpts: opts, speed: 1.0}
+	return &Solver{name: "z3sim", level: bv.RewriteBasic, satOpts: sat.DefaultOptions(), speed: 1.0}
 }
 
 // NewSTPSim returns the STP-like personality.
@@ -164,11 +160,7 @@ func NewSTPSim() *Solver {
 
 // NewBoolectorSim returns the Boolector-like personality.
 func NewBoolectorSim() *Solver {
-	opts := sat.DefaultOptions()
-	opts.VarDecay = 0.95
-	opts.RestartLuby = true
-	opts.RestartBase = 100
-	return &Solver{name: "btorsim", level: bv.RewriteFull, satOpts: opts, speed: 4.0}
+	return &Solver{name: "btorsim", level: bv.RewriteFull, satOpts: sat.DefaultOptions(), speed: 4.0}
 }
 
 // All returns the three personalities in the paper's column order
@@ -196,12 +188,6 @@ func (s *Solver) CheckTermEquiv(ta, tb *bv.Term, budget Budget) (res Result) {
 	defer contain("smt.CheckTermEquiv", q.start, nil, &res)
 	res, _ = s.checkTerms(q, ta, tb, nil, nil, fresh{})
 	return res
-}
-
-// NewCustom builds a personality with explicit rewrite level and SAT
-// options — used by calibration experiments and tests.
-func NewCustom(name string, level bv.RewriteLevel, opts sat.Options) *Solver {
-	return &Solver{name: name, level: level, satOpts: opts, speed: 1.0}
 }
 
 // scaledConflicts applies the modeled engine throughput to a conflict

@@ -3,7 +3,6 @@ package smt
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"mbasolver/internal/eval"
 	"mbasolver/internal/expr"
@@ -19,9 +18,11 @@ func TestIdentitiesEquivalent(t *testing.T) {
 		{"x^y", "(x|y)-(x&y)"},
 		{"x+y", "x+y"},
 	}
+	// The costliest pair takes 931 conflicts (btorsim): a 3.2× margin.
+	budget := Budget{Conflicts: 3000}
 	for _, s := range All() {
 		for _, p := range pairs {
-			res := s.CheckEquiv(parser.MustParse(p[0]), parser.MustParse(p[1]), 8, Budget{Timeout: 30 * time.Second})
+			res := s.CheckEquiv(parser.MustParse(p[0]), parser.MustParse(p[1]), 8, budget)
 			if res.Status != Equivalent {
 				t.Errorf("%s: %q == %q -> %v, want equivalent", s.Name(), p[0], p[1], res.Status)
 			}
@@ -37,10 +38,12 @@ func TestNonIdentitiesRefuted(t *testing.T) {
 		{"x", "y"},
 		{"~x", "-x"}, // off by one
 	}
+	// Every pair is refuted without a conflict.
+	budget := Budget{Conflicts: 1000}
 	for _, s := range All() {
 		for _, p := range pairs {
 			a, b := parser.MustParse(p[0]), parser.MustParse(p[1])
-			res := s.CheckEquiv(a, b, 8, Budget{Timeout: 30 * time.Second})
+			res := s.CheckEquiv(a, b, 8, budget)
 			if res.Status != NotEquivalent {
 				t.Errorf("%s: %q vs %q -> %v, want not-equivalent", s.Name(), p[0], p[1], res.Status)
 				continue
@@ -89,7 +92,8 @@ func TestFigure1IdentityAtSmallWidth(t *testing.T) {
 	a := parser.MustParse("x*y")
 	b := parser.MustParse("(x&~y)*(~x&y) + (x&y)*(x|y)")
 	s := NewBoolectorSim()
-	res := s.CheckEquiv(a, b, 4, Budget{Timeout: 60 * time.Second})
+	// It takes 191 conflicts: a 5.2× margin.
+	res := s.CheckEquiv(a, b, 4, Budget{Conflicts: 1000})
 	if res.Status != Equivalent {
 		t.Errorf("figure-1 identity at width 4: %v, want equivalent", res.Status)
 	}
@@ -99,7 +103,8 @@ func TestCheckZero(t *testing.T) {
 	s := NewZ3Sim()
 	// x - y - (x^y) - 2*(x|~y) - 2 == 0 (Example 1 rearranged).
 	e := parser.MustParse("x - y - (x^y) - 2*(x|~y) - 2")
-	if res := s.CheckEquiv(e, expr.Const(0), 8, Budget{Timeout: 30 * time.Second}); res.Status != Equivalent {
+	// It takes 330 conflicts: a 3× margin.
+	if res := s.CheckEquiv(e, expr.Const(0), 8, Budget{Conflicts: 1000}); res.Status != Equivalent {
 		t.Errorf("CheckEquiv(example 1, 0) = %v, want equivalent", res.Status)
 	}
 	if res := s.CheckEquiv(parser.MustParse("x+1"), expr.Const(0), 8, Budget{}); res.Status != NotEquivalent {
@@ -133,7 +138,8 @@ func TestRandomEquivalencesAgainstEval(t *testing.T) {
 				}
 			}
 		}
-		res := s.CheckEquiv(a, b, 3, Budget{Timeout: 30 * time.Second})
+		// Every round is decided without a conflict.
+		res := s.CheckEquiv(a, b, 3, Budget{Conflicts: 1000})
 		got := res.Status == Equivalent
 		if res.Status == Timeout {
 			t.Fatalf("unexpected timeout on tiny query %v vs %v", a, b)

@@ -78,6 +78,11 @@ go test ./internal/core/ -run '^$' -fuzz '^FuzzSimplify$' -fuzztime 10s
 # fresh back end, a warm context and the screened path agree.
 go test ./internal/smt/ -run '^$' -fuzz '^FuzzCheckEquiv$' -fuzztime 10s
 
+# Verdict-store recovery fuzz: on any bytes as verdicts.log, Open never
+# fails or panics, recovers only values the input frames intact, and a
+# Put on the recovered store survives Close and a reopen.
+go test ./internal/store/ -run '^$' -fuzz '^FuzzStoreRecover$' -fuzztime 10s
+
 # Benchmark gate: the end-to-end benchmark's known-answer and
 # determinism tests (raw, simplified, and the service path client →
 # router → node → store) at smoke size on the default and held-out
